@@ -20,18 +20,35 @@ This module provides
 * bounded witness searches over copy counts and catalyst grids, and
   :func:`strong_verdict`, which combines the sound paths and otherwise
   reports an honest ``inconclusive``.
+
+The catalyst scan is batched.  Each ``(dim, steps)`` grid of
+:func:`sorted_simplex_grid` is built once per process as a read-only
+``(G, dim)`` array, and a block of grid rows is decided together: products
+``a (x) c`` and ``b (x) c`` for every row, row-wise prefix sums, and both
+prefix inequalities.  The products are formed exactly as
+:func:`tensor_product_spectrum` forms them, so each row's verdict is the one
+:func:`~entorder.majorization.compare` gives on that pair of product
+spectra.  Blocks hold a bounded number of product entries, which bounds
+peak memory and stops the scan at the block holding the first hit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteSchmidtNumber, InternalInconsistency, SizeCapExceeded
-from .majorization import Relation, compare, majorized_by
+from .errors import (
+    InfiniteSchmidtNumber,
+    InternalInconsistency,
+    InvalidInput,
+    SizeCapExceeded,
+)
+from .majorization import Relation, majorized_by
 from .spectra import (
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
@@ -40,6 +57,10 @@ from .spectra import (
 )
 
 DEFAULT_SIZE_CAP = 10**7
+
+# Product entries, over both spectra of a pair, per block of the catalyst
+# grid scan.  Bounds the scan's peak memory and the work done past a hit.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
@@ -54,11 +75,8 @@ def tensor_product_spectrum(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> SchmidtSpectrum:
     """Spectrum of a joint system: sorted pairwise products, renormalized."""
-    _require_finite(a, "tensor product")
     _require_finite(c, "tensor product")
-    size = len(a) * len(c)
-    if size > size_cap:
-        raise SizeCapExceeded(size, size_cap)
+    _check_product_factor(a, len(c), size_cap)
     products = np.sort(np.multiply.outer(a.values, c.values).ravel())[::-1]
     return SchmidtSpectrum(products / products.sum())
 
@@ -76,7 +94,7 @@ def tensor_power_spectrum(
     """
     _require_finite(a, "tensor power")
     if m < 1:
-        raise ValueError("copy count must be at least 1")
+        raise InvalidInput("copy count must be at least 1")
     size = len(a) ** m
     if size > size_cap:
         raise SizeCapExceeded(size, size_cap)
@@ -118,9 +136,9 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     """
     _require_finite(a, "tensor power prefix")
     if m < 1:
-        raise ValueError("copy count must be at least 1")
+        raise InvalidInput("copy count must be at least 1")
     if k < 1:
-        raise ValueError("prefix length must be at least 1")
+        raise InvalidInput("prefix length must be at least 1")
     cur = a.values[: min(k, len(a))]
     for _ in range(m - 1):
         cur = _top_products(cur, a.values, k)
@@ -207,7 +225,7 @@ def multicopy_convertible(
     _require_finite(a, "multi-copy search")
     _require_finite(b, "multi-copy search")
     if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+        raise InvalidInput("m_max must be at least 1")
     needed = max(len(a), len(b)) ** m_max
     if needed > size_cap:
         raise SizeCapExceeded(needed, size_cap)
@@ -221,6 +239,56 @@ def multicopy_convertible(
     return None
 
 
+def _check_product_factor(spec: SchmidtSpectrum, dim: int, size_cap: int) -> None:
+    """Raise as a product of `spec` with a finite `dim`-entry factor would."""
+    _require_finite(spec, "tensor product")
+    size = len(spec) * dim
+    if size > size_cap:
+        raise SizeCapExceeded(size, size_cap)
+
+
+def _catalysed_prefix_sums(
+    values: np.ndarray, catalysts: np.ndarray, width: int
+) -> np.ndarray:
+    """Row r: prefix sums 1..width of the product of `values` and catalysts[r].
+
+    Products are formed, sorted and renormalized exactly as
+    :func:`tensor_product_spectrum` does it, so every entry has the same
+    bits; past the product's length the sums stay at the row total, as
+    :func:`~entorder.spectra.prefix_sums` pads a finite spectrum.
+    """
+    rows = len(catalysts)
+    products = values[:, None] * catalysts[:, None, :]
+    products = np.sort(products.reshape(rows, -1), axis=1)[:, ::-1]
+    spectra = products / products.sum(axis=1, keepdims=True)
+    size = spectra.shape[1]
+    sums = np.empty((rows, width))
+    np.cumsum(spectra, axis=1, out=sums[:, :size])
+    sums[:, size:] = sums[:, size - 1 : size]
+    return sums
+
+
+def _first_hit(
+    a: SchmidtSpectrum, b: SchmidtSpectrum, catalysts: np.ndarray, tol: Tolerances
+) -> tuple[int, Relation] | None:
+    """First row of `catalysts` that opens a direction, with that direction.
+
+    Forward means a (x) c is majorized by b (x) c: no prefix difference
+    exceeds tau_cmp, so equal product spectra count as forward.  Backward is
+    the mirror test and decides only rows that are not forward.
+    """
+    width = max(len(a), len(b)) * catalysts.shape[1]
+    diff = _catalysed_prefix_sums(a.values, catalysts, width)
+    diff -= _catalysed_prefix_sums(b.values, catalysts, width)
+    forward = ~(diff > tol.tau_cmp).any(axis=1)
+    backward = ~(diff < -tol.tau_cmp).any(axis=1)
+    hits = np.flatnonzero(forward | backward)
+    if len(hits) == 0:
+        return None
+    row = int(hits[0])
+    return row, Relation.FORWARD if forward[row] else Relation.BACKWARD
+
+
 def catalyst_convertible(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -232,18 +300,17 @@ def catalyst_convertible(
     """Direction opened by catalyst `c`, or None.
 
     Forward means a (x) c is majorized by b (x) c; equal product spectra
-    count as forward (the conversion exists trivially).
+    count as forward (the conversion exists trivially).  This is the scan
+    kernel of :func:`catalyst_search` run on the single row `c`, so both
+    decide a catalyst the same way.  Tailed inputs raise
+    InfiniteSchmidtNumber and oversized products SizeCapExceeded, `a`
+    checked before `b`, before any product is formed.
     """
-    verdict = compare(
-        tensor_product_spectrum(a, c, size_cap=size_cap),
-        tensor_product_spectrum(b, c, size_cap=size_cap),
-        tol,
-    )
-    if verdict.relation in (Relation.FORWARD, Relation.EQUIVALENT):
-        return Relation.FORWARD
-    if verdict.relation is Relation.BACKWARD:
-        return Relation.BACKWARD
-    return None
+    _require_finite(c, "tensor product")
+    for spec in (a, b):
+        _check_product_factor(spec, len(c), size_cap)
+    hit = _first_hit(a, b, c.values[None, :], tol)
+    return None if hit is None else hit[1]
 
 
 def sorted_simplex_grid(dim: int, steps: int):
@@ -255,9 +322,9 @@ def sorted_simplex_grid(dim: int, steps: int):
     lower dimension.
     """
     if dim < 1:
-        raise ValueError("dimension must be at least 1")
+        raise InvalidInput("dimension must be at least 1")
     if steps < 2:
-        raise ValueError("grid needs at least 2 steps")
+        raise InvalidInput("grid needs at least 2 steps")
 
     def parts(remaining, slots, cap):
         if slots == 1:
@@ -275,6 +342,15 @@ def sorted_simplex_grid(dim: int, steps: int):
         yield np.asarray(combo, dtype=float) / steps
 
 
+@functools.lru_cache(maxsize=32)
+def _catalyst_grid(dim: int, steps: int) -> np.ndarray:
+    """:func:`sorted_simplex_grid` as a read-only (G, dim) array, same order."""
+    entries = itertools.chain.from_iterable(sorted_simplex_grid(dim, steps))
+    grid = np.fromiter(entries, dtype=float).reshape(-1, dim)
+    grid.flags.writeable = False
+    return grid
+
+
 def catalyst_search(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -287,20 +363,34 @@ def catalyst_search(
     """Scan grid catalysts of dimension 2..dim_max for an opened direction.
 
     Returns the first working catalyst in the canonical grid order (see
-    :func:`sorted_simplex_grid`).  Absence is NOT a proof of impossibility:
-    the grid is finite and coarse, so None only means the bounded search
-    failed.
+    :func:`sorted_simplex_grid`), with the direction
+    :func:`catalyst_convertible` gives for it.  Each dimension's grid is
+    built once per process and cached; it is scanned in blocks of rows,
+    each decided by one batched kernel, and the scan stops at the block
+    holding the first hit.  Before a dimension is scanned, products of that
+    size are checked against `size_cap` (`a` before `b`), so smaller
+    dimensions that fit are scanned first.
+
+    Absence is NOT a proof of impossibility: the grid is finite and coarse,
+    so None only means the bounded search failed.
     """
     _require_finite(a, "catalyst search")
     _require_finite(b, "catalyst search")
     if dim_max < 2:
-        raise ValueError("dim_max must be at least 2")
+        raise InvalidInput("dim_max must be at least 2")
     for dim in range(2, dim_max + 1):
-        for vec in sorted_simplex_grid(dim, grid_steps):
-            candidate = SchmidtSpectrum(vec)
-            direction = catalyst_convertible(a, b, candidate, tol, size_cap=size_cap)
-            if direction is not None:
-                return CatalystWitness(direction, candidate)
+        grid = _catalyst_grid(dim, grid_steps)
+        if len(grid) == 0:
+            continue  # every vector has a trailing zero, seen at a lower dim
+        for spec in (a, b):
+            _check_product_factor(spec, dim, size_cap)
+        rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
+        for start in range(0, len(grid), rows):
+            hit = _first_hit(a, b, grid[start : start + rows], tol)
+            if hit is not None:
+                row, direction = hit
+                catalyst = SchmidtSpectrum(grid[start + row].copy())
+                return CatalystWitness(direction, catalyst)
     return None
 
 

@@ -81,13 +81,28 @@ class TruncationPair:
     swapped: bool
 
 
+def _positive_prefix(spec: SchmidtSpectrum, count: int, tol: Tolerances) -> bool:
+    """Whether the first `count` entries all exceed tau_zero, decided before
+    any of them is materialized (`count` may be far beyond memory)."""
+    head = spec.values[:count]
+    if not (head > tol.tau_zero).all():
+        return False
+    extra = count - len(head)
+    if extra == 0:
+        return True
+    if spec.tail is None:
+        return False  # zero padding past a finite spectrum
+    # Tail entries decrease, so the last kept one decides.
+    return bool(spec.tail.entries(1, extra - 1)[0] > tol.tau_zero)
+
+
 def _truncate(spec: SchmidtSpectrum, count: int, tol: Tolerances) -> SchmidtSpectrum:
-    kept = spec.entry_prefix(count)
-    if (kept <= tol.tau_zero).any():
+    if not _positive_prefix(spec, count, tol):
         raise NotComplete(
             f"spectrum has fewer than {count} positive entries; "
             "the construction needs a complete input"
         )
+    kept = spec.entry_prefix(count)
     return SchmidtSpectrum(kept / kept.sum())
 
 

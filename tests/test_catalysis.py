@@ -6,8 +6,10 @@ from entorder import (
     InfiniteSchmidtNumber,
     MultiCopyWitness,
     Relation,
+    SchmidtSpectrum,
     SizeCapExceeded,
     StrongOutcome,
+    catalysis,
     catalyst_convertible,
     catalyst_search,
     compare,
@@ -292,6 +294,151 @@ def test_catalyst_search_equal_pair_hits_first_candidate():
     witness = catalyst_search(s, s, 2, 10)
     assert witness.direction is Relation.FORWARD
     assert witness.catalyst.values == pytest.approx([0.5, 0.5])
+
+
+def scalar_catalyst_search(a, b, dim_max, grid_steps):
+    """Reference scan: one product pair and one compare per grid catalyst.
+
+    Returns (direction, catalyst values, position in the scan) or None.
+    """
+    position = 0
+    for dim in range(2, dim_max + 1):
+        for vec in sorted_simplex_grid(dim, grid_steps):
+            c = SchmidtSpectrum(vec)
+            relation = compare(
+                tensor_product_spectrum(a, c), tensor_product_spectrum(b, c)
+            ).relation
+            if relation in (Relation.FORWARD, Relation.EQUIVALENT):
+                return Relation.FORWARD, vec, position
+            if relation is Relation.BACKWARD:
+                return Relation.BACKWARD, vec, position
+            position += 1
+    return None
+
+
+SCAN_SETTINGS = ((3, 50), (2, 100), (4, 12))
+
+
+@pytest.fixture(scope="module")
+def scalar_scan_cases():
+    rng = np.random.default_rng(39)
+    cases = []
+    while len(cases) < 510 * len(SCAN_SETTINGS):
+        na, nb = (int(n) for n in rng.integers(2, 8, size=2))
+        if na == nb:
+            continue
+        alpha = float(rng.choice([0.5, 1.0, 3.0]))
+        a = make_spectrum(random_sorted_probs(rng, na, alpha=alpha))
+        b = make_spectrum(random_sorted_probs(rng, nb, alpha=alpha))
+        for dim_max, grid_steps in SCAN_SETTINGS:
+            expected = scalar_catalyst_search(a, b, dim_max, grid_steps)
+            cases.append((a, b, dim_max, grid_steps, expected))
+    return cases
+
+
+@pytest.mark.parametrize("block_entries", [None, 1])
+def test_batched_scan_matches_scalar_reference(
+    scalar_scan_cases, block_entries, monkeypatch
+):
+    # block_entries=1 scans one grid row per block, so every hit after a
+    # dimension's first row lies past the first block of that dimension
+    if block_entries is not None:
+        monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", block_entries)
+    outcomes = set()
+    for a, b, dim_max, grid_steps, expected in scalar_scan_cases:
+        witness = catalyst_search(a, b, dim_max, grid_steps)
+        if expected is None:
+            assert witness is None
+            outcomes.add(None)
+            continue
+        direction, vec, position = expected
+        assert witness.direction is direction
+        assert witness.catalyst.values.tobytes() == vec.tobytes()
+        assert catalyst_convertible(a, b, witness.catalyst) is direction
+        outcomes.add(direction)
+        outcomes.add("past first row" if position > 0 else "first row")
+    assert outcomes == {
+        None, Relation.FORWARD, Relation.BACKWARD, "first row", "past first row"
+    }
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """Shapes of the catalyst blocks the scan kernel is called on."""
+    shapes = []
+    first_hit = catalysis._first_hit
+
+    def recording(a, b, catalysts, tol):
+        shapes.append(catalysts.shape)
+        return first_hit(a, b, catalysts, tol)
+
+    monkeypatch.setattr(catalysis, "_first_hit", recording)
+    return shapes
+
+
+def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
+    # the worked pair's first catalyst is several rows into the dim-2 grid;
+    # with two rows per block the scan must still return it, and stop there
+    a, b = spec(*JP_A), spec(*JP_B)
+    expected = scalar_catalyst_search(a, b, 3, 100)
+    assert expected[2] >= 2
+    monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
+    witness = catalyst_search(a, b, 3, 100)
+    assert witness.catalyst.values.tobytes() == expected[1].tobytes()
+    assert kernel_blocks == [(2, 2)] * (expected[2] // 2 + 1)
+
+
+def test_catalyst_grid_is_cached_and_read_only():
+    grid = catalysis._catalyst_grid(3, 7)
+    assert catalysis._catalyst_grid(3, 7) is grid
+    assert not grid.flags.writeable
+    assert [row.tobytes() for row in grid] == [
+        vec.tobytes() for vec in sorted_simplex_grid(3, 7)
+    ]
+    assert catalysis._catalyst_grid(4, 3).shape == (0, 4)
+
+
+def test_catalyst_size_cap_checked_before_products(kernel_blocks):
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
+
+    # dimension 2 fits and finds nothing; dimension 3 needs 4*3 entries
+    with pytest.raises(SizeCapExceeded) as info:
+        catalyst_search(long, short, 3, 20, size_cap=8)
+    assert (info.value.required, info.value.cap) == (12, 8)
+    assert [shape[1] for shape in kernel_blocks] == [2]
+
+    # `a` is checked before `b`
+    kernel_blocks.clear()
+    for a, b, required in ((long, short, 8), (short, long, 4)):
+        with pytest.raises(SizeCapExceeded) as info:
+            catalyst_search(a, b, 3, 20, size_cap=3)
+        assert (info.value.required, info.value.cap) == (required, 3)
+    c = spec(0.6, 0.4)
+    for a, b, required in ((long, short, 8), (short, long, 4)):
+        with pytest.raises(SizeCapExceeded) as info:
+            catalyst_convertible(a, b, c, size_cap=3)
+        assert (info.value.required, info.value.cap) == (required, 3)
+    with pytest.raises(SizeCapExceeded) as info:
+        catalyst_convertible(short, long, c, size_cap=4)
+    assert (info.value.required, info.value.cap) == (8, 4)
+    assert kernel_blocks == []
+
+    # a hit at a dimension that fits ends the scan before the cap matters
+    witness = catalyst_search(spec(*JP_A), spec(*JP_B), 3, 100, size_cap=8)
+    assert witness.direction is Relation.FORWARD
+    assert len(witness.catalyst) == 2
+
+
+def test_catalyst_convertible_rejects_tails():
+    tailed = complete_extension(spec(0.5, 0.5), 1)
+    finite = spec(0.6, 0.4)
+    for args in ((tailed, finite, finite), (finite, tailed, finite),
+                 (finite, finite, tailed)):
+        with pytest.raises(InfiniteSchmidtNumber):
+            catalyst_convertible(*args)
+    # finiteness is decided before the size cap, as for tensor products
+    with pytest.raises(InfiniteSchmidtNumber):
+        catalyst_convertible(tailed, finite, finite, size_cap=1)
 
 
 # --- strong verdict ----------------------------------------------------------

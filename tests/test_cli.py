@@ -141,6 +141,22 @@ def test_power_size_cap_exit_code():
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--a", "0.5,0.5", "--m", "0"],
+        ["strong", "--a", "0.6,0.3,0.1", "--b", "0.5,0.5", "--catalyst-dim", "1"],
+        ["strong", "--a", "0.6,0.3,0.1", "--b", "0.5,0.5", "--grid", "1"],
+    ],
+)
+def test_out_of_range_search_bounds_are_input_errors(argv):
+    code, out, err = invoke(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # --- construct -----------------------------------------------------------------
 
 
@@ -171,6 +187,21 @@ def test_construct_truncate_tied_tops_is_input_error():
         "construct", "truncate", "--a", "0.5,0.5", "--b", "0.5,0.25,0.25", "--m", "2"
     )
     assert code == 2
+
+
+def test_construct_truncate_huge_index_is_input_error():
+    # rejected from the entry count alone: the 10**10 kept entries (80 GB)
+    # are never allocated
+    code, out, err = invoke(
+        "construct", "truncate", "--a", "0.6,0.3,0.1", "--b", "0.5,0.5",
+        "--m", "10000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: spectrum has fewer than 10000000000 positive entries; "
+        "the construction needs a complete input\n"
+    )
 
 
 def test_construct_audit_csv():

@@ -153,6 +153,18 @@ def test_truncation_of_tailed_spectra_materializes_entries():
     assert pair.a_m.values.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def test_truncation_stops_where_the_tail_drops_below_tau_zero():
+    # a's tail 0.25 * 0.5**j exceeds tau_zero = 1e-12 for j <= 37 only, so a
+    # has 1 + 38 positive entries; b (the shorter cut) has 2 + 38
+    a = complete_extension(spec(1.0), 1)
+    b = complete_extension(spec(0.5, 0.5), 1)
+    positive = np.count_nonzero(a.entry_prefix(60) > 1e-12)
+    assert positive == 39
+    assert len(truncation_pair(a, b, positive).a_m) == positive
+    with pytest.raises(NotComplete):
+        truncation_pair(a, b, positive + 1)
+
+
 # --- minimal_c_index -----------------------------------------------------------
 
 
