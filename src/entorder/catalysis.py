@@ -444,13 +444,30 @@ def strong_verdict(
     forces the non-strict reversal of one of the orderings that condition_c
     requires strictly); if they ever do, an InternalInconsistency is raised
     because one of the implementations is wrong.  When condition_c holds,
-    the witness searches still run as a self-audit.
+    the witness searches still run as a self-audit, but only as far as
+    `size_cap` allows: copy counts and catalyst dimensions whose products
+    would exceed it are skipped, so a resource cap never overturns a proven
+    verdict, and `checked_bounds` records the bounds actually audited.
     """
-    bounds = (m_max, catalyst_dim_max, grid_steps)
+    for name, value, least in (
+        ("m_max", m_max, 1),
+        ("catalyst_dim_max", catalyst_dim_max, 2),
+        ("grid_steps", grid_steps, 2),
+    ):
+        if value < least:
+            raise InvalidInput(f"{name} must be at least {least}")
     holds = condition_c(a, b, tol)
-    witness: MultiCopyWitness | CatalystWitness | None
-    witness = multicopy_convertible(a, b, 1, tol, size_cap=size_cap)
-    if witness is None:
+    if holds:
+        width = max(len(a), len(b))
+        while m_max > 0 and width**m_max > size_cap:
+            m_max -= 1
+        while catalyst_dim_max > 1 and width * catalyst_dim_max > size_cap:
+            catalyst_dim_max -= 1
+    bounds = (m_max, catalyst_dim_max, grid_steps)
+    witness: MultiCopyWitness | CatalystWitness | None = None
+    if m_max > 0:
+        witness = multicopy_convertible(a, b, 1, tol, size_cap=size_cap)
+    if witness is None and catalyst_dim_max > 1:
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
         )

@@ -8,9 +8,12 @@ exceeded.  Diagnostics go to stderr only; identical invocations produce
 byte-identical stdout.
 
 Defaults may be set in a key=value config file passed with --config or named
-by the ENTORDER_CONFIG environment variable; command-line flags win over the
-file.  Recognized keys: tau_norm, tau_zero, tau_cmp, size_cap, m_max,
-catalyst_dim, grid_steps, format.
+by the ENTORDER_CONFIG environment variable.  Recognized keys: tau_norm,
+tau_zero, tau_cmp, size_cap, m_max, catalyst_dim, grid_steps, format.  A
+flag overrides one key: --tol sets tau_cmp, --m-max m_max, --catalyst-dim
+catalyst_dim, --grid grid_steps and --format format.  Flags are laid over
+the file's values and checked with them, so a flag is rejected exactly
+when the same value in the file would be.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from .errors import (
     InvalidInput,
     SizeCapExceeded,
 )
-from .majorization import compare
+from .majorization import Relation, compare
 from .spectra import (
-    SchmidtSpectrum,
     Tolerances,
     format_spectrum,
     g17,
     parse_spectrum,
-    schmidt_number,
     schmidt_spectrum,
     spectrum_to_json,
 )
@@ -45,6 +46,10 @@ CONFIG_ENV_VAR = "ENTORDER_CONFIG"
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SIZE_CAP = 3
+
+_TOLERANCE_KEYS = ("tau_norm", "tau_zero", "tau_cmp")
+# Integer settings and the smallest value each accepts.
+_COUNT_LEAST = {"size_cap": 1, "m_max": 1, "catalyst_dim": 2, "grid_steps": 2}
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,25 @@ class Config:
     output_format: str | None = None
 
     def __post_init__(self):
-        if self.size_cap < 1 or self.m_max < 1 or self.grid_steps < 2:
-            raise InvalidInput("config values must be positive")
-        if self.catalyst_dim < 2:
-            raise InvalidInput("catalyst_dim must be at least 2")
+        for key, least in _COUNT_LEAST.items():
+            if getattr(self, key) < least:
+                raise InvalidInput(f"{key} must be at least {least}")
         if self.output_format not in (None, "json", "csv", "text"):
             raise InvalidInput(f"unknown format {self.output_format!r}")
+
+
+def _settings(config: Config, values: dict) -> Config:
+    """`config` with each setting that `values` holds and is not None replaced.
+    The config file and the flags both pass the same checks here."""
+
+    def given(keys):
+        return {key: values[key] for key in keys if values.get(key) is not None}
+
+    return replace(
+        config,
+        tolerances=replace(config.tolerances, **given(_TOLERANCE_KEYS)),
+        **given([*_COUNT_LEAST, "output_format"]),
+    )
 
 
 def load_config(path: str | None) -> Config:
@@ -76,8 +94,7 @@ def load_config(path: str | None) -> Config:
             lines = fh.readlines()
     except OSError as exc:
         raise InvalidInput(f"cannot read config {path}: {exc}") from exc
-    tol_kwargs = {}
-    cfg_kwargs = {}
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,18 +102,19 @@ def load_config(path: str | None) -> Config:
         if "=" not in line:
             raise InvalidInput(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in _TOLERANCE_KEYS:
+            parse = float
+        elif key in _COUNT_LEAST:
+            parse = int
+        elif key == "format":
+            key, parse = "output_format", str
+        else:
+            raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in ("tau_norm", "tau_zero", "tau_cmp"):
-                tol_kwargs[key] = float(value)
-            elif key in ("size_cap", "m_max", "catalyst_dim", "grid_steps"):
-                cfg_kwargs[key] = int(value)
-            elif key == "format":
-                cfg_kwargs["output_format"] = value
-            else:
-                raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = parse(value)
         except ValueError as exc:
             raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-    return Config(tolerances=Tolerances(**tol_kwargs), **cfg_kwargs)
+    return _settings(Config(), values)
 
 
 def _read_arg(value: str) -> str:
@@ -110,8 +128,20 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def _spectrum_arg(value: str, tol: Tolerances) -> SchmidtSpectrum:
-    return parse_spectrum(_read_arg(value), tol=tol)
+def _spectra(args, config: Config, err, *names):
+    """Parse the named spectrum flags, then warn about each one adjusted."""
+    specs = [
+        parse_spectrum(_read_arg(getattr(args, name)), tol=config.tolerances)
+        for name in names
+    ]
+    for name, spec in zip(names, specs):
+        if spec.adjusted:
+            print(
+                f"warning: spectrum {name!r} was reordered or renormalized "
+                "on ingestion",
+                file=err,
+            )
+    return specs
 
 
 def _matrix_arg(value: str):
@@ -121,282 +151,21 @@ def _matrix_arg(value: str):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad matrix JSON: {exc}") from exc
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) for row in rows
+    ):
         raise InvalidInput("matrix JSON must be a non-empty array of rows")
 
     def entry(x):
         if isinstance(x, (int, float)):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2:
+        if isinstance(x, list) and len(x) == 2 and all(
+            isinstance(part, (int, float)) for part in x
+        ):
             return complex(x[0], x[1])
         raise InvalidInput(f"bad matrix entry {x!r}: use a number or [re, im]")
 
     return [[entry(x) for x in row] for row in rows]
-
-
-def _emit(out, text: str) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
-def _emit_json(out, payload) -> None:
-    _emit(out, json.dumps(payload, indent=2))
-
-
-def _warn_adjusted(err, **specs) -> None:
-    for name, spec in specs.items():
-        if spec.adjusted:
-            print(
-                f"warning: spectrum {name!r} was reordered or renormalized "
-                "on ingestion",
-                file=err,
-            )
-
-
-def _resolve_format(args, config: Config, default: str) -> str:
-    return args.format or config.output_format or default
-
-
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-# --- subcommand handlers --------------------------------------------------
-
-
-def _cmd_spectrum(args, config, out, err) -> int:
-    spec = schmidt_spectrum(_matrix_arg(args.matrix), config.tolerances)
-    fmt = _resolve_format(args, config, "text")
-    if fmt == "json":
-        _emit_json(out, spectrum_to_json(spec))
-    else:
-        _emit(out, format_spectrum(spec))
-    return EXIT_OK
-
-
-def _cmd_compare(args, config, out, err) -> int:
-    tol = config.tolerances
-    if args.tol is not None:
-        tol = replace(tol, tau_cmp=args.tol)
-    a = _spectrum_arg(args.a, tol)
-    b = _spectrum_arg(args.b, tol)
-    _warn_adjusted(err, a=a, b=b)
-    verdict = compare(a, b, tol)
-    fmt = _resolve_format(args, config, "text")
-    if fmt == "json":
-        _emit_json(out, verdict.to_json())
-    else:
-        _emit(
-            out,
-            "\n".join(
-                [
-                    f"relation: {verdict.relation.value}",
-                    "forward violations: "
-                    + (",".join(map(str, verdict.forward_violations)) or "-"),
-                    "backward violations: "
-                    + (",".join(map(str, verdict.backward_violations)) or "-"),
-                    f"near tie: {_csv_bool(verdict.near_tie)}",
-                ]
-            ),
-        )
-    return EXIT_OK
-
-
-def _cmd_strong(args, config, out, err) -> int:
-    tol = config.tolerances
-    a = _spectrum_arg(args.a, tol)
-    b = _spectrum_arg(args.b, tol)
-    _warn_adjusted(err, a=a, b=b)
-    verdict = catalysis.strong_verdict(
-        a,
-        b,
-        m_max=args.m_max if args.m_max is not None else config.m_max,
-        catalyst_dim_max=(
-            args.catalyst_dim if args.catalyst_dim is not None else config.catalyst_dim
-        ),
-        grid_steps=args.grid if args.grid is not None else config.grid_steps,
-        tol=tol,
-        size_cap=config.size_cap,
-    )
-    fmt = _resolve_format(args, config, "text")
-    if fmt == "json":
-        payload = verdict.to_json()
-        # Echo the inputs so any witness can be re-checked with `compare`.
-        payload["a"] = spectrum_to_json(a)
-        payload["b"] = spectrum_to_json(b)
-        _emit_json(out, payload)
-    else:
-        lines = [f"outcome: {verdict.outcome.value}"]
-        if isinstance(verdict.witness, catalysis.MultiCopyWitness):
-            lines.append(
-                f"witness: {verdict.witness.direction.value} "
-                f"at {verdict.witness.copies} copies"
-            )
-        elif isinstance(verdict.witness, catalysis.CatalystWitness):
-            lines.append(
-                f"witness: {verdict.witness.direction.value} with catalyst "
-                + format_spectrum(verdict.witness.catalyst)
-            )
-        bounds = verdict.checked_bounds
-        lines.append(
-            f"checked bounds: m_max={bounds[0]} catalyst_dim={bounds[1]} "
-            f"grid_steps={bounds[2]}"
-        )
-        _emit(out, "\n".join(lines))
-    return EXIT_OK
-
-
-def _cmd_power(args, config, out, err) -> int:
-    a = _spectrum_arg(args.a, config.tolerances)
-    _warn_adjusted(err, a=a)
-    spec = catalysis.tensor_power_spectrum(a, args.m, size_cap=config.size_cap)
-    fmt = _resolve_format(args, config, "text")
-    if fmt == "json":
-        _emit_json(out, spectrum_to_json(spec))
-    else:
-        _emit(out, format_spectrum(spec))
-    return EXIT_OK
-
-
-def _cmd_catalyze(args, config, out, err) -> int:
-    tol = config.tolerances
-    a = _spectrum_arg(args.a, tol)
-    b = _spectrum_arg(args.b, tol)
-    c = _spectrum_arg(args.c, tol)
-    _warn_adjusted(err, a=a, b=b, c=c)
-    direction = catalysis.catalyst_convertible(a, b, c, tol, size_cap=config.size_cap)
-    prod_a = catalysis.tensor_product_spectrum(a, c, size_cap=config.size_cap)
-    prod_b = catalysis.tensor_product_spectrum(b, c, size_cap=config.size_cap)
-    fmt = _resolve_format(args, config, "text")
-    if fmt == "json":
-        _emit_json(
-            out,
-            {
-                "direction": None if direction is None else direction.value,
-                "a_product": spectrum_to_json(prod_a),
-                "b_product": spectrum_to_json(prod_b),
-            },
-        )
-    else:
-        _emit(
-            out,
-            "\n".join(
-                [
-                    "direction: " + ("-" if direction is None else direction.value),
-                    "a (x) c: " + format_spectrum(prod_a),
-                    "b (x) c: " + format_spectrum(prod_b),
-                ]
-            ),
-        )
-    return EXIT_OK
-
-
-def _cmd_construct(args, config, out, err) -> int:
-    tol = config.tolerances
-    fmt_default = "csv" if args.construction == "audit" else "text"
-    fmt = _resolve_format(args, config, fmt_default)
-    if args.construction == "complete":
-        base = _spectrum_arg(args.base, tol)
-        _warn_adjusted(err, base=base)
-        spec = genericity.complete_extension(base, args.m, tol=tol)
-        if fmt == "json":
-            _emit_json(out, spectrum_to_json(spec))
-        else:
-            _emit(out, format_spectrum(spec))
-        return EXIT_OK
-    a = _spectrum_arg(args.a, tol)
-    b = _spectrum_arg(args.b, tol)
-    _warn_adjusted(err, a=a, b=b)
-    if args.construction == "truncate":
-        pair = genericity.truncation_pair(a, b, args.m, tol=tol)
-        if fmt == "json":
-            _emit_json(
-                out,
-                {
-                    "a_m": spectrum_to_json(pair.a_m),
-                    "b_m": spectrum_to_json(pair.b_m),
-                    "m": pair.m,
-                    "swapped": pair.swapped,
-                },
-            )
-        else:
-            _emit(
-                out,
-                "\n".join(
-                    [
-                        "a_m: " + format_spectrum(pair.a_m),
-                        "b_m: " + format_spectrum(pair.b_m),
-                        f"m: {pair.m}",
-                        f"swapped: {_csv_bool(pair.swapped)}",
-                    ]
-                ),
-            )
-        return EXIT_OK
-    # audit
-    m_list = _int_list(args.m_list, "m-list")
-    rows = genericity.convergence_report(a, b, m_list, tol=tol)
-    if fmt == "json":
-        _emit_json(
-            out,
-            [
-                {
-                    "m": row.m,
-                    "dist_a": row.dist_a,
-                    "dist_b": row.dist_b,
-                    "condition_C": row.condition_c,
-                    "incomparable": row.incomparable,
-                }
-                for row in rows
-            ],
-        )
-    else:
-        lines = ["m,dist_a,dist_b,condition_C,incomparable"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row.m),
-                        g17(row.dist_a),
-                        g17(row.dist_b),
-                        _csv_bool(row.condition_c),
-                        _csv_bool(row.incomparable),
-                    ]
-                )
-            )
-        _emit(out, "\n".join(lines))
-    return EXIT_OK
-
-
-def _cmd_sweep(args, config, out, err) -> int:
-    dims = _int_list(args.dims, "dims")
-    records = sampling.sweep(dims, args.samples, args.seed, config.tolerances)
-    fmt = _resolve_format(args, config, "csv")
-    if fmt == "json":
-        text = json.dumps([record.to_json() for record in records], indent=2)
-    else:
-        lines = ["n,samples,incomparable,fraction,ci95,seed"]
-        for record in records:
-            lines.append(
-                ",".join(
-                    [
-                        str(record.n),
-                        str(record.samples),
-                        str(record.incomparable_count),
-                        g17(record.fraction),
-                        g17(record.ci95_halfwidth),
-                        str(record.seed),
-                    ]
-                )
-            )
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}", file=err)
-    else:
-        _emit(out, text)
-    return EXIT_OK
 
 
 def _int_list(raw: str, what: str) -> list[int]:
@@ -406,10 +175,168 @@ def _int_list(raw: str, what: str) -> list[int]:
         raise InvalidInput(f"bad {what}: {exc}") from exc
 
 
+def _csv_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+# --- subcommand handlers: each returns (payload, text) ------------------------
+
+
+def _cmd_spectrum(args, config, err):
+    spec = schmidt_spectrum(_matrix_arg(args.matrix), config.tolerances)
+    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+
+
+def _cmd_compare(args, config, err):
+    a, b = _spectra(args, config, err, "a", "b")
+    verdict = compare(a, b, config.tolerances)
+    return verdict.to_json(), lambda: "\n".join(
+        [
+            f"relation: {verdict.relation.value}",
+            "forward violations: "
+            + (",".join(map(str, verdict.forward_violations)) or "-"),
+            "backward violations: "
+            + (",".join(map(str, verdict.backward_violations)) or "-"),
+            f"near tie: {_csv_bool(verdict.near_tie)}",
+        ]
+    )
+
+
+def _cmd_strong(args, config, err):
+    a, b = _spectra(args, config, err, "a", "b")
+    verdict = catalysis.strong_verdict(
+        a,
+        b,
+        m_max=config.m_max,
+        catalyst_dim_max=config.catalyst_dim,
+        grid_steps=config.grid_steps,
+        tol=config.tolerances,
+        size_cap=config.size_cap,
+    )
+    # Echo the inputs so any witness can be re-checked with `compare`.
+    payload = verdict.to_json()
+    payload["a"] = spectrum_to_json(a)
+    payload["b"] = spectrum_to_json(b)
+
+    def text():
+        lines = [f"outcome: {verdict.outcome.value}"]
+        witness = verdict.witness
+        if isinstance(witness, catalysis.MultiCopyWitness):
+            lines.append(
+                f"witness: {witness.direction.value} at {witness.copies} copies"
+            )
+        elif isinstance(witness, catalysis.CatalystWitness):
+            lines.append(
+                f"witness: {witness.direction.value} with catalyst "
+                + format_spectrum(witness.catalyst)
+            )
+        m_max, dim, steps = verdict.checked_bounds
+        lines.append(
+            f"checked bounds: m_max={m_max} catalyst_dim={dim} grid_steps={steps}"
+        )
+        return "\n".join(lines)
+
+    return payload, text
+
+
+def _cmd_power(args, config, err):
+    (a,) = _spectra(args, config, err, "a")
+    spec = catalysis.tensor_power_spectrum(a, args.m, size_cap=config.size_cap)
+    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+
+
+def _cmd_catalyze(args, config, err):
+    a, b, c = _spectra(args, config, err, "a", "b", "c")
+    prod_a = catalysis.tensor_product_spectrum(a, c, size_cap=config.size_cap)
+    prod_b = catalysis.tensor_product_spectrum(b, c, size_cap=config.size_cap)
+    # Equal products count as forward, as in catalysis.catalyst_convertible.
+    direction = {
+        Relation.FORWARD: Relation.FORWARD.value,
+        Relation.EQUIVALENT: Relation.FORWARD.value,
+        Relation.BACKWARD: Relation.BACKWARD.value,
+    }.get(compare(prod_a, prod_b, config.tolerances).relation)
+    payload = {
+        "direction": direction,
+        "a_product": spectrum_to_json(prod_a),
+        "b_product": spectrum_to_json(prod_b),
+    }
+    return payload, lambda: "\n".join(
+        [
+            "direction: " + (direction or "-"),
+            "a (x) c: " + format_spectrum(prod_a),
+            "b (x) c: " + format_spectrum(prod_b),
+        ]
+    )
+
+
+def _cmd_complete(args, config, err):
+    (base,) = _spectra(args, config, err, "base")
+    spec = genericity.complete_extension(base, args.m, tol=config.tolerances)
+    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+
+
+def _cmd_truncate(args, config, err):
+    a, b = _spectra(args, config, err, "a", "b")
+    pair = genericity.truncation_pair(a, b, args.m, tol=config.tolerances)
+    payload = {
+        "a_m": spectrum_to_json(pair.a_m),
+        "b_m": spectrum_to_json(pair.b_m),
+        "m": pair.m,
+        "swapped": pair.swapped,
+    }
+    return payload, lambda: "\n".join(
+        [
+            "a_m: " + format_spectrum(pair.a_m),
+            "b_m: " + format_spectrum(pair.b_m),
+            f"m: {pair.m}",
+            f"swapped: {_csv_bool(pair.swapped)}",
+        ]
+    )
+
+
+def _cmd_audit(args, config, err):
+    a, b = _spectra(args, config, err, "a", "b")
+    m_list = _int_list(args.m_list, "m-list")
+    rows = genericity.convergence_report(a, b, m_list, tol=config.tolerances)
+    payload = [
+        {
+            "m": row.m,
+            "dist_a": row.dist_a,
+            "dist_b": row.dist_b,
+            "condition_C": row.condition_c,
+            "incomparable": row.incomparable,
+        }
+        for row in rows
+    ]
+    return payload, lambda: "\n".join(
+        ["m,dist_a,dist_b,condition_C,incomparable"]
+        + [
+            f"{row.m},{g17(row.dist_a)},{g17(row.dist_b)},"
+            f"{_csv_bool(row.condition_c)},{_csv_bool(row.incomparable)}"
+            for row in rows
+        ]
+    )
+
+
+def _cmd_sweep(args, config, err):
+    dims = _int_list(args.dims, "dims")
+    records = sampling.sweep(dims, args.samples, args.seed, config.tolerances)
+    return [record.to_json() for record in records], lambda: "\n".join(
+        ["n,samples,incomparable,fraction,ci95,seed"]
+        + [
+            f"{r.n},{r.samples},{r.incomparable_count},{g17(r.fraction)},"
+            f"{g17(r.ci95_halfwidth)},{r.seed}"
+            for r in records
+        ]
+    )
+
+
 # --- parser ---------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument grammar.  Flags that override a config key store under
+    that key's name (`output_format` for `format`)."""
     parser = argparse.ArgumentParser(
         prog="entorder",
         description="Convertibility and incomparability of bipartite pure "
@@ -418,83 +345,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, choices=("json", "text")):
-        p.add_argument("--format", choices=choices, default=None)
+    def command(parent, name, summary, handler, spectra, *options,
+                formats=("json", "text"), default="text"):
+        """Subparser: required spectrum flags, then `options`, then --format."""
+        p = parent.add_parser(name, help=summary)
+        for flag in spectra:
+            p.add_argument(flag, required=True)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", dest="output_format", choices=formats)
+        p.set_defaults(handler=handler, default_format=default)
 
-    p = sub.add_parser("spectrum", help="Schmidt spectrum of a coefficient matrix")
-    p.add_argument("--matrix", required=True, help="JSON rows, or @file")
-    add_format(p)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("compare", help="four-way convertibility verdict")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=float, default=None, help="override tau_cmp")
-    add_format(p)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("strong", help="strong-incomparability verdict")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--catalyst-dim", dest="catalyst_dim", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    add_format(p)
-    p.set_defaults(handler=_cmd_strong)
-
-    p = sub.add_parser("power", help="spectrum of m collective copies")
-    p.add_argument("--a", required=True)
-    p.add_argument("--m", required=True, type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_power)
-
-    p = sub.add_parser("catalyze", help="attach a catalyst and compare")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True, help="catalyst spectrum")
-    add_format(p)
-    p.set_defaults(handler=_cmd_catalyze)
-
-    p = sub.add_parser("construct", help="density constructions")
-    csub = p.add_subparsers(dest="construction", required=True)
-    pc = csub.add_parser("complete", help="all-positive extension of a spectrum")
-    pc.add_argument("--base", required=True)
-    pc.add_argument("--m", required=True, type=int)
-    add_format(pc)
-    pc.set_defaults(handler=_cmd_construct)
-    pt = csub.add_parser("truncate", help="finite pair with a Schmidt-number gap")
-    pt.add_argument("--a", required=True)
-    pt.add_argument("--b", required=True)
-    pt.add_argument("--m", required=True, type=int)
-    add_format(pt)
-    pt.set_defaults(handler=_cmd_construct)
-    pa = csub.add_parser("audit", help="convergence table over truncation indices")
-    pa.add_argument("--a", required=True)
-    pa.add_argument("--b", required=True)
-    pa.add_argument("--m-list", dest="m_list", required=True)
-    add_format(pa, choices=("json", "csv", "text"))
-    pa.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("sweep", help="incomparability fraction across dimensions")
-    p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", default=None, help="write output to a file")
-    add_format(p, choices=("json", "csv"))
-    p.set_defaults(handler=_cmd_sweep)
-
+    count = {"required": True, "type": int}
+    command(sub, "spectrum", "Schmidt spectrum of a coefficient matrix",
+            _cmd_spectrum, (),
+            ("--matrix", {"required": True, "help": "JSON rows, or @file"}))
+    command(sub, "compare", "four-way convertibility verdict",
+            _cmd_compare, ("--a", "--b"),
+            ("--tol", {"dest": "tau_cmp", "metavar": "TOL", "type": float,
+                       "help": "override tau_cmp"}))
+    command(sub, "strong", "strong-incomparability verdict",
+            _cmd_strong, ("--a", "--b"),
+            ("--m-max", {"type": int}),
+            ("--catalyst-dim", {"type": int}),
+            ("--grid", {"dest": "grid_steps", "metavar": "GRID", "type": int}))
+    command(sub, "power", "spectrum of m collective copies",
+            _cmd_power, ("--a",), ("--m", count))
+    command(sub, "catalyze", "attach a catalyst and compare",
+            _cmd_catalyze, ("--a", "--b"),
+            ("--c", {"required": True, "help": "catalyst spectrum"}))
+    construct = sub.add_parser("construct", help="density constructions")
+    csub = construct.add_subparsers(dest="construction", required=True)
+    command(csub, "complete", "all-positive extension of a spectrum",
+            _cmd_complete, ("--base",), ("--m", count))
+    command(csub, "truncate", "finite pair with a Schmidt-number gap",
+            _cmd_truncate, ("--a", "--b"), ("--m", count))
+    command(csub, "audit", "convergence table over truncation indices",
+            _cmd_audit, ("--a", "--b"),
+            ("--m-list", {"required": True}),
+            formats=("json", "csv", "text"), default="csv")
+    command(sub, "sweep", "incomparability fraction across dimensions",
+            _cmd_sweep, (),
+            ("--dims", {"required": True, "help": "comma-separated dimensions"}),
+            ("--samples", count),
+            ("--seed", count),
+            ("--out", {"help": "write output to a file"}),
+            formats=("json", "csv"), default="csv")
     return parser
 
 
 def run(argv=None, out=None, err=None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments and dispatch; returns the process exit code.
+
+    A handler returns a JSON-able payload and a callable that builds the
+    text (or CSV) form.  The format is the flag's, else the config's, else
+    the subcommand's default; only that form is rendered, and written once.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    path = getattr(args, "out", None)  # only sweep has --out
     try:
-        config = load_config(args.config)
-        return args.handler(args, config, out, err)
+        config = _settings(load_config(args.config), vars(args))
+        payload, text = args.handler(args, config, err)
+        fmt = config.output_format or args.default_format
+        rendered = (json.dumps(payload, indent=2) if fmt == "json" else text()) + "\n"
+        if path is None:
+            out.write(rendered)
+            return EXIT_OK
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {path}: {exc}") from exc
+        print(f"wrote {path}", file=err)
+        return EXIT_OK
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SIZE_CAP

@@ -119,8 +119,12 @@ def incomparability_fraction(
     All sampled pairs count toward the estimate (product-like draws are
     tallied separately, not filtered out).
     """
+    if n < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {n}")
     if samples < 1:
         raise InvalidInput("need at least one sample")
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
     counts = {relation: 0 for relation in Relation}
     near_ties = 0
     near_products = 0

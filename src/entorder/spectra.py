@@ -249,7 +249,7 @@ def schmidt_spectrum(
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
     norm = float(np.linalg.norm(mat))
-    if abs(norm - 1.0) > tol.tau_norm:
+    if not abs(norm - 1.0) <= tol.tau_norm:  # a NaN entry fails here too
         raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1")
     sv = np.linalg.svd(mat, compute_uv=False)
     probs = sv * sv

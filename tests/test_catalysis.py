@@ -4,6 +4,7 @@ import pytest
 from entorder import (
     CatalystWitness,
     InfiniteSchmidtNumber,
+    InvalidInput,
     MultiCopyWitness,
     Relation,
     SchmidtSpectrum,
@@ -479,3 +480,42 @@ def test_strong_verdict_inconclusive_is_honest():
     )
     assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.witness is None
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{"m_max": 0}, {"catalyst_dim_max": 1}, {"grid_steps": 1}],
+)
+def test_strong_verdict_rejects_out_of_range_bounds_up_front(bounds):
+    # the single-copy witness would end the search before these bounds are
+    # used, so only an up-front check rejects them
+    with pytest.raises(InvalidInput, match="must be at least"):
+        strong_verdict(spec(0.5, 0.5), spec(0.7, 0.3), **bounds)
+
+
+def test_strong_verdict_audit_stops_at_the_cap_once_proven():
+    # condition_c holds; three copies of the 300-entry `a` would need 300**3
+    # entries, beyond the default cap, so the audit stops at two copies
+    a = spec(0.5, *[0.5 / 299] * 299)
+    b = spec(*[1 / 299] * 299)
+    verdict = strong_verdict(a, b)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (2, 3, 100)
+
+
+@pytest.mark.parametrize(
+    "size_cap, bounds", [(20, (2, 3, 100)), (8, (1, 2, 100)), (3, (0, 1, 100))]
+)
+def test_strong_verdict_records_the_audited_bounds(size_cap, bounds):
+    a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    verdict = strong_verdict(a, b, size_cap=size_cap)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == bounds
+
+
+def test_strong_verdict_cap_still_raises_before_a_proof():
+    # equal Schmidt numbers: condition_c fails, so exceeding the cap is an error
+    a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
+    assert not condition_c(a, b)
+    with pytest.raises(SizeCapExceeded):
+        strong_verdict(a, b, catalyst_dim_max=2, grid_steps=3, size_cap=20)

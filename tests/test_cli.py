@@ -1,9 +1,14 @@
+import hashlib
 import io
 import json
+import shlex
+import string
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entorder.cli import run
 
@@ -147,6 +152,15 @@ def test_power_size_cap_exit_code():
         ["power", "--a", "0.5,0.5", "--m", "0"],
         ["strong", "--a", "0.6,0.3,0.1", "--b", "0.5,0.5", "--catalyst-dim", "1"],
         ["strong", "--a", "0.6,0.3,0.1", "--b", "0.5,0.5", "--grid", "1"],
+        ["strong", "--a", "0.5,0.5", "--b", "0.7,0.3", "--m-max", "0"],
+        ["strong", "--a", "0.5,0.5", "--b", "0.7,0.3", "--grid", "0"],
+        ["spectrum", "--matrix", "[1,2]"],
+        ["sweep", "--dims", "2", "--samples", "5", "--seed", "1",
+         "--out", "/nonexistent/x.csv"],
+        ["sweep", "--dims", "2", "--samples", "5", "--seed", "-1"],
+        ["sweep", "--dims=-1", "--samples", "5", "--seed", "1"],
+        ["spectrum", "--matrix", "[[NaN, 0], [0, 1]]"],
+        ["spectrum", "--matrix", '[[[null, 1], 0], [0, 1]]'],
     ],
 )
 def test_out_of_range_search_bounds_are_input_errors(argv):
@@ -155,6 +169,30 @@ def test_out_of_range_search_bounds_are_input_errors(argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_strong_audit_cap_does_not_overturn_condition_c():
+    a = ",".join(["0.5"] + [repr(0.5 / 299)] * 299)
+    b = ",".join([repr(1 / 299)] * 299)
+    code, out, err = invoke("strong", "--a", a, "--b", b)
+    assert (code, err) == (0, "")
+    assert out == (
+        "outcome: strong-by-c\n"
+        "checked bounds: m_max=2 catalyst_dim=3 grid_steps=100\n"
+    )
+
+
+def test_ingestion_warnings_follow_all_parsing():
+    a, b = "0.25,0.5,0.25", "0.4,0.2,0.4"
+    code, _, err = invoke("catalyze", "--a", a, "--b", b, "--c", "0.4,0.6")
+    assert code == 0
+    assert err == "".join(
+        f"warning: spectrum {name!r} was reordered or renormalized on ingestion\n"
+        for name in "abc"
+    )
+    # `c` is parsed before any warning is printed
+    code, _, err = invoke("catalyze", "--a", a, "--b", b, "--c", "0.5,0.6")
+    assert (code, err) == (2, "error: total mass 1.1 deviates from 1 beyond tau_norm\n")
 
 
 # --- construct -----------------------------------------------------------------
@@ -331,6 +369,23 @@ def test_config_rejects_unknown_key(tmp_path):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tau_fancy = 1\n", "{path}:1: unknown key 'tau_fancy'"),
+        ("\nm_max = two\n", "{path}:2: invalid literal for int() with base 10: 'two'"),
+        ("grid_steps = 1\n", "grid_steps must be at least 2"),
+        ("size_cap = 0\n", "size_cap must be at least 1"),
+    ],
+)
+def test_config_errors_name_the_line_or_key_once(text, message, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, out, err = invoke("--config", str(cfg), "compare", "--a", "1.0", "--b", "1.0")
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(path=cfg) + "\n"
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [
@@ -343,3 +398,439 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["relation"] == "incomparable"
+
+
+# --- golden bytes ------------------------------------------------------------------
+
+# Exact stdout and exit code of each invocation, recorded before the handlers
+# shared one output path; stdout is pinned by the first 16 hex digits of its
+# SHA-256.  `$name` stands for GOLDEN_ARGS[name].  A config text, when given,
+# is written to a file and passed with --config.
+GOLDEN_ARGS = {
+    "trunc": "--a 0.6,0.2,0.1,0.05,0.05 --b 0.4,0.3,0.2,0.05,0.05",
+    "tail": "0.45,0.45...geom(0.05,0.5)",
+    "json": """'{"values": [0.5, 0.25], "tail": {"first": 0.125, "ratio": 0.5}}'""",
+    # the frozen two-copy pair of test_catalysis
+    "two_a": "0.34496799342011342,0.32050013695177559,"
+    "0.19305555610992023,0.14147631351819076",
+    "two_b": "0.44453598181443021,0.22062739893430541,"
+    "0.20716460313794391,0.12767201611332063",
+}
+
+GOLDEN = [
+    ("spectrum --matrix '[[0.6, 0], [0, 0.8]]'", None, 0, "b23722900ff704a2"),
+    ("compare --a 0.5,0.25,0.25 --b 0.4,0.4,0.2", None, 0, "adf78acea2e5dcb7"),
+    ("strong --a 0.6,0.2,0.1,0.1 --b 0.5,0.5", None, 0, "ae80cf83f1e10abe"),
+    ("power --a 0.7,0.3 --m 2", None, 0, "d7f6eb221e98ff3b"),
+    (
+        "catalyze --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --c 0.6,0.4",
+        None, 0, "7d522ce4149c2312",
+    ),
+    ("construct complete --base 1.0 --m 1", None, 0, "7414c0d178576148"),
+    ("construct truncate $trunc --m 3", None, 0, "a3012bdc34b2fd53"),
+    (
+        "spectrum --matrix '[[0.6, 0], [0, 0.8]]' --format json",
+        None, 0, "6c8614e3d18a3e89",
+    ),
+    (
+        "compare --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --format json",
+        None, 0, "f0020356e6546f5f",
+    ),
+    (
+        "strong --a 0.6,0.2,0.1,0.1 --b 0.5,0.5 --format json",
+        None, 0, "e923dde158ed9487",
+    ),
+    ("power --a 0.7,0.3 --m 2 --format json", None, 0, "b8b33bf8a6bc01cb"),
+    (
+        "catalyze --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --c 0.6,0.4 --format json",
+        None, 0, "aa57bf5ffb58bc8d",
+    ),
+    ("construct complete --base 1.0 --m 1 --format json", None, 0, "40bc6b6ec4adbbbe"),
+    ("construct truncate $trunc --m 3 --format json", None, 0, "ff7050a9d3858486"),
+    (
+        "spectrum --matrix '[[0.6, 0], [0, 0.8]]' --format text",
+        None, 0, "b23722900ff704a2",
+    ),
+    (
+        "compare --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --format text",
+        None, 0, "adf78acea2e5dcb7",
+    ),
+    (
+        "strong --a 0.6,0.2,0.1,0.1 --b 0.5,0.5 --format text",
+        None, 0, "ae80cf83f1e10abe",
+    ),
+    ("power --a 0.7,0.3 --m 2 --format text", None, 0, "d7f6eb221e98ff3b"),
+    (
+        "catalyze --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --c 0.6,0.4 --format text",
+        None, 0, "7d522ce4149c2312",
+    ),
+    ("construct complete --base 1.0 --m 1 --format text", None, 0, "7414c0d178576148"),
+    ("construct truncate $trunc --m 3 --format text", None, 0, "a3012bdc34b2fd53"),
+    ("construct audit $trunc --m-list 3,4,5", None, 0, "a70c55f925a8df3c"),
+    (
+        "construct audit $trunc --m-list 3,4,5 --format json",
+        None, 0, "282231bd91a1b446",
+    ),
+    ("construct audit $trunc --m-list 3,4,5 --format csv", None, 0, "a70c55f925a8df3c"),
+    (
+        "construct audit $trunc --m-list 3,4,5 --format text",
+        None, 0, "a70c55f925a8df3c",
+    ),
+    ("sweep --dims 2,3 --samples 20 --seed 1", None, 0, "1a90feaaf5ad86ec"),
+    (
+        "sweep --dims 2,3 --samples 20 --seed 1 --format json",
+        None, 0, "55785b456578294d",
+    ),
+    (
+        "sweep --dims 2,3 --samples 20 --seed 1 --format csv",
+        None, 0, "1a90feaaf5ad86ec",
+    ),
+    (
+        "spectrum --matrix '[[[0, 0.8366600265340756], 0], [0, 0.5477225575051661]]'",
+        None, 0, "7c00ebe284d1fcf2",
+    ),
+    (
+        "compare --a 0.5,0.5 --b 0.7,0.3 --tol 0.5 --format json",
+        None, 0, "dbf1234755ec6bb3",
+    ),
+    ("compare --a 0.25,0.5,0.25 --b 0.4,0.4,0.2", None, 0, "adf78acea2e5dcb7"),
+    (
+        "strong --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --catalyst-dim 2",
+        None, 0, "95bf9fd5c2a7e9ca",
+    ),
+    ("strong --a $two_a --b $two_b", None, 0, "9f462012f921e8cd"),
+    (
+        "strong --a 0.5,0.3,0.2 --b 0.6,0.2,0.2 --m-max 1 --grid 10",
+        None, 0, "6afc0e0e55df44a4",
+    ),
+    ("strong --a 0.5,0.5 --b 0.7,0.3", None, 0, "2b26b193eb3f9eae"),
+    (
+        "catalyze --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --c 0.5,0.5",
+        None, 0, "19af5199df8dc95e",
+    ),
+    ("catalyze --a 0.7,0.3 --b 0.5,0.5 --c 0.9,0.1", None, 0, "574171852a8641c5"),
+    (
+        "strong --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --catalyst-dim 2 --format json",
+        None, 0, "bd7f1a1e409ef3da",
+    ),
+    ("strong --a $two_a --b $two_b --format json", None, 0, "3cf7418c19a3a39e"),
+    (
+        "strong --a 0.5,0.3,0.2 --b 0.6,0.2,0.2 --m-max 1 --grid 10 --format json",
+        None, 0, "8d7bad714695512d",
+    ),
+    ("strong --a 0.5,0.5 --b 0.7,0.3 --format json", None, 0, "696b42854d0112cd"),
+    (
+        "catalyze --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --c 0.5,0.5 --format json",
+        None, 0, "e83cc655bb0d70af",
+    ),
+    (
+        "catalyze --a 0.7,0.3 --b 0.5,0.5 --c 0.9,0.1 --format json",
+        None, 0, "67fd449366df271a",
+    ),
+    (
+        "construct complete --base 0.5,0.5 --m 9 --format json",
+        None, 0, "74f5176c53cf55e8",
+    ),
+    ("sweep --dims 2,3,4 --samples 60 --seed 11", None, 0, "4e325ec44e9baa0b"),
+    ("compare --a $tail --b 0.5,0.5", None, 0, "ceea5c709bfc2326"),
+    ("compare --a 0.6,0.4 --b $tail", None, 0, "31688d0ed1b00911"),
+    ("construct complete --base 0.6,0.4 --m 3", None, 0, "42943fcb2dedc66f"),
+    ("compare --a $tail --b 0.5,0.5 --format json", None, 0, "aca42fb4e947eeb0"),
+    ("compare --a 0.6,0.4 --b $tail --format json", None, 0, "9011657648516ab4"),
+    (
+        "construct complete --base 0.6,0.4 --m 3 --format json",
+        None, 0, "a48937c1edb717a6",
+    ),
+    ("compare --a $json --b 0.7,0.3", None, 0, "d52c6059747cb206"),
+    ("strong --a $tail --b 0.5,0.5", None, 2, "e3b0c44298fc1c14"),
+    ("power --a $tail --m 2", None, 2, "e3b0c44298fc1c14"),
+    ("catalyze --a 0.5,0.5 --b 0.6,0.4 --c $tail", None, 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "format = json\n", 0, "938092e6d994c93d"),
+    ("construct audit $trunc --m-list 3,5", "format = json\n", 0, "3e303cae225214e7"),
+    (
+        "sweep --dims 2,3 --samples 10 --seed 5",
+        "format = json\n", 0, "7f6a1fe6b94ee32e",
+    ),
+    ("strong --a $two_a --b $two_b", "format = json\n", 0, "3cf7418c19a3a39e"),
+    ("power --a 0.7,0.3 --m 2", "format = json\n", 0, "b8b33bf8a6bc01cb"),
+    (
+        "spectrum --matrix '[[0.6, 0], [0, 0.8]]'",
+        "format = json\n", 0, "6c8614e3d18a3e89",
+    ),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "format = csv\n", 0, "8f815fe1b8b73e01"),
+    ("construct audit $trunc --m-list 3,5", "format = csv\n", 0, "22cd3646e3a7766e"),
+    ("sweep --dims 2,3 --samples 10 --seed 5", "format = csv\n", 0, "6170d9c6911dc577"),
+    ("strong --a $two_a --b $two_b", "format = csv\n", 0, "9f462012f921e8cd"),
+    ("power --a 0.7,0.3 --m 2", "format = csv\n", 0, "d7f6eb221e98ff3b"),
+    (
+        "spectrum --matrix '[[0.6, 0], [0, 0.8]]'",
+        "format = csv\n", 0, "b23722900ff704a2",
+    ),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "format = text\n", 0, "8f815fe1b8b73e01"),
+    ("construct audit $trunc --m-list 3,5", "format = text\n", 0, "22cd3646e3a7766e"),
+    (
+        "sweep --dims 2,3 --samples 10 --seed 5",
+        "format = text\n", 0, "6170d9c6911dc577",
+    ),
+    ("strong --a $two_a --b $two_b", "format = text\n", 0, "9f462012f921e8cd"),
+    ("power --a 0.7,0.3 --m 2", "format = text\n", 0, "d7f6eb221e98ff3b"),
+    (
+        "spectrum --matrix '[[0.6, 0], [0, 0.8]]'",
+        "format = text\n", 0, "b23722900ff704a2",
+    ),
+    (
+        "compare --a 0.5,0.5 --b 0.7,0.3 --format text",
+        "format = json\n", 0, "8f815fe1b8b73e01",
+    ),
+    (
+        "construct audit $trunc --m-list 3,5 --format json",
+        "format = text\n", 0, "3e303cae225214e7",
+    ),
+    (
+        "sweep --dims 2,3 --samples 10 --seed 5 --format csv",
+        "format = json\n", 0, "6170d9c6911dc577",
+    ),
+    (
+        "sweep --dims 2,3 --samples 10 --seed 5 --format json",
+        "format = csv\n", 0, "7f6a1fe6b94ee32e",
+    ),
+    (
+        "compare --a 0.5,0.5 --b 0.7,0.3",
+        "# coarse\ntau_cmp = 0.5\n", 0, "3bb715f64b0591c5",
+    ),
+    (
+        "compare --a 0.5,0.5 --b 0.7,0.3 --tol 1e-12",
+        "tau_cmp = 0.5\n", 0, "8f815fe1b8b73e01",
+    ),
+    ("strong --a $two_a --b $two_b", "m_max = 1\n", 0, "e767e8adf9a55cc2"),
+    ("strong --a $two_a --b $two_b --m-max 2", "m_max = 1\n", 0, "57f7572e7caf9be3"),
+    (
+        "strong --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25",
+        "catalyst_dim = 2\ngrid_steps = 20\n", 0, "aa667ee3bbccae6f",
+    ),
+    (
+        "strong --a 0.4,0.4,0.1,0.1 --b 0.5,0.25,0.25 --catalyst-dim 2 --grid 50",
+        "catalyst_dim = 3\ngrid_steps = 20\n", 0, "345f33abb1ba95c5",
+    ),
+    ("power --a 0.5,0.5 --m 4", "size_cap = 8\n", 3, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "tau_fancy = 1\n", 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "tau_cmp = x\n", 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "grid_steps = 1\n", 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "format = yaml\n", 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.7,0.3", "no equals sign\n", 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.6 --b 0.5,0.5", None, 2, "e3b0c44298fc1c14"),
+    ("compare --a 0.5,0.5 --b 0.5,0.5 --tol 0", None, 2, "e3b0c44298fc1c14"),
+    ("spectrum --matrix '[[1, 0], [0]]'", None, 2, "e3b0c44298fc1c14"),
+    ("spectrum --matrix 'not json'", None, 2, "e3b0c44298fc1c14"),
+    ("spectrum --matrix '[[1]]'", None, 2, "e3b0c44298fc1c14"),
+    ("power --a 0.5,0.5 --m 40", None, 3, "e3b0c44298fc1c14"),
+    ("power --a 0.5,0.5 --m 0", None, 2, "e3b0c44298fc1c14"),
+    (
+        "strong --a 0.6,0.3,0.1 --b 0.5,0.5 --catalyst-dim 1",
+        None, 2, "e3b0c44298fc1c14",
+    ),
+    ("strong --a 0.6,0.3,0.1 --b 0.5,0.5 --grid 1", None, 2, "e3b0c44298fc1c14"),
+    (
+        "construct truncate --a 0.5,0.5 --b 0.5,0.25,0.25 --m 2",
+        None, 2, "e3b0c44298fc1c14",
+    ),
+    (
+        "construct truncate --a 0.6,0.3,0.1 --b 0.5,0.5 --m 10000000000",
+        None, 2, "e3b0c44298fc1c14",
+    ),
+    ("construct audit $trunc --m-list 3,x", None, 2, "e3b0c44298fc1c14"),
+    ("sweep --dims 3,2 --samples 5 --seed 1", None, 2, "e3b0c44298fc1c14"),
+    ("sweep --dims 1 --samples 5 --seed 1", None, 2, "e3b0c44298fc1c14"),
+    ("sweep --dims 2 --samples 0 --seed 1", None, 2, "e3b0c44298fc1c14"),
+    ("catalyze --a 0.25,0.75 --b 0.5,0.6 --c 0.5,0.5", None, 2, "e3b0c44298fc1c14"),
+    ("compare --a @/nonexistent/spectrum.txt --b 0.5,0.5", None, 2, "e3b0c44298fc1c14"),
+    ("catalyze --a 0.5,0.5 --b 0.5,0.5 --c 0.6,0.4", None, 0, "4b7a4018130fddac"),
+    (
+        "strong --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --m-max 1 --catalyst-dim 2 --grid 2",
+        None, 0, "0842711fc02cc725",
+    ),
+    (
+        "strong --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --m-max 1 --catalyst-dim 2"
+        " --grid 2 --format json",
+        None, 0, "2ceaad4438e25966",
+    ),
+]
+
+GOLDEN_USAGE = {
+    "": "usage: entorder [-h] [--config CONFIG] "
+    "{spectrum,compare,strong,power,catalyze,construct,sweep} ...",
+    "spectrum": "usage: entorder spectrum [-h] --matrix MATRIX [--format {json,text}]",
+    "compare": "usage: entorder compare [-h] --a A --b B [--tol TOL] "
+    "[--format {json,text}]",
+    "strong": "usage: entorder strong [-h] --a A --b B [--m-max M_MAX] "
+    "[--catalyst-dim CATALYST_DIM] [--grid GRID] [--format {json,text}]",
+    "power": "usage: entorder power [-h] --a A --m M [--format {json,text}]",
+    "catalyze": "usage: entorder catalyze [-h] --a A --b B --c C "
+    "[--format {json,text}]",
+    "construct": "usage: entorder construct [-h] {complete,truncate,audit} ...",
+    "construct complete": "usage: entorder construct complete [-h] --base BASE --m M "
+    "[--format {json,text}]",
+    "construct truncate": "usage: entorder construct truncate [-h] --a A --b B --m M "
+    "[--format {json,text}]",
+    "construct audit": "usage: entorder construct audit [-h] --a A --b B "
+    "--m-list M_LIST [--format {json,csv,text}]",
+    "sweep": "usage: entorder sweep [-h] --dims DIMS --samples SAMPLES --seed SEED "
+    "[--out OUT] [--format {json,csv}]",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _golden_argv(line, config, directory):
+    argv = shlex.split(string.Template(line).substitute(GOLDEN_ARGS))
+    if config is None:
+        return argv
+    path = directory / "entorder.cfg"
+    path.write_text(config)
+    return ["--config", str(path)] + argv
+
+
+@pytest.mark.parametrize("line, config, code, digest", GOLDEN)
+def test_golden_stdout_and_exit_code(line, config, code, digest, tmp_path, monkeypatch):
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    got_code, out, _ = invoke(*_golden_argv(line, config, tmp_path))
+    assert (got_code, _digest(out)) == (code, digest)
+
+
+@pytest.mark.parametrize("config", [None, "format = json\n", "format = csv\n"])
+def test_golden_sweep_out_file_holds_the_stdout_bytes(config, tmp_path, monkeypatch):
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    argv = _golden_argv("sweep --dims 2,3 --samples 10 --seed 5", config, tmp_path)
+    target = tmp_path / "sweep.out"
+    _, expected, _ = invoke(*argv)
+    assert invoke(*argv, "--out", str(target)) == (0, "", f"wrote {target}\n")
+    assert target.read_text() == expected
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_USAGE))
+def test_golden_usage_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(command.split() + ["--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(usage.split()) == GOLDEN_USAGE[command]
+
+
+# --- grammar fuzz --------------------------------------------------------------------
+
+
+def _spectrum_text(counts, unsorted):
+    """Normalized spectrum text from positive integer weights."""
+    total = sum(counts)
+    values = [count / total for count in counts]
+    return ",".join(repr(v) for v in (values if unsorted else sorted(values)[::-1]))
+
+
+def _tailed_text(counts, ratio):
+    # head mass 3/4; a geometric tail of mass 1/4 when the ratio is valid
+    total = sum(counts)
+    head = ",".join(repr(0.75 * c / total) for c in counts)
+    first = 0.25 * (1 - float(ratio)) if 0 < float(ratio) < 1 else 0.1
+    return f"{head}...geom({first!r},{ratio})"
+
+
+_WEIGHTS = st.lists(st.integers(1, 8), min_size=1, max_size=5)
+SPECTRA = st.one_of(
+    st.builds(_spectrum_text, _WEIGHTS, st.booleans()),
+    st.builds(_tailed_text, _WEIGHTS, st.sampled_from(["0.5", "0.9", "1", "0"])),
+    st.lists(
+        st.sampled_from(["0", "0.5", "0.25", "1", "-0.1", "1e-13", "nan", "inf", "x"]),
+        min_size=1,
+        max_size=4,
+    ).map(",".join),
+    st.sampled_from(["", "{", '{"values": [0.5, 0.5]}', "{}", "0.5...geom(", "@"]),
+)
+_ENTRIES = st.sampled_from(
+    [0, 1, 0.5, 0.6, 0.8, [0, 0.6], [0.8, 0], [1], ["x", 1], [None, 0], "x", None]
+)
+MATRICES = st.one_of(
+    st.sampled_from(
+        ["[[0.6, 0], [0, 0.8]]", "[[0.5, 0.5], [0.5, 0.5]]", "[[0, 0.6], [0.8, 0]]"]
+    ),
+    st.lists(st.lists(_ENTRIES, max_size=3), max_size=3).map(json.dumps),
+    _ENTRIES.map(json.dumps),
+    st.sampled_from(["", "[", "not json", "[1,2]", "[[NaN, 0], [0, 1]]"]),
+)
+INT_LISTS = st.lists(st.integers(-1, 6), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+TOLS = st.sampled_from(["0", "-1", "1e-12", "1e-3", "0.5", "nan", "inf"])
+TEXT_FORMATS = st.sampled_from(["json", "text"])
+
+# Per subcommand: flag -> values; None leaves an optional flag out.  Values
+# are kept small so each run stays cheap.
+GRAMMAR = {
+    "spectrum": {"matrix": MATRICES, "format": st.none() | TEXT_FORMATS},
+    "compare": {
+        "a": SPECTRA,
+        "b": SPECTRA,
+        "tol": st.none() | TOLS,
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "strong": {
+        "a": SPECTRA,
+        "b": SPECTRA,
+        "m-max": st.none() | st.integers(-1, 4),
+        "catalyst-dim": st.none() | st.integers(0, 4),
+        "grid": st.none() | st.integers(-1, 30),
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "power": {
+        "a": SPECTRA,
+        "m": st.integers(-1, 4),
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "catalyze": {
+        "a": SPECTRA,
+        "b": SPECTRA,
+        "c": SPECTRA,
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "construct complete": {
+        "base": SPECTRA,
+        "m": st.integers(-1, 4),
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "construct truncate": {
+        "a": SPECTRA,
+        "b": SPECTRA,
+        "m": st.integers(-1, 4),
+        "format": st.none() | TEXT_FORMATS,
+    },
+    "construct audit": {
+        "a": SPECTRA,
+        "b": SPECTRA,
+        "m-list": INT_LISTS,
+        "format": st.none() | st.sampled_from(["json", "csv", "text"]),
+    },
+    "sweep": {
+        "dims": INT_LISTS,
+        "samples": st.integers(-1, 20),
+        "seed": st.integers(-2, 50),
+        "format": st.none() | st.sampled_from(["json", "csv"]),
+    },
+}
+
+
+def _argv(command):
+    # `--flag=value` keeps values such as "-0.1,1.1" from reading as flags
+    return st.fixed_dictionaries(GRAMMAR[command]).map(
+        lambda flags: command.split()
+        + [f"--{flag}={value}" for flag, value in flags.items() if value is not None]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(GRAMMAR)).flatmap(_argv))
+def test_grammar_fuzz_exits_cleanly_and_reruns_byte_identically(argv):
+    first = invoke(*argv)
+    assert first[0] in (0, 2, 3)
+    assert "Traceback" not in first[2]
+    assert invoke(*argv) == first

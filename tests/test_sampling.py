@@ -106,3 +106,15 @@ def test_wilson_halfwidth_behaviour():
     assert wilson_halfwidth(0, 100) == wilson_halfwidth(100, 100)
     with pytest.raises(InvalidInput):
         wilson_halfwidth(0, 0)
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [(3, -1, "seed must be non-negative"), (-1, 0, "need dimension >= 2")],
+)
+def test_negative_stream_keys_are_input_errors(n, seed, message):
+    # numpy's SeedSequence would raise a bare ValueError for either
+    with pytest.raises(InvalidInput, match=message):
+        incomparability_fraction(n, 5, seed)
+    with pytest.raises(InvalidInput, match=message):
+        sweep([n], 5, seed)
