@@ -60,5 +60,5 @@ print("strong verdict:", verdict.outcome.value,
 spec = make_spectrum([0.5, 0.3, 0.2])
 print("\nthree copies, all %d entries:" % len(tensor_power_spectrum(spec, 3)),
       np.round(tensor_power_spectrum(spec, 3).values[:5], 4), "...")
-print("forty copies have 3**40 ~ 1.2e19 entries; the lazy merge still gives")
+print("forty copies have 3**40 ~ 1.2e19 entries; the top-k merge still gives")
 print("the leading ones exactly:", top_k_tensor_power(spec, 40, 4))

@@ -9,7 +9,7 @@ finite-Schmidt-number catalyst opens either direction.
 This module provides
 
 * sorted product-spectrum kernels (full materialization under a size cap,
-  plus a lazy heap merge when only the largest entries are needed),
+  plus an exact top-k merge when only the largest entries are needed),
 * :func:`condition_c`, a sound sufficient test for strong incomparability:
   the same spectrum has both the strictly larger top entry and the strictly
   larger Schmidt number.  A larger top entry rules that state out as the
@@ -29,14 +29,19 @@ prefix inequalities.  The products are formed exactly as
 :func:`tensor_product_spectrum` forms them, so each row's verdict is the one
 :func:`~entorder.majorization.compare` gives on that pair of product
 spectra.  Blocks hold a bounded number of product entries, which bounds
-peak memory and stops the scan at the block holding the first hit.
+peak memory and stops the scan at the block holding the first hit.  A grid
+is counted before it is built, and one over its entry cap is refused.
+
+The top-k merge is batched as well: each further copy multiplies the
+running k-prefix by every entry of the factor, keeps of each such row only
+the part that can still reach the top k, and selects the k largest with one
+partition.  It forms the same floats the full power forms.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -61,6 +66,10 @@ DEFAULT_SIZE_CAP = 10**7
 # Product entries, over both spectra of a pair, per block of the catalyst
 # grid scan.  Bounds the scan's peak memory and the work done past a hit.
 _BLOCK_ENTRIES = 1 << 15
+
+# Entries of one catalyst grid.  Grids are cached per process and shared by
+# calls whatever their `size_cap`, so they have a bound of their own.
+_GRID_CAP = DEFAULT_SIZE_CAP
 
 
 def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
@@ -105,40 +114,49 @@ def tensor_power_spectrum(
 
 
 def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Largest k products x_i*y_j of two non-increasing vectors, lazily.
+    """Largest k products x[i] * y[j] of two non-increasing vectors, sorted.
 
-    Heap frontier expansion: popping (i, j) exposes (i+1, j) and (i, j+1).
-    Never materializes the full len(x)*len(y) grid.
+    An entry at (i, j) is at most every entry of the rectangle i' <= i,
+    j' <= j, so when (i + 1) * (j + 1) > k at least k other entries are as
+    large and the top-k multiset can be formed without it.  Row j therefore
+    needs only x[: k // (j + 1)], about k * ln(len(y)) products in all, and
+    never the full len(x) * len(y) grid.  The top-k multiset of values is
+    unique and each product is the float x[i] * y[j], so ties cannot change
+    the result.
     """
-    k = min(k, len(x) * len(y))
-    out = np.empty(k)
-    heap = [(-(x[0] * y[0]), 0, 0)]
-    seen = {(0, 0)}
-    for pos in range(k):
-        negp, i, j = heapq.heappop(heap)
-        out[pos] = -negp
-        if i + 1 < len(x) and (i + 1, j) not in seen:
-            seen.add((i + 1, j))
-            heapq.heappush(heap, (-(x[i + 1] * y[j]), i + 1, j))
-        if j + 1 < len(y) and (i, j + 1) not in seen:
-            seen.add((i, j + 1))
-            heapq.heappush(heap, (-(x[i] * y[j + 1]), i, j + 1))
-    return out
+    rows = [x[: k // (j + 1)] * y[j] for j in range(min(len(y), k))]
+    products = np.concatenate(rows)
+    cut = max(0, len(products) - k)
+    return np.sort(np.partition(products, cut)[cut:])[::-1]
 
 
-def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
+def top_k_tensor_power(
+    a: SchmidtSpectrum,
+    m: int,
+    k: int,
+    *,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> np.ndarray:
     """Largest k entries of the m-copy spectrum without building all of it.
 
-    Any entry outside the top k of a partial product is dominated by at
-    least k entries after every further factor, so iterating the lazy
-    pairwise merge on k-prefixes is exact.  Useful when len(a)**m is far
-    beyond the materialization cap but only a prefix horizon matters.
+    Each further copy merges the running top-k prefix with ``a`` by
+    :func:`_top_products`.  An entry outside the top k of a partial product
+    is dominated by at least k entries after every further factor, so
+    merging k-prefixes is exact.  Entries are the products the full power
+    forms, as computed, so this equals the first k entries of
+    :func:`tensor_power_spectrum` wherever that fits.  The min(k,
+    len(a)**m) output entries are checked against `size_cap` before any
+    array is built.
     """
     _require_finite(a, "tensor power prefix")
     if m < 1:
         raise InvalidInput("copy count must be at least 1")
     if k < 1:
         raise InvalidInput("prefix length must be at least 1")
+    # len(a)**e exceeds k once e reaches k's bit length (or len(a) is 1)
+    size = min(k, len(a) ** min(m, k.bit_length()))
+    if size > size_cap:
+        raise SizeCapExceeded(size, size_cap)
     cur = a.values[: min(k, len(a))]
     for _ in range(m - 1):
         cur = _top_products(cur, a.values, k)
@@ -342,6 +360,34 @@ def sorted_simplex_grid(dim: int, steps: int):
         yield np.asarray(combo, dtype=float) / steps
 
 
+@functools.lru_cache(maxsize=256)
+def _grid_rows(dim: int, steps: int) -> int:
+    """Rows of :func:`_catalyst_grid`, counted without building the grid.
+
+    A row is a partition of `steps` into `dim` non-increasing parts, where a
+    zero last part is allowed only at dim 2.  Above dim 2 every part is
+    positive, so the rows are the partitions of steps - dim into parts of at
+    most dim, counted by total: ways(t, p) = ways(t, p - 1) + ways(t - p, p).
+    The count never falls as the total grows, so it stops once it passes
+    what `_GRID_CAP` allows: exact for a grid that fits, a lower bound for
+    one that does not.
+    """
+    if dim == 2:
+        return steps // 2 + 1
+    if steps < dim:
+        return 0
+    limit = _GRID_CAP // dim
+    ways = [[1] * (dim + 1)]  # ways[t][p]: partitions of t into parts <= p
+    for t in range(1, steps - dim + 1):
+        row = [0] * (dim + 1)
+        for p in range(1, dim + 1):
+            row[p] = row[p - 1] + (ways[t - p][p] if p <= t else 0)
+        ways.append(row)
+        if row[dim] > limit:
+            break
+    return ways[-1][dim]
+
+
 @functools.lru_cache(maxsize=32)
 def _catalyst_grid(dim: int, steps: int) -> np.ndarray:
     """:func:`sorted_simplex_grid` as a read-only (G, dim) array, same order."""
@@ -367,9 +413,10 @@ def catalyst_search(
     :func:`catalyst_convertible` gives for it.  Each dimension's grid is
     built once per process and cached; it is scanned in blocks of rows,
     each decided by one batched kernel, and the scan stops at the block
-    holding the first hit.  Before a dimension is scanned, products of that
-    size are checked against `size_cap` (`a` before `b`), so smaller
-    dimensions that fit are scanned first.
+    holding the first hit.  Before a dimension's grid is built, products of
+    that size are checked against `size_cap` (`a` before `b`), and then the
+    grid's entries, counted by :func:`_grid_rows`, against `_GRID_CAP`; so
+    smaller dimensions that fit are scanned first.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -378,12 +425,22 @@ def catalyst_search(
     _require_finite(b, "catalyst search")
     if dim_max < 2:
         raise InvalidInput("dim_max must be at least 2")
+    if grid_steps < 2:
+        raise InvalidInput("grid needs at least 2 steps")
     for dim in range(2, dim_max + 1):
-        grid = _catalyst_grid(dim, grid_steps)
-        if len(grid) == 0:
+        entries = _grid_rows(dim, grid_steps) * dim
+        if entries == 0:
             continue  # every vector has a trailing zero, seen at a lower dim
         for spec in (a, b):
             _check_product_factor(spec, dim, size_cap)
+        if entries > _GRID_CAP:
+            raise SizeCapExceeded(
+                entries,
+                _GRID_CAP,
+                f"the catalyst grid of dimension {dim} at {grid_steps} steps "
+                f"needs more than {_GRID_CAP} entries",
+            )
+        grid = _catalyst_grid(dim, grid_steps)
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
         for start in range(0, len(grid), rows):
             hit = _first_hit(a, b, grid[start : start + rows], tol)
@@ -444,10 +501,11 @@ def strong_verdict(
     forces the non-strict reversal of one of the orderings that condition_c
     requires strictly); if they ever do, an InternalInconsistency is raised
     because one of the implementations is wrong.  When condition_c holds,
-    the witness searches still run as a self-audit, but only as far as
-    `size_cap` allows: copy counts and catalyst dimensions whose products
-    would exceed it are skipped, so a resource cap never overturns a proven
-    verdict, and `checked_bounds` records the bounds actually audited.
+    the witness searches still run as a self-audit, but only as far as the
+    caps allow: copy counts and catalyst dimensions whose products would
+    exceed `size_cap`, or whose grid would exceed the grid cap, are skipped,
+    so a resource cap never overturns a proven verdict, and `checked_bounds`
+    records the bounds actually audited.
     """
     for name, value, least in (
         ("m_max", m_max, 1),
@@ -461,8 +519,13 @@ def strong_verdict(
         width = max(len(a), len(b))
         while m_max > 0 and width**m_max > size_cap:
             m_max -= 1
-        while catalyst_dim_max > 1 and width * catalyst_dim_max > size_cap:
-            catalyst_dim_max -= 1
+        dims = 1
+        while dims < catalyst_dim_max and (
+            width * (dims + 1) <= size_cap
+            and _grid_rows(dims + 1, grid_steps) * (dims + 1) <= _GRID_CAP
+        ):
+            dims += 1
+        catalyst_dim_max = dims
     bounds = (m_max, catalyst_dim_max, grid_steps)
     witness: MultiCopyWitness | CatalystWitness | None = None
     if m_max > 0:

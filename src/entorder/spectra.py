@@ -51,8 +51,11 @@ class Tolerances:
     tau_cmp: float = 1e-12
 
     def __post_init__(self):
-        if not (self.tau_norm > 0 and self.tau_zero > 0 and self.tau_cmp > 0):
+        taus = (self.tau_norm, self.tau_zero, self.tau_cmp)
+        if not all(tau > 0 for tau in taus):
             raise InvalidInput("tolerances must be strictly positive")
+        if not all(math.isfinite(tau) for tau in taus):
+            raise InvalidInput("tolerances must be finite")
         if not self.tau_zero < 1:
             raise InvalidInput("tau_zero must be below 1")
 

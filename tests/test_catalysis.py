@@ -1,3 +1,6 @@
+import heapq
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,7 +135,7 @@ def test_tensor_ops_reject_tails():
         tensor_product_spectrum(tailed, spec(0.5, 0.5))
 
 
-# --- lazy top-k merge -------------------------------------------------------
+# --- top-k merge -------------------------------------------------------------
 
 
 def test_top_k_matches_full_sort_prefix():
@@ -155,6 +158,123 @@ def test_top_k_beyond_materialization_cap():
     assert top[0] == pytest.approx(0.5**40, rel=1e-12)
     assert top[1] == pytest.approx(0.5**39 * 0.3, rel=1e-12)
     assert (np.diff(top) <= 0).all()
+
+
+def heap_top_products(x, y, k):
+    """Reference merge: a heap frontier, where popping (i, j) exposes
+    (i + 1, j) and (i, j + 1), one product at a time."""
+    k = min(k, len(x) * len(y))
+    out = np.empty(k)
+    heap = [(-(x[0] * y[0]), 0, 0)]
+    seen = {(0, 0)}
+    for pos in range(k):
+        negp, i, j = heapq.heappop(heap)
+        out[pos] = -negp
+        if i + 1 < len(x) and (i + 1, j) not in seen:
+            seen.add((i + 1, j))
+            heapq.heappush(heap, (-(x[i + 1] * y[j]), i + 1, j))
+        if j + 1 < len(y) and (i, j + 1) not in seen:
+            seen.add((i, j + 1))
+            heapq.heappush(heap, (-(x[i] * y[j + 1]), i, j + 1))
+    return out
+
+
+def heap_top_k_tensor_power(a, m, k):
+    cur = a.values[: min(k, len(a))]
+    for _ in range(m - 1):
+        cur = heap_top_products(cur, a.values, k)
+    return cur
+
+
+def assert_top_k_matches_heap(a, m, k):
+    got = top_k_tensor_power(a, m, k)
+    assert got.tobytes() == heap_top_k_tensor_power(a, m, k).tobytes()
+    return got
+
+
+def test_top_k_merge_matches_heap_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 41))
+        k = int(np.exp(rng.uniform(0, np.log(5000))))  # log-uniform in 1..5000
+        alpha = float(rng.choice([0.5, 1.0, 3.0]))
+        assert_top_k_matches_heap(
+            make_spectrum(random_sorted_probs(rng, n, alpha=alpha)), m, k
+        )
+
+
+def test_top_k_merge_matches_heap_on_the_long_chain():
+    got = assert_top_k_matches_heap(spec(0.6, 0.3, 0.1), 20, 10**4)
+    assert len(got) == 10**4
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.25,) * 4, (0.5, 0.25, 0.25), (0.5, 0.25, 0.125, 0.125), (0.2,) * 5],
+)
+@pytest.mark.parametrize("m, k", [(2, 5), (6, 100), (12, 3000)])
+def test_top_k_merge_matches_heap_on_ties(values, m, k):
+    # dyadic and flat spectra make long runs of exactly equal products
+    got = assert_top_k_matches_heap(spec(*values), m, k)
+    assert len(np.unique(got)) < len(got)
+
+
+def test_top_k_merge_edge_cases():
+    s = spec(0.5, 0.3, 0.2)
+    # k beyond the whole power: every entry, as the full power gives it
+    full = assert_top_k_matches_heap(s, 3, 100)
+    assert full.tobytes() == tensor_power_spectrum(s, 3).values.tobytes()
+    assert assert_top_k_matches_heap(s, 7, 1).tolist() == [0.5**7]
+    one = assert_top_k_matches_heap(spec(1.0), 5, 3)
+    assert one.tolist() == [1.0]
+
+
+@pytest.fixture
+def no_merge(monkeypatch):
+    """Fail any top-k merge, so a missed cap check cannot allocate."""
+
+    def refuse(*args):
+        raise AssertionError("merge ran past the cap")
+
+    monkeypatch.setattr(catalysis, "_top_products", refuse)
+
+
+def test_top_k_size_cap(no_merge):
+    s = spec(0.5, 0.3, 0.2)
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(s, 40, 10**10)
+    assert (info.value.required, info.value.cap) == (10**10, 10**7)
+    # the output size is min(k, len(a)**m): 27 entries for three copies
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(s, 3, 100, size_cap=26)
+    assert (info.value.required, info.value.cap) == (27, 26)
+    # an enormous copy count with a small k is decided without len(a)**m
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(s, 10**12, 20, size_cap=19)
+    assert info.value.required == 20
+    # errors keep their order: tails, copy count, prefix length, then the cap
+    with pytest.raises(InvalidInput, match="copy count"):
+        top_k_tensor_power(s, 0, 10**10, size_cap=1)
+    with pytest.raises(InvalidInput, match="prefix length"):
+        top_k_tensor_power(s, 2, 0, size_cap=0)
+    with pytest.raises(InfiniteSchmidtNumber):
+        top_k_tensor_power(complete_extension(s, 1), 2, 10**10, size_cap=1)
+
+
+def test_top_k_at_the_size_cap():
+    assert len(top_k_tensor_power(spec(0.5, 0.3, 0.2), 3, 100, size_cap=27)) == 27
+
+
+def test_top_k_size_cap_raises_before_allocating(no_merge):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            top_k_tensor_power(spec(0.5, 0.3, 0.2), 30, 10**6, size_cap=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # a million floats would be 8 MB
 
 
 # --- condition_c ------------------------------------------------------------
@@ -430,6 +550,51 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     assert len(witness.catalyst) == 2
 
 
+def test_grid_rows_count_the_grid_without_building_it():
+    for dim in range(2, 8):
+        for steps in range(2, 30):
+            expected = sum(1 for _ in sorted_simplex_grid(dim, steps))
+            assert catalysis._grid_rows(dim, steps) == expected
+    rows = [catalysis._grid_rows(4, steps) for steps in (100, 200, 400)]
+    assert rows == [7153, 56389, 447778]
+
+
+# Fewest steps whose dimension-4 grid holds more entries than the grid cap.
+GRID_STEPS_OVER_CAP = 711
+
+
+def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
+    assert 4 * catalysis._grid_rows(4, GRID_STEPS_OVER_CAP - 1) <= catalysis._GRID_CAP
+    built = []
+    grid = catalysis._catalyst_grid
+
+    def recording(dim, steps):
+        built.append(dim)
+        return grid(dim, steps)
+
+    monkeypatch.setattr(catalysis, "_catalyst_grid", recording)
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
+
+    # dimensions 2 and 3 are scanned; dimension 4 is refused unbuilt
+    with pytest.raises(SizeCapExceeded, match="catalyst grid of dimension 4") as info:
+        catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP)
+    assert info.value.cap == catalysis._GRID_CAP < info.value.required
+    assert built == [2, 3]
+
+    # the product checks (`a` before `b`) still come first
+    built.clear()
+    with pytest.raises(SizeCapExceeded) as info:
+        catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP, size_cap=15)
+    assert (info.value.required, info.value.cap) == (16, 15)
+    assert built == [2, 3]
+
+    # a grid that is huge from its first dimension is refused at once
+    built.clear()
+    with pytest.raises(SizeCapExceeded, match="dimension 2 at 10000000 steps"):
+        catalyst_search(long, short, 3, 10**7)
+    assert built == []
+
+
 def test_catalyst_convertible_rejects_tails():
     tailed = complete_extension(spec(0.5, 0.5), 1)
     finite = spec(0.6, 0.4)
@@ -519,3 +684,19 @@ def test_strong_verdict_cap_still_raises_before_a_proof():
     assert not condition_c(a, b)
     with pytest.raises(SizeCapExceeded):
         strong_verdict(a, b, catalyst_dim_max=2, grid_steps=3, size_cap=20)
+
+
+def test_strong_verdict_audit_skips_grids_over_the_cap_once_proven():
+    a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    verdict = strong_verdict(a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (3, 3, GRID_STEPS_OVER_CAP)
+
+
+def test_strong_verdict_grid_cap_still_raises_before_a_proof():
+    a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
+    with pytest.raises(SizeCapExceeded) as info:
+        strong_verdict(
+            a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP
+        )
+    assert info.value.cap == catalysis._GRID_CAP

@@ -161,6 +161,7 @@ def test_power_size_cap_exit_code():
         ["sweep", "--dims=-1", "--samples", "5", "--seed", "1"],
         ["spectrum", "--matrix", "[[NaN, 0], [0, 1]]"],
         ["spectrum", "--matrix", '[[[null, 1], 0], [0, 1]]'],
+        ["compare", "--a", "0.9,0.1", "--b", "0.2,0.2,0.2,0.2,0.2", "--tol", "inf"],
     ],
 )
 def test_out_of_range_search_bounds_are_input_errors(argv):
@@ -179,6 +180,18 @@ def test_strong_audit_cap_does_not_overturn_condition_c():
     assert out == (
         "outcome: strong-by-c\n"
         "checked bounds: m_max=2 catalyst_dim=3 grid_steps=100\n"
+    )
+
+
+def test_strong_grid_over_the_cap_exits_3():
+    code, out, err = invoke(
+        "strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
+        "--m-max", "1", "--catalyst-dim", "4", "--grid", "2000",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the catalyst grid of dimension 4 at 2000 steps needs more "
+        "than 10000000 entries\n"
     )
 
 

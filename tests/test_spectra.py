@@ -107,6 +107,17 @@ def test_schmidt_number_respects_zero_cutoff():
     assert schmidt_number(spec, tol) == 1
 
 
+@pytest.mark.parametrize("key", ["tau_norm", "tau_zero", "tau_cmp"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(0.0, "positive"), (-1e-12, "positive"), (math.nan, "positive"),
+     (math.inf, "finite")],
+)
+def test_tolerances_must_be_finite_and_positive(key, value, message):
+    with pytest.raises(InvalidInput, match=message):
+        Tolerances(**{key: value})
+
+
 # --- prefix_sums ----------------------------------------------------------
 
 
