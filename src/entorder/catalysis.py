@@ -67,10 +67,6 @@ DEFAULT_SIZE_CAP = 10**7
 # grid scan.  Bounds the scan's peak memory and the work done past a hit.
 _BLOCK_ENTRIES = 1 << 15
 
-# Entries of one catalyst grid.  Grids are cached per process and shared by
-# calls whatever their `size_cap`, so they have a bound of their own.
-_GRID_CAP = DEFAULT_SIZE_CAP
-
 
 def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
     if spec.tail is not None:
@@ -130,13 +126,7 @@ def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.partition(products, cut)[cut:])[::-1]
 
 
-def top_k_tensor_power(
-    a: SchmidtSpectrum,
-    m: int,
-    k: int,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> np.ndarray:
+def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     """Largest k entries of the m-copy spectrum without building all of it.
 
     Each further copy merges the running top-k prefix with ``a`` by
@@ -145,8 +135,8 @@ def top_k_tensor_power(
     merging k-prefixes is exact.  Entries are the products the full power
     forms, as computed, so this equals the first k entries of
     :func:`tensor_power_spectrum` wherever that fits.  The min(k,
-    len(a)**m) output entries are checked against `size_cap` before any
-    array is built.
+    len(a)**m) output entries are checked against `DEFAULT_SIZE_CAP` before
+    any array is built.
     """
     _require_finite(a, "tensor power prefix")
     if m < 1:
@@ -155,8 +145,8 @@ def top_k_tensor_power(
         raise InvalidInput("prefix length must be at least 1")
     # len(a)**e exceeds k once e reaches k's bit length (or len(a) is 1)
     size = min(k, len(a) ** min(m, k.bit_length()))
-    if size > size_cap:
-        raise SizeCapExceeded(size, size_cap)
+    if size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
     cur = a.values[: min(k, len(a))]
     for _ in range(m - 1):
         cur = _top_products(cur, a.values, k)
@@ -360,32 +350,41 @@ def sorted_simplex_grid(dim: int, steps: int):
         yield np.asarray(combo, dtype=float) / steps
 
 
+def _grid_cap(size_cap: int) -> int:
+    """Entries one catalyst grid may hold under a product cap `size_cap`.
+
+    A small `size_cap` bounds product spectra without shrinking the grids
+    the default allows; a larger one lets larger grids through.
+    """
+    return max(size_cap, DEFAULT_SIZE_CAP)
+
+
 @functools.lru_cache(maxsize=256)
-def _grid_rows(dim: int, steps: int) -> int:
-    """Rows of :func:`_catalyst_grid`, counted without building the grid.
+def _grid_entries(dim: int, steps: int, cap: int) -> int:
+    """Entries (rows * dim) of :func:`_catalyst_grid`, counted unbuilt.
 
     A row is a partition of `steps` into `dim` non-increasing parts, where a
     zero last part is allowed only at dim 2.  Above dim 2 every part is
     positive, so the rows are the partitions of steps - dim into parts of at
     most dim, counted by total: ways(t, p) = ways(t, p - 1) + ways(t - p, p).
     The count never falls as the total grows, so it stops once it passes
-    what `_GRID_CAP` allows: exact for a grid that fits, a lower bound for
-    one that does not.
+    `cap`: the result is exact for a grid that fits and cap + 1 otherwise.
     """
     if dim == 2:
-        return steps // 2 + 1
-    if steps < dim:
-        return 0
-    limit = _GRID_CAP // dim
-    ways = [[1] * (dim + 1)]  # ways[t][p]: partitions of t into parts <= p
-    for t in range(1, steps - dim + 1):
-        row = [0] * (dim + 1)
-        for p in range(1, dim + 1):
-            row[p] = row[p - 1] + (ways[t - p][p] if p <= t else 0)
-        ways.append(row)
-        if row[dim] > limit:
-            break
-    return ways[-1][dim]
+        rows = steps // 2 + 1
+    elif steps < dim:
+        rows = 0
+    else:
+        ways = [[1] * (dim + 1)]  # ways[t][p]: partitions of t into parts <= p
+        for t in range(1, steps - dim + 1):
+            row = [0] * (dim + 1)
+            for p in range(1, dim + 1):
+                row[p] = row[p - 1] + (ways[t - p][p] if p <= t else 0)
+            ways.append(row)
+            if row[dim] * dim > cap:
+                break
+        rows = ways[-1][dim]
+    return min(rows * dim, cap + 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -415,8 +414,9 @@ def catalyst_search(
     each decided by one batched kernel, and the scan stops at the block
     holding the first hit.  Before a dimension's grid is built, products of
     that size are checked against `size_cap` (`a` before `b`), and then the
-    grid's entries, counted by :func:`_grid_rows`, against `_GRID_CAP`; so
-    smaller dimensions that fit are scanned first.
+    grid's entries, counted by :func:`_grid_entries`, against
+    max(size_cap, DEFAULT_SIZE_CAP); so smaller dimensions that fit are
+    scanned first.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -427,18 +427,19 @@ def catalyst_search(
         raise InvalidInput("dim_max must be at least 2")
     if grid_steps < 2:
         raise InvalidInput("grid needs at least 2 steps")
+    grid_cap = _grid_cap(size_cap)
     for dim in range(2, dim_max + 1):
-        entries = _grid_rows(dim, grid_steps) * dim
+        entries = _grid_entries(dim, grid_steps, grid_cap)
         if entries == 0:
             continue  # every vector has a trailing zero, seen at a lower dim
         for spec in (a, b):
             _check_product_factor(spec, dim, size_cap)
-        if entries > _GRID_CAP:
+        if entries > grid_cap:
             raise SizeCapExceeded(
                 entries,
-                _GRID_CAP,
+                grid_cap,
                 f"the catalyst grid of dimension {dim} at {grid_steps} steps "
-                f"needs more than {_GRID_CAP} entries",
+                f"needs more than {grid_cap} entries",
             )
         grid = _catalyst_grid(dim, grid_steps)
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
@@ -503,9 +504,10 @@ def strong_verdict(
     because one of the implementations is wrong.  When condition_c holds,
     the witness searches still run as a self-audit, but only as far as the
     caps allow: copy counts and catalyst dimensions whose products would
-    exceed `size_cap`, or whose grid would exceed the grid cap, are skipped,
-    so a resource cap never overturns a proven verdict, and `checked_bounds`
-    records the bounds actually audited.
+    exceed `size_cap`, or whose grid would exceed max(size_cap,
+    DEFAULT_SIZE_CAP) entries, are skipped, so a resource cap never
+    overturns a proven verdict, and `checked_bounds` records the bounds
+    actually audited.
     """
     for name, value, least in (
         ("m_max", m_max, 1),
@@ -519,10 +521,11 @@ def strong_verdict(
         width = max(len(a), len(b))
         while m_max > 0 and width**m_max > size_cap:
             m_max -= 1
+        grid_cap = _grid_cap(size_cap)
         dims = 1
         while dims < catalyst_dim_max and (
             width * (dims + 1) <= size_cap
-            and _grid_rows(dims + 1, grid_steps) * (dims + 1) <= _GRID_CAP
+            and _grid_entries(dims + 1, grid_steps, grid_cap) <= grid_cap
         ):
             dims += 1
         catalyst_dim_max = dims

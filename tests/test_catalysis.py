@@ -230,14 +230,19 @@ def test_top_k_merge_edge_cases():
     assert one.tolist() == [1.0]
 
 
+class MergeReached(Exception):
+    pass
+
+
 @pytest.fixture
 def no_merge(monkeypatch):
-    """Fail any top-k merge, so a missed cap check cannot allocate."""
+    """Stop any top-k merge, so a call that passes the cap check allocates
+    nothing and a missed check cannot allocate."""
 
-    def refuse(*args):
-        raise AssertionError("merge ran past the cap")
+    def stop(*args):
+        raise MergeReached
 
-    monkeypatch.setattr(catalysis, "_top_products", refuse)
+    monkeypatch.setattr(catalysis, "_top_products", stop)
 
 
 def test_top_k_size_cap(no_merge):
@@ -245,36 +250,41 @@ def test_top_k_size_cap(no_merge):
     with pytest.raises(SizeCapExceeded) as info:
         top_k_tensor_power(s, 40, 10**10)
     assert (info.value.required, info.value.cap) == (10**10, 10**7)
-    # the output size is min(k, len(a)**m): 27 entries for three copies
+    # the output size is min(k, len(a)**m): 2**24 entries for 24 copies
     with pytest.raises(SizeCapExceeded) as info:
-        top_k_tensor_power(s, 3, 100, size_cap=26)
-    assert (info.value.required, info.value.cap) == (27, 26)
-    # an enormous copy count with a small k is decided without len(a)**m
+        top_k_tensor_power(spec(0.5, 0.5), 24, 10**10)
+    assert (info.value.required, info.value.cap) == (2**24, 10**7)
+    # an enormous copy count is decided without computing len(a)**m
     with pytest.raises(SizeCapExceeded) as info:
-        top_k_tensor_power(s, 10**12, 20, size_cap=19)
-    assert info.value.required == 20
+        top_k_tensor_power(s, 10**12, 10**7 + 1)
+    assert info.value.required == 10**7 + 1
     # errors keep their order: tails, copy count, prefix length, then the cap
     with pytest.raises(InvalidInput, match="copy count"):
-        top_k_tensor_power(s, 0, 10**10, size_cap=1)
+        top_k_tensor_power(s, 0, 10**10)
     with pytest.raises(InvalidInput, match="prefix length"):
-        top_k_tensor_power(s, 2, 0, size_cap=0)
+        top_k_tensor_power(s, 2, 0)
     with pytest.raises(InfiniteSchmidtNumber):
-        top_k_tensor_power(complete_extension(s, 1), 2, 10**10, size_cap=1)
+        top_k_tensor_power(complete_extension(s, 1), 2, 10**10)
 
 
-def test_top_k_at_the_size_cap():
-    assert len(top_k_tensor_power(spec(0.5, 0.3, 0.2), 3, 100, size_cap=27)) == 27
+@pytest.mark.parametrize(
+    "values, m, k", [((0.5, 0.5), 23, 10**10), ((0.5, 0.3, 0.2), 20, 10**7)]
+)
+def test_top_k_within_the_size_cap_reaches_the_merge(no_merge, values, m, k):
+    # 2**23 entries, and exactly 10**7, both fit the cap
+    with pytest.raises(MergeReached):
+        top_k_tensor_power(spec(*values), m, k)
 
 
 def test_top_k_size_cap_raises_before_allocating(no_merge):
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceeded):
-            top_k_tensor_power(spec(0.5, 0.3, 0.2), 30, 10**6, size_cap=10**5)
+            top_k_tensor_power(spec(0.5, 0.3, 0.2), 30, 10**7 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**5  # a million floats would be 8 MB
+    assert peak < 10**5  # ten million floats would be 80 MB
 
 
 # --- condition_c ------------------------------------------------------------
@@ -550,21 +560,26 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     assert len(witness.catalyst) == 2
 
 
-def test_grid_rows_count_the_grid_without_building_it():
+def test_grid_entries_count_the_grid_without_building_it():
+    cap = catalysis.DEFAULT_SIZE_CAP
     for dim in range(2, 8):
         for steps in range(2, 30):
             expected = sum(1 for _ in sorted_simplex_grid(dim, steps))
-            assert catalysis._grid_rows(dim, steps) == expected
-    rows = [catalysis._grid_rows(4, steps) for steps in (100, 200, 400)]
-    assert rows == [7153, 56389, 447778]
+            assert catalysis._grid_entries(dim, steps, cap) == expected * dim
+    entries = [catalysis._grid_entries(4, steps, cap) for steps in (100, 200, 400)]
+    assert entries == [4 * 7153, 4 * 56389, 4 * 447778]
+    # past the cap the count stops, and every grid over it reads cap + 1
+    assert catalysis._grid_entries(4, 400, 10**6) == 10**6 + 1
+    assert catalysis._grid_entries(3, 10**7, cap) == cap + 1
 
 
-# Fewest steps whose dimension-4 grid holds more entries than the grid cap.
+# Fewest steps whose dimension-4 grid holds more entries than the default cap.
 GRID_STEPS_OVER_CAP = 711
 
 
-def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
-    assert 4 * catalysis._grid_rows(4, GRID_STEPS_OVER_CAP - 1) <= catalysis._GRID_CAP
+@pytest.fixture
+def built_grids(monkeypatch):
+    """Dimensions of the catalyst grids built, in order."""
     built = []
     grid = catalysis._catalyst_grid
 
@@ -573,26 +588,49 @@ def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
         return grid(dim, steps)
 
     monkeypatch.setattr(catalysis, "_catalyst_grid", recording)
+    return built
+
+
+def test_grid_cap_is_checked_before_the_grid_is_built(built_grids):
+    cap = catalysis.DEFAULT_SIZE_CAP
+    assert catalysis._grid_entries(4, GRID_STEPS_OVER_CAP - 1, cap) <= cap
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
 
     # dimensions 2 and 3 are scanned; dimension 4 is refused unbuilt
     with pytest.raises(SizeCapExceeded, match="catalyst grid of dimension 4") as info:
         catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP)
-    assert info.value.cap == catalysis._GRID_CAP < info.value.required
-    assert built == [2, 3]
+    assert (info.value.required, info.value.cap) == (cap + 1, cap)
+    assert built_grids == [2, 3]
 
     # the product checks (`a` before `b`) still come first
-    built.clear()
+    built_grids.clear()
     with pytest.raises(SizeCapExceeded) as info:
         catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP, size_cap=15)
     assert (info.value.required, info.value.cap) == (16, 15)
-    assert built == [2, 3]
+    assert built_grids == [2, 3]
 
     # a grid that is huge from its first dimension is refused at once
-    built.clear()
+    built_grids.clear()
     with pytest.raises(SizeCapExceeded, match="dimension 2 at 10000000 steps"):
         catalyst_search(long, short, 3, 10**7)
-    assert built == []
+    assert built_grids == []
+
+
+def test_a_raised_size_cap_raises_the_grid_cap(monkeypatch):
+    built = []
+
+    def empty_grid(dim, steps):
+        # record the dimension, but build nothing: dimension 4 is 10**7 entries
+        built.append(dim)
+        return np.empty((0, dim))
+
+    monkeypatch.setattr(catalysis, "_catalyst_grid", empty_grid)
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    assert catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP, size_cap=10**8) is None
+    assert built == [2, 3, 4]
+    with pytest.raises(SizeCapExceeded, match="more than 100000000 entries") as info:
+        catalyst_search(long, short, 4, 2000, size_cap=10**8)
+    assert (info.value.required, info.value.cap) == (10**8 + 1, 10**8)
 
 
 def test_catalyst_convertible_rejects_tails():
@@ -693,10 +731,20 @@ def test_strong_verdict_audit_skips_grids_over_the_cap_once_proven():
     assert verdict.checked_bounds == (3, 3, GRID_STEPS_OVER_CAP)
 
 
+def test_strong_verdict_audit_follows_a_raised_size_cap(monkeypatch):
+    monkeypatch.setattr(catalysis, "_catalyst_grid", lambda d, s: np.empty((0, d)))
+    a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    verdict = strong_verdict(
+        a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP, size_cap=10**8
+    )
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (3, 4, GRID_STEPS_OVER_CAP)
+
+
 def test_strong_verdict_grid_cap_still_raises_before_a_proof():
     a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
     with pytest.raises(SizeCapExceeded) as info:
         strong_verdict(
             a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP
         )
-    assert info.value.cap == catalysis._GRID_CAP
+    assert info.value.cap == catalysis.DEFAULT_SIZE_CAP

@@ -183,15 +183,22 @@ def test_strong_audit_cap_does_not_overturn_condition_c():
     )
 
 
-def test_strong_grid_over_the_cap_exits_3():
+@pytest.mark.parametrize(
+    "size_cap, cap", [(None, 10**7), (20, 10**7), (10**8, 10**8)]
+)
+def test_strong_grid_over_the_cap_exits_3(size_cap, cap, tmp_path):
+    # a small size_cap leaves the grid bound at its default; a larger one raises it
+    cfg = tmp_path / "entorder.cfg"
+    cfg.write_text("" if size_cap is None else f"size_cap = {size_cap}\n")
     code, out, err = invoke(
+        "--config", str(cfg),
         "strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
         "--m-max", "1", "--catalyst-dim", "4", "--grid", "2000",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the catalyst grid of dimension 4 at 2000 steps needs more "
-        "than 10000000 entries\n"
+        f"than {cap} entries\n"
     )
 
 
