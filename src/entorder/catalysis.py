@@ -100,13 +100,31 @@ def tensor_power_spectrum(
     _require_finite(a, "tensor power")
     if m < 1:
         raise InvalidInput("copy count must be at least 1")
-    size = len(a) ** m
-    if size > size_cap:
-        raise SizeCapExceeded(size, size_cap)
+    _check_power_size(len(a), m, size_cap)
     cur = a.values
     for _ in range(m - 1):
         cur = np.multiply.outer(cur, a.values).ravel()
     return SchmidtSpectrum(np.sort(cur)[::-1])
+
+
+def _power_size(length: int, m: int, bound: int) -> int:
+    """Entry count of an m-fold power, length**m, for m up to max(64, the
+    bit length of `bound`).
+
+    Past that exponent length**m exceeds `bound` (or length is 1), so the
+    exponent is clipped there: the result still exceeds `bound`, and a huge
+    m never builds a huge integer.
+    """
+    return length ** min(m, max(64, bound.bit_length()))
+
+
+def _check_power_size(length: int, m: int, size_cap: int) -> None:
+    """Raise unless an m-fold power of a `length`-entry spectrum fits."""
+    size = _power_size(length, m, size_cap)
+    if size > size_cap:
+        raise SizeCapExceeded(
+            size, size_cap, f"operation needs {length}**{m} entries; cap is {size_cap}"
+        )
 
 
 def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -143,8 +161,7 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
         raise InvalidInput("copy count must be at least 1")
     if k < 1:
         raise InvalidInput("prefix length must be at least 1")
-    # len(a)**e exceeds k once e reaches k's bit length (or len(a) is 1)
-    size = min(k, len(a) ** min(m, k.bit_length()))
+    size = min(k, _power_size(len(a), m, k))
     if size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
     cur = a.values[: min(k, len(a))]
@@ -234,9 +251,7 @@ def multicopy_convertible(
     _require_finite(b, "multi-copy search")
     if m_max < 1:
         raise InvalidInput("m_max must be at least 1")
-    needed = max(len(a), len(b)) ** m_max
-    if needed > size_cap:
-        raise SizeCapExceeded(needed, size_cap)
+    _check_power_size(max(len(a), len(b)), m_max, size_cap)
     for m in range(1, m_max + 1):
         pa = tensor_power_spectrum(a, m, size_cap=size_cap)
         pb = tensor_power_spectrum(b, m, size_cap=size_cap)
@@ -519,8 +534,9 @@ def strong_verdict(
     holds = condition_c(a, b, tol)
     if holds:
         width = max(len(a), len(b))
-        while m_max > 0 and width**m_max > size_cap:
-            m_max -= 1
+        while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
+            # width**e exceeds size_cap for every e from its bit length on
+            m_max = min(m_max - 1, size_cap.bit_length())
         grid_cap = _grid_cap(size_cap)
         dims = 1
         while dims < catalyst_dim_max and (

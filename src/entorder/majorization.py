@@ -7,6 +7,11 @@ the matching prefix sum of `b`.  Comparing both directions yields a four-way
 verdict, and the indices at which either direction fails are reported in
 full; they double as diagnostics for which prefix inequality separates the
 pair.
+
+There is one majorization kernel, :func:`compare_many`, which decides
+stacked rows of prefix sums at once; :func:`compare` and
+:func:`majorized_by` are its one-row calls, and the Monte Carlo sweep feeds
+it whole blocks of sampled pairs.
 """
 
 from __future__ import annotations
@@ -57,25 +62,46 @@ class ComparisonVerdict:
         }
 
 
-def _prefix_diff(a, b, tol):
-    """Shared core: prefix sums of both spectra up to the common horizon.
+def compare_many(
+    pa: np.ndarray,
+    pb: np.ndarray,
+    total_a,
+    total_b,
+    slack,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided majorization check of stacked prefix-sum rows: the kernel.
 
-    Returns (diff, slack, structural) where diff[k-1] = prefix_k(a) -
-    prefix_k(b), slack is the comparison allowance (tau_cmp, widened by the
-    tail residual bound when a tail is present), and structural marks the
-    indices where both spectra have already exhausted their mass, so a tie
-    there is forced by normalization rather than decided by floating point.
+    `pa` and `pb` are `(S, L)` arrays whose row s holds prefix_k of the two
+    spectra of pair s for k = 1..L (a single `(L,)` row works too).
+    `total_a` and `total_b` are the pairs' total masses and `slack` their
+    allowances, as scalars or `(S, 1)` columns.  Returns `(forward,
+    backward, near_tie)`: `forward[s, k-1]` marks that prefix_k(a) <=
+    prefix_k(b) fails beyond slack, `backward` is the mirror, and
+    `near_tie[s]` flags a margin within `tau_cmp` at an index where not both
+    spectra have already exhausted their mass (a tie there is forced by
+    normalization, not decided by floating point).
+    """
+    diff = pa - pb
+    tau = tol.tau_cmp
+    undecided = (pa < total_a - tau) | (pb < total_b - tau)
+    near = np.logical_or.reduce((np.abs(diff) <= tau) & undecided, axis=-1)
+    return diff > slack, diff < -slack, near
+
+
+def _compare_pair(a, b, tol):
+    """`compare_many` on one pair, up to the common comparison horizon.
+
+    The slack is `tau_cmp`, widened by the residual mass of both spectra past
+    the horizon when a tail is present.
     """
     k = comparison_horizon(a, b, tol)
-    pa = prefix_sums(a, k)
-    pb = prefix_sums(b, k)
     slack = tol.tau_cmp
     if a.tail is not None or b.tail is not None:
         slack += a.residual_after(k) + b.residual_after(k)
-    structural = (pa >= a.total_mass() - tol.tau_cmp) & (
-        pb >= b.total_mass() - tol.tau_cmp
+    return compare_many(
+        prefix_sums(a, k), prefix_sums(b, k), a.total_mass(), b.total_mass(), slack, tol
     )
-    return pa - pb, slack, structural
 
 
 def majorized_by(
@@ -89,8 +115,8 @@ def majorized_by(
     the horizon where both residuals are below `tau_cmp` (inequalities past
     that point hold automatically within the widened slack).
     """
-    diff, slack, _ = _prefix_diff(a, b, tol)
-    return bool((diff <= slack).all())
+    forward, _, _ = _compare_pair(a, b, tol)
+    return not np.count_nonzero(forward)
 
 
 def compare(
@@ -100,10 +126,10 @@ def compare(
 ) -> ComparisonVerdict:
     """Classify the pair as forward/backward convertible, equivalent, or
     incomparable, with the complete list of violated prefix indices."""
-    diff, slack, structural = _prefix_diff(a, b, tol)
-    forward = np.flatnonzero(diff > slack) + 1
-    backward = np.flatnonzero(-diff > slack) + 1
-    near = bool(((np.abs(diff) <= tol.tau_cmp) & ~structural).any())
+    forward, backward, near = _compare_pair(a, b, tol)
+    forward = np.flatnonzero(forward) + 1
+    backward = np.flatnonzero(backward) + 1
+    near = bool(near)
     if len(forward) == 0 and len(backward) == 0:
         relation = Relation.EQUIVALENT
     elif len(forward) == 0:

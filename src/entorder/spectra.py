@@ -277,9 +277,9 @@ def prefix_sums(spec: SchmidtSpectrum, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise InvalidInput("k_max must be at least 1")
-    head = np.cumsum(spec.values)
+    head = spec.values.cumsum()
     if k_max <= len(head):
-        return head[:k_max].copy()
+        return head[:k_max]
     out = np.empty(k_max)
     out[: len(head)] = head
     head_total = head[-1] if len(head) else 0.0

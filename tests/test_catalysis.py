@@ -117,6 +117,18 @@ def test_size_cap():
         tensor_product_spectrum(spec(0.5, 0.5), spec(0.5, 0.5), size_cap=3)
 
 
+@pytest.mark.parametrize("m", [20000, 10**10])
+def test_size_cap_with_huge_copy_counts(m):
+    # the size is taken at an exponent clipped to 64, so it stays a small
+    # integer and the error message formats
+    with pytest.raises(SizeCapExceeded, match=rf"needs 2\*\*{m} entries") as info:
+        tensor_power_spectrum(spec(0.5, 0.5), m)
+    assert (info.value.required, info.value.cap) == (2**64, 10**7)
+    with pytest.raises(SizeCapExceeded, match=rf"needs 3\*\*{m} entries") as info:
+        multicopy_convertible(spec(0.5, 0.5), spec(0.6, 0.3, 0.1), m)
+    assert (info.value.required, info.value.cap) == (3**64, 10**7)
+
+
 def test_multiplicativity_of_top_entry_and_schmidt_number():
     rng = np.random.default_rng(32)
     for _ in range(100):
@@ -714,6 +726,14 @@ def test_strong_verdict_records_the_audited_bounds(size_cap, bounds):
     verdict = strong_verdict(a, b, size_cap=size_cap)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
     assert verdict.checked_bounds == bounds
+
+
+def test_strong_verdict_audit_clips_a_huge_copy_count_once_proven():
+    # 3**4 = 81 entries fit a cap of 100, 3**5 do not
+    a, b = spec(0.6, 0.2, 0.2), spec(0.5, 0.5)
+    verdict = strong_verdict(a, b, m_max=10**10, size_cap=100)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (4, 3, 100)
 
 
 def test_strong_verdict_cap_still_raises_before_a_proof():

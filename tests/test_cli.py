@@ -202,6 +202,34 @@ def test_strong_grid_over_the_cap_exits_3(size_cap, cap, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["power", "--a", "0.5,0.5", "--m", "20000"], "2**20000"),
+        (["power", "--a", "0.5,0.5", "--m", "10000000000"], "2**10000000000"),
+        (["strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
+          "--m-max", "20000"], "4**20000"),
+    ],
+)
+def test_huge_copy_counts_exit_3_with_a_message(argv, size):
+    # the power's size is never built as a huge integer, so the refusal is
+    # immediate and its message formats
+    code, out, err = invoke(*argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: operation needs {size} entries; cap is 10000000\n"
+
+
+def test_sweep_dimension_over_the_cap_exits_3(monkeypatch):
+    import entorder.sampling
+
+    monkeypatch.setattr(entorder.sampling, "DEFAULT_SIZE_CAP", 100)
+    code, out, err = invoke("sweep", "--dims", "2,3,6", "--samples", "5", "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a sample at dimension 6 draws 144 Gaussian entries; cap is 100\n"
+    )
+
+
 def test_ingestion_warnings_follow_all_parsing():
     a, b = "0.25,0.5,0.25", "0.4,0.2,0.4"
     code, _, err = invoke("catalyze", "--a", a, "--b", b, "--c", "0.4,0.6")

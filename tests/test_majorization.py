@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entorder import (
+    DEFAULT_TOLERANCES,
+    GeometricTail,
     Relation,
     compare,
+    compare_many,
     complete_extension,
     make_spectrum,
     majorized_by,
+    prefix_sums,
     schmidt_number,
+    tensor_product_spectrum,
 )
+from entorder.spectra import comparison_horizon
 from oracles import brute_relation, brute_violations, random_sorted_probs
 
 
@@ -180,3 +188,140 @@ def test_completion_majorized_by_its_base():
     # spreading mass into the tail only lowers prefix sums
     assert majorized_by(completed, base)
     assert not majorized_by(base, completed)
+
+
+# --- Hypothesis properties of the kernel -------------------------------------
+
+
+def normalized(weights, mass=1.0):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum() * mass
+
+
+# Integer weights give prefix sums that are rationals with small
+# denominators: every margin is a rounding-level tie or far above tau_cmp,
+# so exact order-theoretic facts hold for the computed verdicts.
+WEIGHTS = st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(any)
+FINITE = WEIGHTS.map(lambda w: make_spectrum(normalized(w)))
+FLOATS = st.lists(st.floats(0, 1), min_size=1, max_size=8).filter(
+    lambda v: sum(v) > 0.01
+).map(lambda v: make_spectrum(normalized(v)))
+
+
+@st.composite
+def tailed(draw):
+    head = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+    ratio = draw(st.sampled_from([0.1, 0.5, 0.8]))
+    share = draw(st.sampled_from([0.05, 0.2, 0.4]))
+    tail = GeometricTail(share * (1.0 - ratio), ratio)
+    return make_spectrum(normalized(head, 1.0 - tail.mass()), tail)
+
+
+ANY = st.one_of(FINITE, FLOATS, tailed())
+
+
+@st.composite
+def richer(draw, weights):
+    """`weights` after moving units from poorer entries to richer ones.
+
+    Each such transfer yields a vector that majorizes the one before, so
+    the spectrum of `weights` converts to the result.
+    """
+    w = sorted(weights, reverse=True)
+    for _ in range(draw(st.integers(0, 3)) if len(w) > 1 else 0):
+        i = draw(st.integers(0, len(w) - 2))
+        j = draw(st.integers(i + 1, len(w) - 1))
+        units = draw(st.integers(0, w[j]))
+        w[i] += units
+        w[j] -= units
+        w.sort(reverse=True)
+    return w
+
+
+@st.composite
+def chain(draw, length):
+    """`length` spectra, each converting to the next by transfers."""
+    weights = [draw(WEIGHTS)]
+    while len(weights) < length:
+        weights.append(draw(richer(weights[-1])))
+    return tuple(make_spectrum(normalized(w)) for w in weights)
+
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+MIRROR = {
+    Relation.FORWARD: Relation.BACKWARD,
+    Relation.BACKWARD: Relation.FORWARD,
+    Relation.EQUIVALENT: Relation.EQUIVALENT,
+    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
+}
+
+
+def relation_of(forward, backward):
+    if not forward.any():
+        return Relation.FORWARD if backward.any() else Relation.EQUIVALENT
+    return Relation.BACKWARD if not backward.any() else Relation.INCOMPARABLE
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ANY, ANY), min_size=1, max_size=8))
+def test_compare_many_rows_match_compare(pairs):
+    # pairs sharing a comparison horizon are stacked into one call, with
+    # per-row totals and slack (tau_cmp plus both residuals past the horizon)
+    tol = DEFAULT_TOLERANCES
+    groups = {}
+    for a, b in pairs:
+        groups.setdefault(comparison_horizon(a, b, tol), []).append((a, b))
+    for k, group in groups.items():
+        forward, backward, near = compare_many(
+            np.stack([prefix_sums(a, k) for a, _ in group]),
+            np.stack([prefix_sums(b, k) for _, b in group]),
+            np.array([[a.total_mass()] for a, _ in group]),
+            np.array([[b.total_mass()] for _, b in group]),
+            np.array([
+                [tol.tau_cmp + (a.residual_after(k) + b.residual_after(k))]
+                for a, b in group
+            ]),
+            tol,
+        )
+        assert forward.shape == backward.shape == (len(group), k)
+        for row, (a, b) in enumerate(group):
+            verdict = compare(a, b, tol)
+            assert tuple(np.flatnonzero(forward[row]) + 1) == verdict.forward_violations
+            assert tuple(np.flatnonzero(backward[row]) + 1) == verdict.backward_violations
+            assert bool(near[row]) is verdict.near_tie
+            assert relation_of(forward[row], backward[row]) is verdict.relation
+            assert majorized_by(a, b, tol) is (not forward[row].any())
+
+
+@PROPERTY
+@given(ANY, ANY)
+def test_swapping_the_pair_swaps_the_directions(a, b):
+    ab, ba = compare(a, b), compare(b, a)
+    assert ba.forward_violations == ab.backward_violations
+    assert ba.backward_violations == ab.forward_violations
+    assert ba.near_tie is ab.near_tie
+    assert ba.relation is MIRROR[ab.relation]
+
+
+@PROPERTY
+@given(st.one_of(chain(3), st.tuples(FINITE, FINITE, FINITE)))
+def test_forward_is_transitive(triple):
+    a, b, c = triple
+    if majorized_by(a, b) and majorized_by(b, c):
+        assert majorized_by(a, c)
+
+
+@PROPERTY
+@given(st.one_of(chain(2), st.tuples(FINITE, FINITE)), FINITE)
+def test_forward_survives_a_common_tensor_factor(pair, c):
+    a, b = pair
+    if majorized_by(a, b):
+        assert majorized_by(tensor_product_spectrum(a, c), tensor_product_spectrum(b, c))
+
+
+def test_a_common_tensor_factor_can_open_a_conversion():
+    # the converse of the property above fails: this is catalysis
+    a, b = spec(0.4, 0.4, 0.1, 0.1), spec(0.5, 0.25, 0.25, 0.0)
+    c = spec(0.6, 0.4)
+    assert not majorized_by(a, b)
+    assert majorized_by(tensor_product_spectrum(a, c), tensor_product_spectrum(b, c))

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+import entorder.sampling as sampling
 from entorder import (
+    DEFAULT_TOLERANCES,
     DimensionTooSmall,
     InvalidInput,
+    Relation,
+    SizeCapExceeded,
+    Tolerances,
+    compare,
     incomparability_fraction,
     sample_random_spectrum,
     sweep,
@@ -118,3 +124,137 @@ def test_negative_stream_keys_are_input_errors(n, seed, message):
         incomparability_fraction(n, 5, seed)
     with pytest.raises(InvalidInput, match=message):
         sweep([n], 5, seed)
+
+
+# --- the batched sweep against the sample-by-sample loop --------------------
+
+
+def scalar_samples(n, samples, seed, tol=DEFAULT_TOLERANCES):
+    """The per-sample sweep loop the batched path replaced: the reference.
+
+    Returns, per sample, its two spectra and its tallies in the order
+    (equivalent, forward, backward, incomparable, near tie, near product).
+    """
+    order = [Relation.EQUIVALENT, Relation.FORWARD, Relation.BACKWARD,
+             Relation.INCOMPARABLE]
+    out = []
+    for i in range(samples):
+        rng = pair_stream(seed, n, i)
+        a = sample_random_spectrum(n, rng)
+        b = sample_random_spectrum(n, rng)
+        verdict = compare(a, b, tol)
+        tally = [0] * 6
+        tally[order.index(verdict.relation)] = 1
+        tally[4] = int(verdict.near_tie)
+        tally[5] = int(
+            a.values[0] > 1.0 - tol.tau_norm or b.values[0] > 1.0 - tol.tau_norm
+        )
+        out.append((a.values, b.values, tally))
+    return out
+
+
+def record_tallies(record):
+    return [
+        record.equivalent_count, record.forward_count, record.backward_count,
+        record.incomparable_count, record.near_tie_count,
+        record.near_product_count,
+    ]
+
+
+def batched_spectra(monkeypatch, n, samples, seed, tol):
+    """Run the batched sweep, recording every spectrum its blocks produce."""
+    blocks = []
+    probabilities = sampling._probabilities
+
+    def recording(mats):
+        probs = probabilities(mats)
+        blocks.append(probs.copy())
+        return probs
+
+    monkeypatch.setattr(sampling, "_probabilities", recording)
+    record = incomparability_fraction(n, samples, seed, tol)
+    monkeypatch.setattr(sampling, "_probabilities", probabilities)
+    return record, np.concatenate(blocks)
+
+
+def assert_matches_reference(monkeypatch, reference, n, samples, seed, tol):
+    record, spectra = batched_spectra(monkeypatch, n, samples, seed, tol)
+    expected = np.sum([tally for _, _, tally in reference[:samples]], axis=0)
+    assert record_tallies(record) == expected.tolist()
+    assert record.fraction == record.incomparable_count / samples
+    assert spectra.shape == (samples, 2, n)
+    for (a, b, _), (got_a, got_b) in zip(reference, spectra):
+        assert got_a.tobytes() == a.tobytes()
+        assert got_b.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 24])
+def test_batched_sweep_matches_scalar_reference(n, monkeypatch):
+    rows = max(1, sampling._BLOCK_ENTRIES // (4 * n * n))
+    # sample counts on both sides of the first and second block boundary
+    counts = sorted({max(1, rows - 1), rows, rows + 1, 2 * rows + 1})
+    for seed in (3, 20260):
+        reference = scalar_samples(n, counts[-1], seed)
+        for samples in counts:
+            assert_matches_reference(
+                monkeypatch, reference, n, samples, seed, DEFAULT_TOLERANCES
+            )
+
+
+# Coarse slack: equivalent, near-tie and near-product tallies are nonzero.
+COARSE = Tolerances(tau_norm=0.3, tau_cmp=0.02)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, COARSE])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 24])
+def test_one_row_blocks_match_scalar_reference(n, tol, monkeypatch):
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 1)
+    reference = scalar_samples(n, 40, 11, tol)
+    for samples in (1, 2, 40):
+        assert_matches_reference(monkeypatch, reference, n, samples, 11, tol)
+
+
+def test_coarse_tolerances_exercise_every_tally():
+    reference = scalar_samples(3, 400, 5, COARSE)
+    totals = np.sum([tally for _, _, tally in reference], axis=0)
+    assert (totals > 0).all(), totals
+    assert record_tallies(incomparability_fraction(3, 400, 5, COARSE)) == totals.tolist()
+
+
+def test_sample_random_spectrum_is_the_single_matrix_draw():
+    # the pre-batching body of sample_random_spectrum, spelled out
+    for n in (2, 3, 8, 24):
+        for seed in (0, 9):
+            rng = pair_stream(seed, n, 4)
+            mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            sv = np.linalg.svd(mat, compute_uv=False)
+            probs = sv * sv
+            probs /= probs.sum()
+            got = sample_random_spectrum(n, pair_stream(seed, n, 4)).values
+            assert got.tobytes() == probs.tobytes()
+
+
+# --- size cap --------------------------------------------------------------
+
+
+def refuse_streams(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was built before the size check")
+
+    monkeypatch.setattr(sampling, "pair_stream", no_stream)
+
+
+def test_dimension_over_the_cap_is_refused_before_any_draw(monkeypatch):
+    # 4 * 6**2 = 144 Gaussian entries per sample against a cap of 100
+    monkeypatch.setattr(sampling, "DEFAULT_SIZE_CAP", 100)
+    refuse_streams(monkeypatch)
+    with pytest.raises(SizeCapExceeded, match="dimension 6 draws 144") as info:
+        incomparability_fraction(6, 10, 1)
+    assert (info.value.required, info.value.cap) == (144, 100)
+    # every dimension of a sweep is checked before the first one runs
+    with pytest.raises(SizeCapExceeded) as info:
+        sweep([2, 3, 6], 10, 1)
+    assert (info.value.required, info.value.cap) == (144, 100)
+    monkeypatch.undo()
+    monkeypatch.setattr(sampling, "DEFAULT_SIZE_CAP", 144)
+    assert incomparability_fraction(6, 10, 1).samples == 10
