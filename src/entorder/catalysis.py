@@ -95,12 +95,14 @@ def tensor_power_spectrum(
     """Spectrum of m copies: all m-fold entry products, sorted non-increasing.
 
     Products are kept as computed (no renormalization), so the total mass
-    drifts from 1 by at most about m rounding units.
+    drifts from 1 by at most about m rounding units.  The m - 1 passes are
+    bounded up front by :func:`_check_copy_work`.
     """
     _require_finite(a, "tensor power")
     if m < 1:
         raise InvalidInput("copy count must be at least 1")
     _check_power_size(len(a), m, size_cap)
+    _check_copy_work(len(a), m, size_cap)
     cur = a.values
     for _ in range(m - 1):
         cur = np.multiply.outer(cur, a.values).ravel()
@@ -124,6 +126,24 @@ def _check_power_size(length: int, m: int, size_cap: int) -> None:
     if size > size_cap:
         raise SizeCapExceeded(
             size, size_cap, f"operation needs {length}**{m} entries; cap is {size_cap}"
+        )
+
+
+def _check_copy_work(length: int, m: int, cap: int) -> None:
+    """Raise unless m copies of a `length`-entry spectrum, m * length, fit.
+
+    The copy loops run m - 1 passes whatever the size of their output, so
+    this bounds a one-entry spectrum or a short prefix at huge m.  For
+    length >= 2, m * length <= length**m, so wherever the output size fits
+    this passes too, and every existing size error is raised first.
+    """
+    work = m * length
+    if work > cap:
+        raise SizeCapExceeded(
+            work,
+            cap,
+            f"operation needs {work} products ({m} copies of a {length}-entry "
+            f"spectrum); cap is {cap}",
         )
 
 
@@ -153,8 +173,8 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     merging k-prefixes is exact.  Entries are the products the full power
     forms, as computed, so this equals the first k entries of
     :func:`tensor_power_spectrum` wherever that fits.  The min(k,
-    len(a)**m) output entries are checked against `DEFAULT_SIZE_CAP` before
-    any array is built.
+    len(a)**m) output entries, and then the m * len(a) work of the copy
+    loop, are checked against `DEFAULT_SIZE_CAP` before any array is built.
     """
     _require_finite(a, "tensor power prefix")
     if m < 1:
@@ -164,6 +184,7 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     size = min(k, _power_size(len(a), m, k))
     if size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
+    _check_copy_work(len(a), m, DEFAULT_SIZE_CAP)
     cur = a.values[: min(k, len(a))]
     for _ in range(m - 1):
         cur = _top_products(cur, a.values, k)

@@ -14,11 +14,18 @@ flag overrides one key: --tol sets tau_cmp, --m-max m_max, --catalyst-dim
 catalyst_dim, --grid grid_steps and --format format.  Flags are laid over
 the file's values and checked with them, so a flag is rejected exactly
 when the same value in the file would be.
+
+`run` is also the in-process API.  It builds the argument grammar once per
+process and reuses it on every call; `build_parser` still returns a fresh
+parser, which callers may change freely.  A malformed argv is reported like
+any invalid input: the usage line and the message go to `err` and `run`
+returns 2, so only `--help` leaves through `SystemExit`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -334,10 +341,22 @@ def _cmd_sweep(args, config, err):
 # --- parser ---------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A malformed argv; the text is what argparse would print before exiting."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` where argparse would print usage and exit 2.
+    Subparsers are made with the same class."""
+
+    def error(self, message):
+        raise _UsageError(self.format_usage() + f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument grammar.  Flags that override a config key store under
-    that key's name (`output_format` for `format`)."""
-    parser = argparse.ArgumentParser(
+    """A fresh argument grammar.  Flags that override a config key store
+    under that key's name (`output_format` for `format`)."""
+    parser = _Parser(
         prog="entorder",
         description="Convertibility and incomparability of bipartite pure "
         "entangled states via majorization of Schmidt spectra.",
@@ -394,16 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state on the parser (defaults go into a new
+    # namespace, help formatters are made per call), so one serves every run.
+    return build_parser()
+
+
 def run(argv=None, out=None, err=None) -> int:
     """Parse arguments and dispatch; returns the process exit code.
 
+    The grammar is built on the first call and reused by later ones in the
+    process.  A malformed argv writes the usage line and the message to
+    `err` and returns 2; `--help` prints to stdout and raises SystemExit(0).
     A handler returns a JSON-able payload and a callable that builds the
     text (or CSV) form.  The format is the flag's, else the config's, else
     the subcommand's default; only that form is rendered, and written once.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        err.write(str(exc))
+        return EXIT_INVALID
     path = getattr(args, "out", None)  # only sweep has --out
     try:
         config = _settings(load_config(args.config), vars(args))

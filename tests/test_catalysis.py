@@ -299,6 +299,27 @@ def test_top_k_size_cap_raises_before_allocating(no_merge):
     assert peak < 10**5  # ten million floats would be 80 MB
 
 
+def test_copy_loops_are_bounded_by_copies_times_entries(no_merge):
+    # the output fits, but the loop would run m - 1 passes: refused before
+    # the first merge
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(spec(0.5, 0.3, 0.2), 10**12, 10)
+    assert (info.value.required, info.value.cap) == (3 * 10**12, 10**7)
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(spec(1.0), 10**7 + 1, 1)
+    assert info.value.required == 10**7 + 1
+    with pytest.raises(MergeReached):
+        top_k_tensor_power(spec(1.0), 10**7, 1)
+    # a one-entry power always fits, so only the copy bound stops it (the
+    # small cap first, so a missing bound fails here instead of hanging)
+    with pytest.raises(SizeCapExceeded) as info:
+        tensor_power_spectrum(spec(1.0), 21, size_cap=20)
+    assert (info.value.required, info.value.cap) == (21, 20)
+    assert tensor_power_spectrum(spec(1.0), 20, size_cap=20).values.tolist() == [1.0]
+    with pytest.raises(SizeCapExceeded, match=r"10000000000 copies of a 1-entry"):
+        tensor_power_spectrum(spec(1.0), 10**10)
+
+
 # --- condition_c ------------------------------------------------------------
 
 

@@ -1,22 +1,40 @@
 import hashlib
 import io
 import json
+import os
+import resource
 import shlex
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entorder import cli
 from entorder.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def shell(*argv, **env):
+    """`python -m entorder.cli argv` in a subprocess, with `env` added."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "entorder.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
 
 
 # --- compare ----------------------------------------------------------------
@@ -217,6 +235,20 @@ def test_huge_copy_counts_exit_3_with_a_message(argv, size):
     code, out, err = invoke(*argv)
     assert (code, out) == (3, "")
     assert err == f"error: operation needs {size} entries; cap is 10000000\n"
+
+
+def test_one_entry_power_with_a_huge_copy_count_exits_3_at_once():
+    # the copy loop used to run m - 1 passes on a one-entry spectrum, whose
+    # power always fits the size cap; the timeout turns a hang into a failure
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = shell("power", "--a", "1", "--m", "10000000000")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: operation needs 10000000000 products (10000000000 copies of a "
+        "1-entry spectrum); cap is 10000000\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
 def test_sweep_dimension_over_the_cap_exits_3(monkeypatch):
@@ -435,17 +467,43 @@ def test_config_errors_name_the_line_or_key_once(text, message, tmp_path):
 
 
 def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "entorder.cli",
-            "compare", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2",
-            "--format", "json",
-        ],
-        capture_output=True,
-        text=True,
+    proc = shell(
+        "compare", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2", "--format", "json"
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["relation"] == "incomparable"
+
+
+# Usage errors as the shell prints them at 80 columns, long lines wrapped.
+USAGE_ERRORS = {
+    "compare --a 1": (
+        "usage: entorder compare [-h] --a A --b B [--tol TOL] [--format {json,text}]\n"
+        "entorder compare: error: the following arguments are required: --b\n"
+    ),
+    "power --a 1 --m x": (
+        "usage: entorder power [-h] --a A --m M [--format {json,text}]\n"
+        "entorder power: error: argument --m: invalid int value: 'x'\n"
+    ),
+    "compare --a 1 --b 1 --zzz 3": (
+        "usage: entorder [-h] [--config CONFIG]\n"
+        "                {spectrum,compare,strong,power,catalyze,construct,sweep} ...\n"
+        "entorder: error: unrecognized arguments: --zzz 3\n"
+    ),
+    "construct audit --a 1": (
+        "usage: entorder construct audit [-h] --a A --b B --m-list M_LIST\n"
+        "                                [--format {json,csv,text}]\n"
+        "entorder construct audit: error: the following arguments are required: "
+        "--b, --m-list\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", list(USAGE_ERRORS))
+def test_usage_errors_return_through_run_with_the_shell_bytes(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(*line.split()) == (2, "", USAGE_ERRORS[line])
+    proc = shell(*line.split(), COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", USAGE_ERRORS[line])
 
 
 # --- golden bytes ------------------------------------------------------------------
@@ -747,6 +805,37 @@ def test_golden_stdout_and_exit_code(line, config, code, digest, tmp_path, monke
     assert (got_code, _digest(out)) == (code, digest)
 
 
+def test_golden_table_in_reverse_order_in_one_process(tmp_path, monkeypatch):
+    # one cached parser serves every call, so no order of calls may matter
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    got = []
+    for line, config, _, _ in reversed(GOLDEN):
+        code, out, _ = invoke(*_golden_argv(line, config, tmp_path))
+        got.append((code, _digest(out)))
+    assert got == [(code, digest) for _, _, code, digest in reversed(GOLDEN)]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            invoke("compare", "--a", "0.5,0.5", "--b", "0.7,0.3")
+            invoke("power", "--a", "0.7,0.3", "--m", "x")
+            invoke("construct", "complete", "--base", "1.0", "--m", "1")
+        assert len(built) == 1
+        assert cli.build_parser() is not cli._parser()  # still a fresh one
+    finally:
+        cli._parser.cache_clear()
+
+
 @pytest.mark.parametrize("config", [None, "format = json\n", "format = csv\n"])
 def test_golden_sweep_out_file_holds_the_stdout_bytes(config, tmp_path, monkeypatch):
     monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
@@ -882,3 +971,68 @@ def test_grammar_fuzz_exits_cleanly_and_reruns_byte_identically(argv):
     assert first[0] in (0, 2, 3)
     assert "Traceback" not in first[2]
     assert invoke(*argv) == first
+
+
+# Argv that argparse must refuse, made from a valid draw for the command.
+_OPTIONAL_FLAGS = {"format", "tol", "m-max", "catalyst-dim", "grid"}
+_COUNT_FLAGS = {"m", "m-max", "catalyst-dim", "grid", "samples", "seed"}
+
+
+def _command_argv(command, flags):
+    return command.split() + [
+        f"--{flag}={value}" for flag, value in flags.items() if value is not None
+    ]
+
+
+def _malformed_argv(command):
+    flags = st.fixed_dictionaries(GRAMMAR[command])
+    required = [flag for flag in GRAMMAR[command] if flag not in _OPTIONAL_FLAGS]
+    counts = [flag for flag in GRAMMAR[command] if flag in _COUNT_FLAGS]
+    kinds = [
+        # unknown subcommand
+        flags.map(
+            lambda f: ["no-such-command"] + _command_argv(command, f)[len(command.split()):]
+        ),
+        # a required flag left out
+        st.tuples(flags, st.sampled_from(required)).map(
+            lambda t: _command_argv(command, {k: v for k, v in t[0].items() if k != t[1]})
+        ),
+        # unknown flag
+        flags.map(lambda f: _command_argv(command, f) + ["--no-such-flag=1"]),
+    ]
+    if counts:  # a count that is not an integer
+        kinds.append(
+            st.tuples(flags, st.sampled_from(counts), st.sampled_from(["x", "1.5", ""]))
+            .map(lambda t: _command_argv(command, {**t[0], t[1]: t[2]}))
+        )
+    return st.one_of(kinds)
+
+
+def _invocation(command):
+    """(malformed, argv) for `command`."""
+    return st.one_of(
+        _argv(command).map(lambda argv: (False, argv)),
+        _malformed_argv(command).map(lambda argv: (True, argv)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(sorted(GRAMMAR)).flatmap(_invocation), min_size=2, max_size=5))
+def test_grammar_fuzz_usage_errors_leave_the_parser_as_it_was(invocations):
+    def once(argv):
+        # a SystemExit escaping run() keeps Hypothesis running for minutes;
+        # returned as a result, it fails the assertions below
+        try:
+            return invoke(*argv)
+        except SystemExit as exc:
+            return f"SystemExit({exc.code})", "", ""
+
+    results = [once(argv) for _, argv in invocations]
+    for (malformed, _), (code, out, err) in zip(invocations, results):
+        if malformed:
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: ")
+        else:
+            assert code in (0, 2, 3)
+        assert "Traceback" not in err
+    assert [once(argv) for _, argv in invocations] == results
