@@ -25,12 +25,14 @@ The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`sorted_simplex_grid` is built once per process as a read-only
 ``(G, dim)`` array, and a block of grid rows is decided together: products
 ``a (x) c`` and ``b (x) c`` for every row, row-wise prefix sums, and both
-prefix inequalities.  The products are formed exactly as
+prefix inequalities, decided by :func:`~entorder.majorization.compare_many`
+like every other majorization verdict.  The products are formed exactly as
 :func:`tensor_product_spectrum` forms them, so each row's verdict is the one
 :func:`~entorder.majorization.compare` gives on that pair of product
 spectra.  Blocks hold a bounded number of product entries, which bounds
 peak memory and stops the scan at the block holding the first hit.  A grid
-is counted before it is built, and one over its entry cap is refused.
+is built in numpy one part per column, and one over its entry cap is
+refused before the first level over the cap is allocated.
 
 The top-k merge is batched as well: each further copy multiplies the
 running k-prefix by every entry of the factor, keeps of each such row only
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .errors import (
     InvalidInput,
     SizeCapExceeded,
 )
-from .majorization import Relation, majorized_by
+from .majorization import Relation, compare_many, majorized_by
 from .spectra import (
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
@@ -95,8 +96,9 @@ def tensor_power_spectrum(
     """Spectrum of m copies: all m-fold entry products, sorted non-increasing.
 
     Products are kept as computed (no renormalization), so the total mass
-    drifts from 1 by at most about m rounding units.  The m - 1 passes are
-    bounded up front by :func:`_check_copy_work`.
+    drifts from 1 by at most about m rounding units.  The copy passes are
+    bounded up front by :func:`_check_copy_work` and counted by
+    :func:`_copy_passes`.
     """
     _require_finite(a, "tensor power")
     if m < 1:
@@ -104,7 +106,7 @@ def tensor_power_spectrum(
     _check_power_size(len(a), m, size_cap)
     _check_copy_work(len(a), m, size_cap)
     cur = a.values
-    for _ in range(m - 1):
+    for _ in range(_copy_passes(a, m)):
         cur = np.multiply.outer(cur, a.values).ravel()
     return SchmidtSpectrum(np.sort(cur)[::-1])
 
@@ -147,6 +149,13 @@ def _check_copy_work(length: int, m: int, cap: int) -> None:
         )
 
 
+def _copy_passes(a: SchmidtSpectrum, m: int) -> int:
+    """Passes a copy loop makes for m copies of `a`: m - 1, or none for the
+    spectrum [1.0], every power of which is [1.0] bit for bit (1.0 * 1.0 is
+    exactly 1.0)."""
+    return 0 if len(a) == 1 and a.values[0] == 1.0 else m - 1
+
+
 def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Largest k products x[i] * y[j] of two non-increasing vectors, sorted.
 
@@ -186,7 +195,7 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
         raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
     _check_copy_work(len(a), m, DEFAULT_SIZE_CAP)
     cur = a.values[: min(k, len(a))]
-    for _ in range(m - 1):
+    for _ in range(_copy_passes(a, m)):
         cur = _top_products(cur, a.values, k)
     return cur
 
@@ -203,23 +212,16 @@ def condition_c(
     top-entry inequality must clear `tau_cmp`; ties (within `tau_cmp`) fail
     the test rather than guess.
     """
-    holds, _ = _condition_c_state(a, b, tol)
-    return holds
-
-
-def _condition_c_state(a, b, tol):
-    """(holds, near_tie): near_tie marks a top-entry tie within tau_cmp that
-    alone blocked an otherwise-satisfied disjunct."""
     _require_finite(a, "condition_c")
     _require_finite(b, "condition_c")
     na = schmidt_number(a, tol)
     nb = schmidt_number(b, tol)
     gap = float(a.values[0] - b.values[0])
     if gap > tol.tau_cmp:
-        return na > nb, False
+        return na > nb
     if gap < -tol.tau_cmp:
-        return na < nb, False
-    return False, na != nb
+        return na < nb
+    return False
 
 
 @dataclass(frozen=True)
@@ -317,15 +319,19 @@ def _first_hit(
 ) -> tuple[int, Relation] | None:
     """First row of `catalysts` that opens a direction, with that direction.
 
-    Forward means a (x) c is majorized by b (x) c: no prefix difference
-    exceeds tau_cmp, so equal product spectra count as forward.  Backward is
-    the mirror test and decides only rows that are not forward.
+    Every row is decided by :func:`~entorder.majorization.compare_many`
+    with slack `tau_cmp`.  Forward means a (x) c is majorized by b (x) c, so
+    equal product spectra count as forward.  Backward decides only rows
+    that are not forward.
     """
     width = max(len(a), len(b)) * catalysts.shape[1]
-    diff = _catalysed_prefix_sums(a.values, catalysts, width)
-    diff -= _catalysed_prefix_sums(b.values, catalysts, width)
-    forward = ~(diff > tol.tau_cmp).any(axis=1)
-    backward = ~(diff < -tol.tau_cmp).any(axis=1)
+    forward, backward = compare_many(
+        _catalysed_prefix_sums(a.values, catalysts, width),
+        _catalysed_prefix_sums(b.values, catalysts, width),
+        tol.tau_cmp,
+    )
+    forward = ~forward.any(axis=1)
+    backward = ~backward.any(axis=1)
     hits = np.flatnonzero(forward | backward)
     if len(hits) == 0:
         return None
@@ -363,27 +369,16 @@ def sorted_simplex_grid(dim: int, steps: int):
     Enumeration is ascending lexicographic (flattest vectors first), so the
     first hit of a scan is a deterministic, canonical witness.  For dim > 2
     vectors with a trailing zero are skipped: they already appeared at the
-    lower dimension.
+    lower dimension.  The vectors are copies of the rows of the cached grid
+    that :func:`catalyst_search` scans, so a grid of more than
+    `DEFAULT_SIZE_CAP` entries raises SizeCapExceeded at the first step.
     """
     if dim < 1:
         raise InvalidInput("dimension must be at least 1")
     if steps < 2:
         raise InvalidInput("grid needs at least 2 steps")
-
-    def parts(remaining, slots, cap):
-        if slots == 1:
-            if remaining <= cap:
-                yield (remaining,)
-            return
-        lo = -(-remaining // slots)  # ceil: keep the sequence non-increasing
-        for head in range(lo, min(cap, remaining) + 1):
-            for rest in parts(remaining - head, slots - 1, head):
-                yield (head,) + rest
-
-    for combo in parts(steps, dim, steps):
-        if dim > 2 and combo[-1] == 0:
-            continue
-        yield np.asarray(combo, dtype=float) / steps
+    for row in _catalyst_grid(dim, steps, DEFAULT_SIZE_CAP):
+        yield row.copy()
 
 
 def _grid_cap(size_cap: int) -> int:
@@ -395,39 +390,43 @@ def _grid_cap(size_cap: int) -> int:
     return max(size_cap, DEFAULT_SIZE_CAP)
 
 
-@functools.lru_cache(maxsize=256)
-def _grid_entries(dim: int, steps: int, cap: int) -> int:
-    """Entries (rows * dim) of :func:`_catalyst_grid`, counted unbuilt.
-
-    A row is a partition of `steps` into `dim` non-increasing parts, where a
-    zero last part is allowed only at dim 2.  Above dim 2 every part is
-    positive, so the rows are the partitions of steps - dim into parts of at
-    most dim, counted by total: ways(t, p) = ways(t, p - 1) + ways(t - p, p).
-    The count never falls as the total grows, so it stops once it passes
-    `cap`: the result is exact for a grid that fits and cap + 1 otherwise.
-    """
-    if dim == 2:
-        rows = steps // 2 + 1
-    elif steps < dim:
-        rows = 0
-    else:
-        ways = [[1] * (dim + 1)]  # ways[t][p]: partitions of t into parts <= p
-        for t in range(1, steps - dim + 1):
-            row = [0] * (dim + 1)
-            for p in range(1, dim + 1):
-                row[p] = row[p - 1] + (ways[t - p][p] if p <= t else 0)
-            ways.append(row)
-            if row[dim] * dim > cap:
-                break
-        rows = ways[-1][dim]
-    return min(rows * dim, cap + 1)
-
-
 @functools.lru_cache(maxsize=32)
-def _catalyst_grid(dim: int, steps: int) -> np.ndarray:
-    """:func:`sorted_simplex_grid` as a read-only (G, dim) array, same order."""
-    entries = itertools.chain.from_iterable(sorted_simplex_grid(dim, steps))
-    grid = np.fromiter(entries, dtype=float).reshape(-1, dim)
+def _catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
+    """The grid of :func:`sorted_simplex_grid` as a read-only (G, dim) array.
+
+    A row is a partition of `steps` into `dim` non-increasing parts (all
+    positive above dim 2), divided by `steps`.  The columns are built one
+    part at a time: each partial row is repeated once per admissible next
+    part, in ascending order, so the rows stay in ascending lexicographic
+    order.  A next part is admissible when it is at most the previous part,
+    at least ceil(left / slots) of the mass `left` still to place in `slots`
+    parts, and leaves the later parts their least value; the last part is
+    the mass left.  Every partial row can therefore be completed and the
+    row count never falls from one part to the next, so a grid of more than
+    `cap` entries is refused before its first level over the cap is built.
+    """
+    least = 1 if dim > 2 else 0
+    parts = np.empty((1, 0), dtype=np.int64)
+    left = head = np.array([steps])
+    for slots in range(dim, 1, -1):
+        lo = -(-left // slots)
+        counts = np.minimum(head, left - (slots - 1) * least) - lo + 1
+        np.maximum(counts, 0, out=counts)  # no row at all when steps < dim > 2
+        rows = int(counts.sum())
+        if rows * dim > cap:
+            raise SizeCapExceeded(
+                cap + 1,
+                cap,
+                f"the catalyst grid of dimension {dim} at {steps} steps "
+                f"needs more than {cap} entries",
+            )
+        parent = np.repeat(np.arange(len(counts)), counts)
+        head = np.arange(rows) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        parts = np.column_stack([parts[parent], head])
+        left = left[parent] - head
+    grid = np.empty((len(left), dim))
+    np.divide(parts, steps, out=grid[:, :-1])
+    np.divide(left, steps, out=grid[:, -1])
     grid.flags.writeable = False
     return grid
 
@@ -449,10 +448,10 @@ def catalyst_search(
     built once per process and cached; it is scanned in blocks of rows,
     each decided by one batched kernel, and the scan stops at the block
     holding the first hit.  Before a dimension's grid is built, products of
-    that size are checked against `size_cap` (`a` before `b`), and then the
-    grid's entries, counted by :func:`_grid_entries`, against
-    max(size_cap, DEFAULT_SIZE_CAP); so smaller dimensions that fit are
-    scanned first.
+    that size are checked against `size_cap` (`a` before `b`), and then
+    :func:`_catalyst_grid` refuses a grid of more than max(size_cap,
+    DEFAULT_SIZE_CAP) entries before building it; so smaller dimensions
+    that fit are scanned first.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -465,19 +464,11 @@ def catalyst_search(
         raise InvalidInput("grid needs at least 2 steps")
     grid_cap = _grid_cap(size_cap)
     for dim in range(2, dim_max + 1):
-        entries = _grid_entries(dim, grid_steps, grid_cap)
-        if entries == 0:
+        if grid_steps < dim > 2:
             continue  # every vector has a trailing zero, seen at a lower dim
         for spec in (a, b):
             _check_product_factor(spec, dim, size_cap)
-        if entries > grid_cap:
-            raise SizeCapExceeded(
-                entries,
-                grid_cap,
-                f"the catalyst grid of dimension {dim} at {grid_steps} steps "
-                f"needs more than {grid_cap} entries",
-            )
-        grid = _catalyst_grid(dim, grid_steps)
+        grid = _catalyst_grid(dim, grid_steps, grid_cap)
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
         for start in range(0, len(grid), rows):
             hit = _first_hit(a, b, grid[start : start + rows], tol)
@@ -560,10 +551,11 @@ def strong_verdict(
             m_max = min(m_max - 1, size_cap.bit_length())
         grid_cap = _grid_cap(size_cap)
         dims = 1
-        while dims < catalyst_dim_max and (
-            width * (dims + 1) <= size_cap
-            and _grid_entries(dims + 1, grid_steps, grid_cap) <= grid_cap
-        ):
+        while dims < catalyst_dim_max and width * (dims + 1) <= size_cap:
+            try:
+                _catalyst_grid(dims + 1, grid_steps, grid_cap)
+            except SizeCapExceeded:
+                break
             dims += 1
         catalyst_dim_max = dims
     bounds = (m_max, catalyst_dim_max, grid_steps)

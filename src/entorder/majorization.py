@@ -10,8 +10,11 @@ pair.
 
 There is one majorization kernel, :func:`compare_many`, which decides
 stacked rows of prefix sums at once; :func:`compare` and
-:func:`majorized_by` are its one-row calls, and the Monte Carlo sweep feeds
-it whole blocks of sampled pairs.
+:func:`majorized_by` are its one-row calls, the catalyst scan feeds it
+blocks of catalysed prefix sums, and the Monte Carlo sweep whole blocks of
+sampled pairs.  The near-tie diagnostic, :func:`near_ties`, is a separate
+function, called only where a verdict reports it: by :func:`compare` and
+by the sweep's tallies.
 """
 
 from __future__ import annotations
@@ -63,45 +66,44 @@ class ComparisonVerdict:
 
 
 def compare_many(
-    pa: np.ndarray,
-    pb: np.ndarray,
-    total_a,
-    total_b,
-    slack,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pa: np.ndarray, pb: np.ndarray, slack
+) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided majorization check of stacked prefix-sum rows: the kernel.
 
     `pa` and `pb` are `(S, L)` arrays whose row s holds prefix_k of the two
-    spectra of pair s for k = 1..L (a single `(L,)` row works too).
-    `total_a` and `total_b` are the pairs' total masses and `slack` their
-    allowances, as scalars or `(S, 1)` columns.  Returns `(forward,
-    backward, near_tie)`: `forward[s, k-1]` marks that prefix_k(a) <=
-    prefix_k(b) fails beyond slack, `backward` is the mirror, and
-    `near_tie[s]` flags a margin within `tau_cmp` at an index where not both
-    spectra have already exhausted their mass (a tie there is forced by
-    normalization, not decided by floating point).
+    spectra of pair s for k = 1..L (a single `(L,)` row works too), and
+    `slack` is the pairs' allowance, a scalar or an `(S, 1)` column.
+    Returns `(forward, backward)`: `forward[s, k-1]` marks that prefix_k(a)
+    <= prefix_k(b) fails beyond slack, and `backward` is the mirror.
     """
     diff = pa - pb
+    return diff > slack, diff < -slack
+
+
+def near_ties(
+    pa: np.ndarray, pb: np.ndarray, total_a, total_b, tol: Tolerances
+) -> np.ndarray:
+    """Rows of :func:`compare_many` input whose verdict floating point picked.
+
+    `total_a` and `total_b` are the pairs' total masses, as scalars or `(S,
+    1)` columns.  Row s is flagged when some margin is within `tau_cmp` at
+    an index where not both spectra have already exhausted their mass (a
+    tie there is forced by normalization, not decided by floating point).
+    """
     tau = tol.tau_cmp
     undecided = (pa < total_a - tau) | (pb < total_b - tau)
-    near = np.logical_or.reduce((np.abs(diff) <= tau) & undecided, axis=-1)
-    return diff > slack, diff < -slack, near
+    return np.logical_or.reduce((np.abs(pa - pb) <= tau) & undecided, axis=-1)
 
 
-def _compare_pair(a, b, tol):
-    """`compare_many` on one pair, up to the common comparison horizon.
-
-    The slack is `tau_cmp`, widened by the residual mass of both spectra past
-    the horizon when a tail is present.
-    """
+def _prefix_pair(a, b, tol):
+    """Prefix sums of both spectra up to their common comparison horizon,
+    and the slack: `tau_cmp`, widened by the residual mass of both spectra
+    past the horizon when a tail is present."""
     k = comparison_horizon(a, b, tol)
     slack = tol.tau_cmp
     if a.tail is not None or b.tail is not None:
         slack += a.residual_after(k) + b.residual_after(k)
-    return compare_many(
-        prefix_sums(a, k), prefix_sums(b, k), a.total_mass(), b.total_mass(), slack, tol
-    )
+    return prefix_sums(a, k), prefix_sums(b, k), slack
 
 
 def majorized_by(
@@ -115,7 +117,7 @@ def majorized_by(
     the horizon where both residuals are below `tau_cmp` (inequalities past
     that point hold automatically within the widened slack).
     """
-    forward, _, _ = _compare_pair(a, b, tol)
+    forward, _ = compare_many(*_prefix_pair(a, b, tol))
     return not np.count_nonzero(forward)
 
 
@@ -126,10 +128,11 @@ def compare(
 ) -> ComparisonVerdict:
     """Classify the pair as forward/backward convertible, equivalent, or
     incomparable, with the complete list of violated prefix indices."""
-    forward, backward, near = _compare_pair(a, b, tol)
+    pa, pb, slack = _prefix_pair(a, b, tol)
+    forward, backward = compare_many(pa, pb, slack)
     forward = np.flatnonzero(forward) + 1
     backward = np.flatnonzero(backward) + 1
-    near = bool(near)
+    near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
     if len(forward) == 0 and len(backward) == 0:
         relation = Relation.EQUIVALENT
     elif len(forward) == 0:

@@ -15,7 +15,8 @@ The sweep draws blocks of samples: each sample's four n-by-n Gaussian planes
 (real and imaginary parts of the two matrices) come from its own
 :func:`pair_stream` in the order :func:`sample_random_spectrum` draws them,
 one stacked SVD call turns the block into spectra, and one
-:func:`~entorder.majorization.compare_many` call classifies it.  Every
+:func:`~entorder.majorization.compare_many` call classifies it (one
+:func:`~entorder.majorization.near_ties` call flags its near ties).  Every
 spectrum and tally is bitwise equal to sampling and comparing the pairs one
 at a time.
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from .catalysis import DEFAULT_SIZE_CAP
 from .errors import DimensionTooSmall, InvalidInput, SizeCapExceeded
-from .majorization import compare_many
+from .majorization import compare_many, near_ties
 from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances
 
 # Normal quantile for a two-sided 95% interval.
@@ -151,9 +152,9 @@ def _block_tallies(z: np.ndarray, tol: Tolerances) -> np.ndarray:
     probs = _probabilities(mats)
     prefix = np.cumsum(probs, axis=-1)
     totals = probs.sum(axis=-1, keepdims=True)
-    forward, backward, near = compare_many(
-        prefix[:, 0], prefix[:, 1], totals[:, 0], totals[:, 1], tol.tau_cmp, tol
-    )
+    pa, pb = prefix[:, 0], prefix[:, 1]
+    forward, backward = compare_many(pa, pb, tol.tau_cmp)
+    near = near_ties(pa, pb, totals[:, 0], totals[:, 1], tol)
     # 2 * (forward fails) + (backward fails): 0 equivalent, 1 forward,
     # 2 backward, 3 incomparable, as compare() assigns them.
     codes = 2 * forward.any(axis=-1) + backward.any(axis=-1)

@@ -65,6 +65,44 @@ def enumerate_product(a, c):
     return np.sort(np.asarray(products))[::-1]
 
 
+def enumerate_simplex_grid(dim, steps):
+    """Sorted probability vectors on a 1/steps grid, by recursive generation.
+
+    Ascending lexicographic order; for dim > 2 vectors with a trailing zero
+    are skipped.  The reference for the library's catalyst grid builder.
+    """
+
+    def parts(remaining, slots, cap):
+        if slots == 1:
+            if remaining <= cap:
+                yield (remaining,)
+            return
+        lo = -(-remaining // slots)  # ceil: keep the sequence non-increasing
+        for head in range(lo, min(cap, remaining) + 1):
+            for rest in parts(remaining - head, slots - 1, head):
+                yield (head,) + rest
+
+    for combo in parts(steps, dim, steps):
+        if dim > 2 and combo[-1] == 0:
+            continue
+        yield np.asarray(combo, dtype=float) / steps
+
+
+def count_simplex_grid(dim, steps):
+    """Vectors of the dim > 2 grid, counted without enumerating them.
+
+    They are the partitions of `steps` into `dim` positive parts, i.e. of
+    steps - dim into parts of at most `dim`, counted part size by part size.
+    """
+    if steps < dim:
+        return 0
+    ways = [1] + [0] * (steps - dim)
+    for part in range(1, dim + 1):
+        for total in range(part, steps - dim + 1):
+            ways[total] += ways[total - part]
+    return ways[-1]
+
+
 def gram_spectrum(matrix):
     """Squared singular values via the Gram matrix eigenproblem.
 

@@ -1,4 +1,5 @@
 import heapq
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,8 +34,10 @@ from entorder import (
 from oracles import (
     brute_majorized,
     brute_relation,
+    count_simplex_grid,
     enumerate_power,
     enumerate_product,
+    enumerate_simplex_grid,
     random_condition_c_pair,
     random_sorted_probs,
 )
@@ -308,8 +311,9 @@ def test_copy_loops_are_bounded_by_copies_times_entries(no_merge):
     with pytest.raises(SizeCapExceeded) as info:
         top_k_tensor_power(spec(1.0), 10**7 + 1, 1)
     assert info.value.required == 10**7 + 1
+    assert top_k_tensor_power(spec(1.0), 10**7, 1).tolist() == [1.0]
     with pytest.raises(MergeReached):
-        top_k_tensor_power(spec(1.0), 10**7, 1)
+        top_k_tensor_power(spec(0.5, 0.5), 5 * 10**6, 1)
     # a one-entry power always fits, so only the copy bound stops it (the
     # small cap first, so a missing bound fails here instead of hanging)
     with pytest.raises(SizeCapExceeded) as info:
@@ -318,6 +322,18 @@ def test_copy_loops_are_bounded_by_copies_times_entries(no_merge):
     assert tensor_power_spectrum(spec(1.0), 20, size_cap=20).values.tolist() == [1.0]
     with pytest.raises(SizeCapExceeded, match=r"10000000000 copies of a 1-entry"):
         tensor_power_spectrum(spec(1.0), 10**10)
+
+
+def test_one_entry_powers_make_no_copy_passes():
+    # every power of [1.0] is [1.0] bit for bit, so the largest copy count
+    # the bound admits is answered at once instead of after 10**7 passes
+    one = spec(1.0)
+    start = time.process_time()
+    power = tensor_power_spectrum(one, 10**7)
+    top = top_k_tensor_power(one, 10**7, 5)
+    assert time.process_time() - start < 0.1
+    assert power.values.tobytes() == one.values.tobytes()
+    assert top.tobytes() == one.values.tobytes()
 
 
 # --- condition_c ------------------------------------------------------------
@@ -467,7 +483,7 @@ def scalar_catalyst_search(a, b, dim_max, grid_steps):
     """
     position = 0
     for dim in range(2, dim_max + 1):
-        for vec in sorted_simplex_grid(dim, grid_steps):
+        for vec in enumerate_simplex_grid(dim, grid_steps):
             c = SchmidtSpectrum(vec)
             relation = compare(
                 tensor_product_spectrum(a, c), tensor_product_spectrum(b, c)
@@ -552,14 +568,62 @@ def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
     assert kernel_blocks == [(2, 2)] * (expected[2] // 2 + 1)
 
 
+def test_catalyst_search_decides_every_block_by_the_kernel(
+    kernel_blocks, monkeypatch
+):
+    calls = []
+    kernel = catalysis.compare_many
+
+    def counting(pa, pb, slack):
+        calls.append(len(pa))
+        return kernel(pa, pb, slack)
+
+    monkeypatch.setattr(catalysis, "compare_many", counting)
+    a, b = spec(*JP_A), spec(*JP_B)
+    monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
+    witness = catalyst_search(a, b, 3, 100)
+    assert calls == [shape[0] for shape in kernel_blocks]
+    assert len(calls) > 1
+
+    # a kernel that reports no violation makes the first grid row a hit
+    def no_violations(pa, pb, slack):
+        calls.append(len(pa))
+        return np.zeros(pa.shape, bool), np.zeros(pa.shape, bool)
+
+    monkeypatch.setattr(catalysis, "compare_many", no_violations)
+    calls.clear()
+    kernel_blocks.clear()
+    hit = catalyst_search(a, b, 3, 100)
+    assert hit.direction is Relation.FORWARD
+    assert hit.catalyst.values.tolist() == [0.5, 0.5]
+    assert witness.catalyst.values.tolist() != [0.5, 0.5]
+    assert calls == [2] and kernel_blocks == [(2, 2)]
+
+
 def test_catalyst_grid_is_cached_and_read_only():
-    grid = catalysis._catalyst_grid(3, 7)
-    assert catalysis._catalyst_grid(3, 7) is grid
+    cap = catalysis.DEFAULT_SIZE_CAP
+    grid = catalysis._catalyst_grid(3, 7, cap)
+    assert catalysis._catalyst_grid(3, 7, cap) is grid
     assert not grid.flags.writeable
     assert [row.tobytes() for row in grid] == [
-        vec.tobytes() for vec in sorted_simplex_grid(3, 7)
+        vec.tobytes() for vec in enumerate_simplex_grid(3, 7)
     ]
-    assert catalysis._catalyst_grid(4, 3).shape == (0, 4)
+    assert catalysis._catalyst_grid(4, 3, cap).shape == (0, 4)
+    # the public generator yields writable copies of the cached rows
+    vectors = list(sorted_simplex_grid(3, 7))
+    assert [vec.tobytes() for vec in vectors] == [row.tobytes() for row in grid]
+    assert all(vec.flags.writeable and vec.base is None for vec in vectors)
+
+
+def test_catalyst_grid_matches_the_recursive_generator():
+    settings = [(dim, steps) for dim in range(1, 8) for steps in range(2, 61)]
+    for dim, steps in settings + [(4, 300)]:
+        grid = catalysis._catalyst_grid(dim, steps, catalysis.DEFAULT_SIZE_CAP)
+        expected = list(enumerate_simplex_grid(dim, steps))
+        assert grid.shape == (len(expected), dim)
+        assert grid.tobytes() == b"".join(vec.tobytes() for vec in expected)
+        if dim > 2:
+            assert len(grid) == count_simplex_grid(dim, steps)
 
 
 def test_catalyst_size_cap_checked_before_products(kernel_blocks):
@@ -593,17 +657,37 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     assert len(witness.catalyst) == 2
 
 
-def test_grid_entries_count_the_grid_without_building_it():
+def test_catalyst_grid_counts_and_refuses_over_the_cap():
     cap = catalysis.DEFAULT_SIZE_CAP
-    for dim in range(2, 8):
-        for steps in range(2, 30):
-            expected = sum(1 for _ in sorted_simplex_grid(dim, steps))
-            assert catalysis._grid_entries(dim, steps, cap) == expected * dim
-    entries = [catalysis._grid_entries(4, steps, cap) for steps in (100, 200, 400)]
-    assert entries == [4 * 7153, 4 * 56389, 4 * 447778]
-    # past the cap the count stops, and every grid over it reads cap + 1
-    assert catalysis._grid_entries(4, 400, 10**6) == 10**6 + 1
-    assert catalysis._grid_entries(3, 10**7, cap) == cap + 1
+    rows = [len(catalysis._catalyst_grid(4, steps, cap)) for steps in (100, 200, 400)]
+    assert rows == [7153, 56389, 447778]
+    # a grid over the cap is refused with cap + 1 before its large levels
+    # exist: the full grids would take 14 MB and about 200 TB
+    for dim, steps, grid_cap in ((4, 400, 10**6), (3, 10**7, cap)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded) as info:
+                catalysis._catalyst_grid(dim, steps, grid_cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.required, info.value.cap) == (grid_cap + 1, grid_cap)
+        assert peak < 2 * 10**6
+
+
+def test_catalyst_grid_builds_fast_and_small():
+    catalysis._catalyst_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        grid = catalysis._catalyst_grid(4, 300, catalysis.DEFAULT_SIZE_CAP)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (189375, 4)
+    assert elapsed < 0.1
+    assert peak <= 3.5 * grid.nbytes
 
 
 # Fewest steps whose dimension-4 grid holds more entries than the default cap.
@@ -616,9 +700,10 @@ def built_grids(monkeypatch):
     built = []
     grid = catalysis._catalyst_grid
 
-    def recording(dim, steps):
+    def recording(dim, steps, cap):
+        result = grid(dim, steps, cap)
         built.append(dim)
-        return grid(dim, steps)
+        return result
 
     monkeypatch.setattr(catalysis, "_catalyst_grid", recording)
     return built
@@ -626,7 +711,8 @@ def built_grids(monkeypatch):
 
 def test_grid_cap_is_checked_before_the_grid_is_built(built_grids):
     cap = catalysis.DEFAULT_SIZE_CAP
-    assert catalysis._grid_entries(4, GRID_STEPS_OVER_CAP - 1, cap) <= cap
+    assert 4 * count_simplex_grid(4, GRID_STEPS_OVER_CAP - 1) <= cap
+    assert 4 * count_simplex_grid(4, GRID_STEPS_OVER_CAP) > cap
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
 
     # dimensions 2 and 3 are scanned; dimension 4 is refused unbuilt
@@ -652,15 +738,17 @@ def test_grid_cap_is_checked_before_the_grid_is_built(built_grids):
 def test_a_raised_size_cap_raises_the_grid_cap(monkeypatch):
     built = []
 
-    def empty_grid(dim, steps):
-        # record the dimension, but build nothing: dimension 4 is 10**7 entries
-        built.append(dim)
+    def empty_grid(dim, steps, cap):
+        # record the request, but build nothing: dimension 4 is 10**7 entries
+        built.append((dim, cap))
         return np.empty((0, dim))
 
     monkeypatch.setattr(catalysis, "_catalyst_grid", empty_grid)
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
     assert catalyst_search(long, short, 4, GRID_STEPS_OVER_CAP, size_cap=10**8) is None
-    assert built == [2, 3, 4]
+    assert built == [(2, 10**8), (3, 10**8), (4, 10**8)]
+    # the real builder refuses a grid over the raised cap
+    monkeypatch.undo()
     with pytest.raises(SizeCapExceeded, match="more than 100000000 entries") as info:
         catalyst_search(long, short, 4, 2000, size_cap=10**8)
     assert (info.value.required, info.value.cap) == (10**8 + 1, 10**8)
@@ -773,7 +861,7 @@ def test_strong_verdict_audit_skips_grids_over_the_cap_once_proven():
 
 
 def test_strong_verdict_audit_follows_a_raised_size_cap(monkeypatch):
-    monkeypatch.setattr(catalysis, "_catalyst_grid", lambda d, s: np.empty((0, d)))
+    monkeypatch.setattr(catalysis, "_catalyst_grid", lambda d, s, c: np.empty((0, d)))
     a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
     verdict = strong_verdict(
         a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP, size_cap=10**8

@@ -12,6 +12,7 @@ from entorder import (
     complete_extension,
     make_spectrum,
     majorized_by,
+    near_ties,
     prefix_sums,
     schmidt_number,
     tensor_product_spectrum,
@@ -272,15 +273,21 @@ def test_compare_many_rows_match_compare(pairs):
     for a, b in pairs:
         groups.setdefault(comparison_horizon(a, b, tol), []).append((a, b))
     for k, group in groups.items():
-        forward, backward, near = compare_many(
-            np.stack([prefix_sums(a, k) for a, _ in group]),
-            np.stack([prefix_sums(b, k) for _, b in group]),
-            np.array([[a.total_mass()] for a, _ in group]),
-            np.array([[b.total_mass()] for _, b in group]),
+        pa = np.stack([prefix_sums(a, k) for a, _ in group])
+        pb = np.stack([prefix_sums(b, k) for _, b in group])
+        forward, backward = compare_many(
+            pa,
+            pb,
             np.array([
                 [tol.tau_cmp + (a.residual_after(k) + b.residual_after(k))]
                 for a, b in group
             ]),
+        )
+        near = near_ties(
+            pa,
+            pb,
+            np.array([[a.total_mass()] for a, _ in group]),
+            np.array([[b.total_mass()] for _, b in group]),
             tol,
         )
         assert forward.shape == backward.shape == (len(group), k)
