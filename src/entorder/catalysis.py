@@ -22,8 +22,8 @@ This module provides
   reports an honest ``inconclusive``.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
-:func:`sorted_simplex_grid` is built once per process as a read-only
-``(G, dim)`` array, and a block of grid rows is decided together: products
+:func:`sorted_simplex_grid` is built as a read-only ``(G, dim)`` array
+and kept in a size-bounded cache, and a block of grid rows is decided together: products
 ``a (x) c`` and ``b (x) c`` for every row, row-wise prefix sums, and both
 prefix inequalities, decided by :func:`~entorder.majorization.compare_many`
 like every other majorization verdict.  The products are formed exactly as
@@ -43,7 +43,6 @@ partition.  It forms the same floats the full power forms.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,8 +389,53 @@ def _grid_cap(size_cap: int) -> int:
     return max(size_cap, DEFAULT_SIZE_CAP)
 
 
-@functools.lru_cache(maxsize=32)
+# Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
+# of floats).  The largest is exempt so that a grid over this bound is not
+# dropped, and rebuilt, whenever a smaller one is built after it.
+_GRID_CACHE_ENTRIES = 1 << 20
+# (dim, steps) -> grid, least recently used first.
+_grid_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _grid_over_cap(dim: int, steps: int, cap: int) -> SizeCapExceeded:
+    return SizeCapExceeded(
+        cap + 1,
+        cap,
+        f"the catalyst grid of dimension {dim} at {steps} steps "
+        f"needs more than {cap} entries",
+    )
+
+
 def _catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
+    """The grid of :func:`_build_catalyst_grid`, built once and refused over `cap`.
+
+    Grids are cached by (dim, steps) alone, so one build serves every cap:
+    a cached grid over a caller's cap is refused from its size, as its
+    build would be, without rebuilding or recounting it.  After a build,
+    the least recently used grids are dropped while the grids besides the
+    largest hold more than `_GRID_CACHE_ENTRIES` entries.
+    """
+    key = (dim, steps)
+    grid = _grid_cache.pop(key, None)
+    if grid is None:
+        grid = _build_catalyst_grid(dim, steps, cap)
+        _grid_cache[key] = grid
+        while len(_grid_cache) > 1:
+            sizes = [held.size for held in _grid_cache.values()]
+            if sum(sizes) - max(sizes) <= _GRID_CACHE_ENTRIES:
+                break
+            del _grid_cache[next(iter(_grid_cache))]
+        return grid
+    _grid_cache[key] = grid
+    if grid.size > cap:
+        raise _grid_over_cap(dim, steps, cap)
+    return grid
+
+
+_catalyst_grid.cache_clear = _grid_cache.clear
+
+
+def _build_catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
     """The grid of :func:`sorted_simplex_grid` as a read-only (G, dim) array.
 
     A row is a partition of `steps` into `dim` non-increasing parts (all
@@ -414,12 +458,7 @@ def _catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
         np.maximum(counts, 0, out=counts)  # no row at all when steps < dim > 2
         rows = int(counts.sum())
         if rows * dim > cap:
-            raise SizeCapExceeded(
-                cap + 1,
-                cap,
-                f"the catalyst grid of dimension {dim} at {steps} steps "
-                f"needs more than {cap} entries",
-            )
+            raise _grid_over_cap(dim, steps, cap)
         parent = np.repeat(np.arange(len(counts)), counts)
         head = np.arange(rows) - np.repeat(np.cumsum(counts) - counts - lo, counts)
         parts = np.column_stack([parts[parent], head])
@@ -445,9 +484,9 @@ def catalyst_search(
     Returns the first working catalyst in the canonical grid order (see
     :func:`sorted_simplex_grid`), with the direction
     :func:`catalyst_convertible` gives for it.  Each dimension's grid is
-    built once per process and cached; it is scanned in blocks of rows,
-    each decided by one batched kernel, and the scan stops at the block
-    holding the first hit.  Before a dimension's grid is built, products of
+    built once and cached while the cache has room; it is scanned in blocks
+    of rows, each decided by one batched kernel, and the scan stops at the
+    block holding the first hit.  Before a dimension's grid is built, products of
     that size are checked against `size_cap` (`a` before `b`), and then
     :func:`_catalyst_grid` refuses a grid of more than max(size_cap,
     DEFAULT_SIZE_CAP) entries before building it; so smaller dimensions

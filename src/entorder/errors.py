@@ -49,4 +49,5 @@ class SizeCapExceeded(EntOrderError):
 
 
 class InternalInconsistency(EntOrderError):
-    """Two mutually exclusive verdict paths both fired: this is a bug."""
+    """Two paths that must agree did not (for example, two mutually exclusive
+    verdict paths both fired): this is a bug."""

@@ -12,24 +12,38 @@ Reproducibility: the randomness of sample i at dimension n is derived from
 size, or any parallel schedule.
 
 The sweep draws blocks of samples: each sample's four n-by-n Gaussian planes
-(real and imaginary parts of the two matrices) come from its own
-:func:`pair_stream` in the order :func:`sample_random_spectrum` draws them,
-one stacked SVD call turns the block into spectra, and one
-:func:`~entorder.majorization.compare_many` call classifies it (one
-:func:`~entorder.majorization.near_ties` call flags its near ties).  Every
-spectrum and tally is bitwise equal to sampling and comparing the pairs one
-at a time.
+(real and imaginary parts of the two matrices) come from its own stream,
+the one :func:`pair_stream` defines, in the order
+:func:`sample_random_spectrum` draws them; one stacked SVD call turns the
+block into spectra, and one :func:`~entorder.majorization.compare_many`
+call classifies it (one :func:`~entorder.majorization.near_ties` call flags
+its near ties).  Every spectrum and tally is bitwise equal to sampling and
+comparing the pairs one at a time.
+
+Stream setup is batched too.  :func:`pair_stream` builds numpy's
+``SeedSequence(seed, spawn_key=(n, i))`` for one sample; the sweep computes
+the same four PCG64 state words for a whole block of indices at once (the
+seed and n words are mixed into SeedSequence's entropy pool once per call,
+only the index words per row) and hands each row to numpy's own PCG64
+seeding.  A guard checks each call's first row against a real
+``SeedSequence`` and raises InternalInconsistency on any difference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalysis import DEFAULT_SIZE_CAP
-from .errors import DimensionTooSmall, InvalidInput, SizeCapExceeded
+from .errors import (
+    DimensionTooSmall,
+    InternalInconsistency,
+    InvalidInput,
+    SizeCapExceeded,
+)
 from .majorization import compare_many, near_ties
 from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances
 
@@ -64,8 +78,140 @@ def sample_random_spectrum(n: int, rng: np.random.Generator) -> SchmidtSpectrum:
 
 
 def pair_stream(seed: int, n: int, index: int) -> np.random.Generator:
-    """Deterministic per-sample generator, keyed by (seed, n, index)."""
+    """Deterministic per-sample generator, keyed by (seed, n, index).
+
+    This is the definition of sample `index`'s randomness at dimension `n`:
+    the sweep does not call it, but draws from generators seeded with the
+    very state words this one's SeedSequence generates.
+    """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, index)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the multiplicative hash constants of entropy mixing (A) and
+# of state generation (B), and the two multipliers of `mix`.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The first `count` hash constants init * mult**k mod 2**32."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# Each hash step is the same expression on Python ints (exact, then masked)
+# and on uint32 arrays (wrapping); constant `h` is the step's xor word, and
+# h * mult its multiplier.
+def _hash(value, h, mult: int = _MULT_A):
+    value = (value ^ h) * (h * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_words(seed: int, n: int):
+    """State words of every sample stream at (seed, n), a block at a time.
+
+    Returns a function from an index array to a C-ordered `(rows, 4)`
+    uint64 array whose row j equals
+    ``SeedSequence(seed, spawn_key=(n, indices[j])).generate_state(4,
+    np.uint64)``.  The hash constants do not depend on the data, so the
+    seed and n words are mixed into the pool here, once, as Python ints;
+    the returned function mixes in only the index words, vectorized.  As in
+    SeedSequence, an index of 2**32 or more is two words, and one block may
+    hold indices of both lengths.
+    """
+    # on first use: importing numpy.random at package import would cost
+    # every command, sampling or not, its start-up time and memory
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    # the seed fills the pool (zero-padded: the spawn key is not empty),
+    # is mixed through it, and its words past the pool and n's follow
+    run = _uint32_words(seed)
+    run += [0] * (_POOL - len(run))
+    later = run[_POOL:] + _uint32_words(n)
+    mixed = _POOL * (_POOL + len(later))
+    # hash constants of the scalar steps, then of an index's two words
+    constants = _hash_constants(_INIT_A, _MULT_A, mixed + 2 * _POOL)
+    steps = iter(constants[:mixed])
+    pool = [_hash(word, next(steps)) for word in run[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
+    for word in later:
+        pool = [_mix(p, _hash(word, next(steps))) for p in pool]
+    # pool words down the rows, samples across the columns
+    head = np.array(pool, dtype=np.uint32)[:, None]
+    index_steps = np.array(constants[mixed:], dtype=np.uint32).reshape(2, _POOL, 1)
+    # generate_state's eight uint32 outputs: two passes over the pool
+    state_steps = np.array(
+        _hash_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32
+    )[:, None]
+
+    def words(indices: np.ndarray) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.uint64)
+        low = indices.astype(np.uint32)  # keeps the low 32 bits
+        pool = _mix(head, _hash(low, index_steps[0]))
+        high = (indices >> np.uint64(32)).astype(np.uint32)
+        wide = high != 0
+        if wide.any():
+            pool = np.where(wide, _mix(pool, _hash(high, index_steps[1])), pool)
+        state = _hash(np.tile(pool, (2, 1)), state_steps, _MULT_B)
+        # little-endian word pairs, as generate_state joins them
+        state = np.ascontiguousarray(state.T, dtype="<u4")
+        return state.view("<u8").astype(np.uint64)
+
+    return words
+
+
+class _StateWords:
+    """One sample's precomputed SeedSequence state words, for PCG64 to seed from.
+
+    A virtual `numpy.random.bit_generator.ISeedSequence`, registered by
+    :func:`_stream_words`, which computes the words.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InternalInconsistency(
+                f"PCG64 asked for {n_words} words of {np.dtype(dtype)}; "
+                "the sweep holds 4 uint64 state words per sample"
+            )
+        return self._words
+
+
+def _check_stream_words(seed: int, n: int, first: np.ndarray) -> None:
+    """Guard: sample 0's words must be numpy's SeedSequence words."""
+    expected = np.random.SeedSequence(seed, spawn_key=(n, 0)).generate_state(
+        4, np.uint64
+    )
+    if not np.array_equal(first, expected):
+        raise InternalInconsistency(
+            f"sweep stream words {first.tolist()} differ from SeedSequence "
+            f"words {expected.tolist()} for seed {seed}, n {n}, sample 0"
+        )
 
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
@@ -126,6 +272,14 @@ class SweepRecord:
         }
 
 
+def _integer(name: str, value) -> int:
+    """`value` as a plain int, or InvalidInput when it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_dimension(n: int) -> None:
     """Refuse a dimension before any stream or array of it exists."""
     if n < 2:
@@ -177,11 +331,15 @@ def incomparability_fraction(
     All sampled pairs count toward the estimate (product-like draws are
     tallied separately, not filtered out).  Pairs are drawn and classified
     in blocks of at most `_BLOCK_ENTRIES` Gaussian entries (at least one
-    sample each); sample i still draws from its own `pair_stream(seed, n,
-    i)`, so the record is the one a sample-by-sample loop gives.  A
+    sample each); sample i still draws the stream `pair_stream(seed, n, i)`
+    defines, so the record is the one a sample-by-sample loop gives.  A
     dimension whose single sample would draw more than `DEFAULT_SIZE_CAP`
-    entries raises SizeCapExceeded before anything is drawn.
+    entries raises SizeCapExceeded before anything is drawn.  `n`,
+    `samples` and `seed` must be integers (numpy ones included); the record
+    holds them as plain ints.
     """
+    n = _integer("n", n)
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     _check_dimension(n)
     if samples < 1:
         raise InvalidInput("need at least one sample")
@@ -190,10 +348,15 @@ def incomparability_fraction(
     rows = max(1, _BLOCK_ENTRIES // (4 * n * n))
     z = np.empty((min(rows, samples), 4, n, n))
     tallies = np.zeros(6, dtype=np.int64)
+    stream_words = _stream_words(seed, n)
     for start in range(0, samples, rows):
         block = z[: min(rows, samples - start)]
-        for j, plane in enumerate(block):
-            pair_stream(seed, n, start + j).standard_normal(out=plane)
+        words = stream_words(np.arange(start, start + len(block)))
+        if start == 0:
+            _check_stream_words(seed, n, words[0])
+        for plane, state in zip(block, words):
+            bits = np.random.PCG64(_StateWords(state))
+            np.random.Generator(bits).standard_normal(out=plane)
         tallies += _block_tallies(block, tol)
     equivalent, forward, backward, incomparable, near_ties, near_products = (
         int(count) for count in tallies
@@ -221,7 +384,8 @@ def sweep(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[SweepRecord]:
     """One incomparability estimate per dimension in ascending `n_list`."""
-    dims = [int(n) for n in n_list]
+    dims = [_integer("n", n) for n in n_list]
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if not dims:
         raise InvalidInput("n_list must not be empty")
     if sorted(dims) != dims:

@@ -690,6 +690,66 @@ def test_catalyst_grid_builds_fast_and_small():
     assert peak <= 3.5 * grid.nbytes
 
 
+def test_catalyst_grid_cache_does_not_keep_every_grid():
+    # four dimension-4 grids of about 6 MB each, built one after another
+    catalysis._catalyst_grid.cache_clear()
+    cap = catalysis.DEFAULT_SIZE_CAP
+    tracemalloc.start()
+    try:
+        sizes = [catalysis._catalyst_grid(4, s, cap).nbytes for s in range(300, 304)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        catalysis._catalyst_grid.cache_clear()
+    assert held <= 8 * catalysis._GRID_CACHE_ENTRIES + max(sizes) < sum(sizes)
+
+
+def test_strong_verdict_audit_and_scan_build_each_grid_once(monkeypatch):
+    # the dimension-4 grid alone holds more than the cache's bound
+    catalysis._catalyst_grid.cache_clear()
+    builds = []
+    build = catalysis._build_catalyst_grid
+
+    def counting(*args):
+        builds.append(args[:2])
+        return build(*args)
+
+    monkeypatch.setattr(catalysis, "_build_catalyst_grid", counting)
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
+    verdict = strong_verdict(long, short, catalyst_dim_max=4, grid_steps=500)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (3, 4, 500)
+    assert builds == [(2, 500), (3, 500), (4, 500)]
+    assert 4 * count_simplex_grid(4, 500) > catalysis._GRID_CACHE_ENTRIES
+    catalysis._catalyst_grid.cache_clear()
+
+
+def test_catalyst_grid_serves_every_cap_from_one_build(monkeypatch):
+    catalysis._catalyst_grid.cache_clear()
+    builds = []
+    build = catalysis._build_catalyst_grid
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(catalysis, "_build_catalyst_grid", counting)
+    grid = catalysis._catalyst_grid(4, 100, 10**8)
+    assert grid.size == 4 * 7153
+    assert catalysis._catalyst_grid(4, 100, grid.size) is grid
+    # a cached grid over a smaller cap is refused as its build would be
+    with pytest.raises(SizeCapExceeded) as info:
+        catalysis._catalyst_grid(4, 100, grid.size - 1)
+    assert (info.value.required, info.value.cap) == (grid.size, grid.size - 1)
+    assert builds == [(4, 100, 10**8)]
+    with pytest.raises(SizeCapExceeded) as refused:
+        build(4, 100, grid.size - 1)
+    assert str(refused.value) == str(info.value)
+    assert (refused.value.required, refused.value.cap) == (grid.size, grid.size - 1)
+    assert catalysis._catalyst_grid(4, 100, 10**8) is grid
+    assert builds == [(4, 100, 10**8)]
+
+
 # Fewest steps whose dimension-4 grid holds more entries than the default cap.
 GRID_STEPS_OVER_CAP = 711
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,7 @@ import entorder.sampling as sampling
 from entorder import (
     DEFAULT_TOLERANCES,
     DimensionTooSmall,
+    InternalInconsistency,
     InvalidInput,
     Relation,
     SizeCapExceeded,
@@ -242,6 +249,8 @@ def refuse_streams(monkeypatch):
         raise AssertionError("a stream was built before the size check")
 
     monkeypatch.setattr(sampling, "pair_stream", no_stream)
+    monkeypatch.setattr(sampling, "_stream_words", no_stream)
+    monkeypatch.setattr(sampling.np.random, "PCG64", no_stream)
 
 
 def test_dimension_over_the_cap_is_refused_before_any_draw(monkeypatch):
@@ -258,3 +267,126 @@ def test_dimension_over_the_cap_is_refused_before_any_draw(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(sampling, "DEFAULT_SIZE_CAP", 144)
     assert incomparability_fraction(6, 10, 1).samples == 10
+
+
+# --- vectorized stream setup -------------------------------------------------
+
+
+def seed_sequence_words(seed, n, index):
+    return np.random.SeedSequence(seed, spawn_key=(n, index)).generate_state(
+        4, np.uint64
+    )
+
+
+# indices on both sides of 2**32, where an index becomes two words
+ACROSS_2_32 = np.array(
+    [0, 1, 7, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64 - 1],
+    dtype=np.uint64,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+def test_stream_words_are_seed_sequence_words(seed):
+    # 1581 is the largest dimension under the default size cap
+    assert 4 * 1581**2 <= sampling.DEFAULT_SIZE_CAP < 4 * 1582**2
+    for n in [*range(2, 25), 1581]:
+        words = sampling._stream_words(seed, n)(ACROSS_2_32)
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert words.shape == (len(ACROSS_2_32), 4)
+        for index, row in zip(ACROSS_2_32.tolist(), words):
+            assert row.tolist() == seed_sequence_words(seed, n, index).tolist()
+
+
+def test_stream_words_seed_the_pair_stream_draws():
+    # a block straddling 2**32 draws what pair_stream draws, row by row
+    indices = np.arange(2**32 - 2, 2**32 + 2)
+    for row, index in zip(sampling._stream_words(9, 3)(indices), indices.tolist()):
+        bits = np.random.PCG64(sampling._StateWords(row))
+        got = np.random.Generator(bits).standard_normal((4, 3, 3))
+        expected = pair_stream(9, 3, index).standard_normal((4, 3, 3))
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)]
+)
+def test_state_words_serve_only_pcg64_seeding(n_words, dtype):
+    words = sampling._stream_words(1, 2)(np.arange(1))[0]
+    with pytest.raises(InternalInconsistency, match="PCG64 asked for"):
+        sampling._StateWords(words).generate_state(n_words, dtype)
+
+
+def test_sweep_builds_one_seed_sequence_per_call(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    # dimension 8 takes 128 samples a block: 300 samples are three blocks
+    record = incomparability_fraction(8, 300, 4)
+    assert built == [(8, 0)]
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    reference = scalar_samples(8, 300, 4)
+    expected = np.sum([tally for _, _, tally in reference], axis=0)
+    assert record_tallies(record) == expected.tolist()
+    built.clear()
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    sweep([2, 3, 5], 300, 4)
+    assert built == [(2, 0), (3, 0), (5, 0)]
+
+
+def test_stream_word_mismatch_is_an_internal_inconsistency(monkeypatch):
+    stream_words = sampling._stream_words
+
+    def flipped(seed, n):
+        words = stream_words(seed, n)
+        return lambda indices: words(indices) ^ np.uint64(1)
+
+    monkeypatch.setattr(sampling, "_stream_words", flipped)
+    with pytest.raises(InternalInconsistency, match="differ from SeedSequence"):
+        incomparability_fraction(3, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (([3.7], 10, 1), "n"),
+        (([3], 10.0, 1), "samples"),
+        (([3], 10, 1.5), "seed"),
+        (([3], "10", 1), "samples"),
+        (([np.float64(4.0)], 10, 1), "n"),
+    ],
+)
+def test_sweep_arguments_must_be_integers(args, name):
+    n_list, samples, seed = args
+    with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        sweep(n_list, samples, seed)
+    with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        incomparability_fraction(n_list[0], samples, seed)
+
+
+def test_numpy_integer_arguments_give_plain_int_records():
+    record = incomparability_fraction(np.int32(3), np.int64(20), np.uint8(5))
+    assert record == incomparability_fraction(3, 20, 5)
+    assert all(type(v) is int for v in (record.n, record.samples, record.seed))
+    (swept,) = sweep(np.array([3], dtype=np.int32), np.int16(20), np.int64(5))
+    assert swept == record
+    json.dumps(swept.to_json())
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # commands that never sample should not pay for numpy.random
+    code = "import sys, entorder, entorder.cli; print('numpy.random' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
