@@ -8,8 +8,11 @@ finite-Schmidt-number catalyst opens either direction.
 
 This module provides
 
-* sorted product-spectrum kernels (full materialization under a size cap,
-  plus an exact top-k merge when only the largest entries are needed),
+* :func:`_top_products`, the one product kernel.  Tensor products, tensor
+  powers, top-k power prefixes, the multi-copy search and the catalyst
+  scan all form their products with it, a power one copy at a time (power
+  m is the product of the sorted power m - 1 with the factor), so every
+  path forms the same floats and agrees bit for bit with every other,
 * :func:`condition_c`, a sound sufficient test for strong incomparability:
   the same spectrum has both the strictly larger top entry and the strictly
   larger Schmidt number.  A larger top entry rules that state out as the
@@ -23,21 +26,17 @@ This module provides
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`sorted_simplex_grid` is built as a read-only ``(G, dim)`` array
-and kept in a size-bounded cache, and a block of grid rows is decided together: products
-``a (x) c`` and ``b (x) c`` for every row, row-wise prefix sums, and both
-prefix inequalities, decided by :func:`~entorder.majorization.compare_many`
-like every other majorization verdict.  The products are formed exactly as
-:func:`tensor_product_spectrum` forms them, so each row's verdict is the one
-:func:`~entorder.majorization.compare` gives on that pair of product
-spectra.  Blocks hold a bounded number of product entries, which bounds
-peak memory and stops the scan at the block holding the first hit.  A grid
-is built in numpy one part per column, and one over its entry cap is
-refused before the first level over the cap is allocated.
-
-The top-k merge is batched as well: each further copy multiplies the
-running k-prefix by every entry of the factor, keeps of each such row only
-the part that can still reach the top k, and selects the k largest with one
-partition.  It forms the same floats the full power forms.
+and kept in a size-bounded cache, and a block of grid rows is decided
+together: products ``a (x) c`` and ``b (x) c`` for every row, row-wise
+prefix sums, and both prefix inequalities, decided by
+:func:`~entorder.majorization.compare_many` like every other majorization
+verdict.  So each row's verdict is the one
+:func:`~entorder.majorization.compare` gives on that pair of
+:func:`tensor_product_spectrum` spectra.  Blocks hold a bounded number of
+product entries, which bounds peak memory and stops the scan at the block
+holding the first hit.  A grid is built in numpy one part per column, and
+one over its entry cap is refused before the first level over the cap is
+allocated.
 """
 
 from __future__ import annotations
@@ -73,6 +72,35 @@ def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
         raise InfiniteSchmidtNumber(f"{what} requires a finite spectrum")
 
 
+def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Largest k products x[..., i] * y[j], sorted non-increasing along the
+    last axis: the one place entorder multiplies spectrum entries.
+
+    `y` and every row of `x` are non-increasing.  When k covers all
+    x.shape[-1] * len(y) products (a product, the catalyst scan, a full
+    power), one broadcast multiply forms them all.  Otherwise an entry at
+    (i, j) is at most every entry of the rectangle i' <= i, j' <= j, so
+    when (i + 1) * (j + 1) > k at least k other entries are as large and
+    the top k can be formed without it: column j needs only
+    x[..., : k // (j + 1)], about k * ln(len(y)) products in all, and one
+    partition picks the k largest.  Either way each entry is the float
+    x[..., i] * y[j] and the sorted top-k multiset is unique, so ties
+    cannot change the result.
+
+    Products renormalize and powers do not: :func:`tensor_product_spectrum`
+    and the catalyst scan divide each row by its total, while powers keep
+    the products as computed, their mass off 1 by about m rounding units.
+    """
+    if k >= x.shape[-1] * len(y):
+        products = (y[:, None] * x[..., None, :]).reshape(*x.shape[:-1], -1)
+        return np.sort(products, axis=-1)[..., ::-1]
+    columns = [x[..., : k // (j + 1)] * y[j] for j in range(min(len(y), k))]
+    products = np.concatenate(columns, axis=-1)
+    cut = products.shape[-1] - k
+    top = np.partition(products, cut, axis=-1)[..., cut:]
+    return np.sort(top, axis=-1)[..., ::-1]
+
+
 def tensor_product_spectrum(
     a: SchmidtSpectrum,
     c: SchmidtSpectrum,
@@ -82,7 +110,7 @@ def tensor_product_spectrum(
     """Spectrum of a joint system: sorted pairwise products, renormalized."""
     _require_finite(c, "tensor product")
     _check_product_factor(a, len(c), size_cap)
-    products = np.sort(np.multiply.outer(a.values, c.values).ravel())[::-1]
+    products = _top_products(a.values, c.values, len(a) * len(c))
     return SchmidtSpectrum(products / products.sum())
 
 
@@ -92,22 +120,12 @@ def tensor_power_spectrum(
     *,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> SchmidtSpectrum:
-    """Spectrum of m copies: all m-fold entry products, sorted non-increasing.
-
-    Products are kept as computed (no renormalization), so the total mass
-    drifts from 1 by at most about m rounding units.  The copy passes are
-    bounded up front by :func:`_check_copy_work` and counted by
-    :func:`_copy_passes`.
-    """
+    """Spectrum of m copies: all m-fold entry products, sorted non-increasing."""
     _require_finite(a, "tensor power")
     if m < 1:
         raise InvalidInput("copy count must be at least 1")
     _check_power_size(len(a), m, size_cap)
-    _check_copy_work(len(a), m, size_cap)
-    cur = a.values
-    for _ in range(_copy_passes(a, m)):
-        cur = np.multiply.outer(cur, a.values).ravel()
-    return SchmidtSpectrum(np.sort(cur)[::-1])
+    return SchmidtSpectrum(_power_prefix(a, m, size_cap, size_cap))
 
 
 def _power_size(length: int, m: int, bound: int) -> int:
@@ -130,59 +148,41 @@ def _check_power_size(length: int, m: int, size_cap: int) -> None:
         )
 
 
-def _check_copy_work(length: int, m: int, cap: int) -> None:
-    """Raise unless m copies of a `length`-entry spectrum, m * length, fit.
+def _power_prefix(a: SchmidtSpectrum, m: int, k: int, cap: int) -> np.ndarray:
+    """Largest k entries of the m-copy spectrum of `a`, as a new array.
 
-    The copy loops run m - 1 passes whatever the size of their output, so
-    this bounds a one-entry spectrum or a short prefix at huge m.  For
-    length >= 2, m * length <= length**m, so wherever the output size fits
-    this passes too, and every existing size error is raised first.
+    The one copy loop: each further copy is one :func:`_top_products` call
+    on the running k-prefix, which is exact, since an entry outside the top
+    k of a partial product stays dominated by at least k entries after
+    every further factor.  The loop makes m - 1 passes whatever the size of
+    its output, so m * len(a) is refused past `cap` first; for len(a) >= 2
+    that is at most len(a)**m, so every output size error is raised before
+    it.  A power of [1.0] is [1.0] bit for bit and takes no pass at all.
     """
-    work = m * length
+    work = m * len(a)
     if work > cap:
         raise SizeCapExceeded(
             work,
             cap,
-            f"operation needs {work} products ({m} copies of a {length}-entry "
+            f"operation needs {work} products ({m} copies of a {len(a)}-entry "
             f"spectrum); cap is {cap}",
         )
-
-
-def _copy_passes(a: SchmidtSpectrum, m: int) -> int:
-    """Passes a copy loop makes for m copies of `a`: m - 1, or none for the
-    spectrum [1.0], every power of which is [1.0] bit for bit (1.0 * 1.0 is
-    exactly 1.0)."""
-    return 0 if len(a) == 1 and a.values[0] == 1.0 else m - 1
-
-
-def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Largest k products x[i] * y[j] of two non-increasing vectors, sorted.
-
-    An entry at (i, j) is at most every entry of the rectangle i' <= i,
-    j' <= j, so when (i + 1) * (j + 1) > k at least k other entries are as
-    large and the top-k multiset can be formed without it.  Row j therefore
-    needs only x[: k // (j + 1)], about k * ln(len(y)) products in all, and
-    never the full len(x) * len(y) grid.  The top-k multiset of values is
-    unique and each product is the float x[i] * y[j], so ties cannot change
-    the result.
-    """
-    rows = [x[: k // (j + 1)] * y[j] for j in range(min(len(y), k))]
-    products = np.concatenate(rows)
-    cut = max(0, len(products) - k)
-    return np.sort(np.partition(products, cut)[cut:])[::-1]
+    cur = a.values[:k].copy()
+    if len(a) == 1 and a.values[0] == 1.0:
+        return cur
+    for _ in range(m - 1):
+        cur = _top_products(cur, a.values, k)
+    return cur
 
 
 def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     """Largest k entries of the m-copy spectrum without building all of it.
 
-    Each further copy merges the running top-k prefix with ``a`` by
-    :func:`_top_products`.  An entry outside the top k of a partial product
-    is dominated by at least k entries after every further factor, so
-    merging k-prefixes is exact.  Entries are the products the full power
-    forms, as computed, so this equals the first k entries of
-    :func:`tensor_power_spectrum` wherever that fits.  The min(k,
-    len(a)**m) output entries, and then the m * len(a) work of the copy
-    loop, are checked against `DEFAULT_SIZE_CAP` before any array is built.
+    The copy loop of :func:`tensor_power_spectrum`, keeping k entries per
+    copy, so this equals the first k entries of the full power wherever
+    that fits.  The min(k, len(a)**m) output entries, and then the m *
+    len(a) work of the loop, are checked against `DEFAULT_SIZE_CAP` before
+    any array is built.
     """
     _require_finite(a, "tensor power prefix")
     if m < 1:
@@ -192,11 +192,7 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     size = min(k, _power_size(len(a), m, k))
     if size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
-    _check_copy_work(len(a), m, DEFAULT_SIZE_CAP)
-    cur = a.values[: min(k, len(a))]
-    for _ in range(_copy_passes(a, m)):
-        cur = _top_products(cur, a.values, k)
-    return cur
+    return _power_prefix(a, m, k, DEFAULT_SIZE_CAP)
 
 
 def condition_c(
@@ -267,16 +263,19 @@ def multicopy_convertible(
 
     Returns the smallest qualifying m (forward checked before backward), or
     None if the bounded search finds nothing.  Convertibility at some m says
-    nothing about m+1, so each copy count is tested independently.
+    nothing about m+1, so each copy count is tested independently.  Power
+    m is one kernel call on power m - 1, as in :func:`tensor_power_spectrum`.
     """
     _require_finite(a, "multi-copy search")
     _require_finite(b, "multi-copy search")
     if m_max < 1:
         raise InvalidInput("m_max must be at least 1")
     _check_power_size(max(len(a), len(b)), m_max, size_cap)
+    pa, pb = a, b
     for m in range(1, m_max + 1):
-        pa = tensor_power_spectrum(a, m, size_cap=size_cap)
-        pb = tensor_power_spectrum(b, m, size_cap=size_cap)
+        if m > 1:
+            pa = SchmidtSpectrum(_top_products(pa.values, a.values, size_cap))
+            pb = SchmidtSpectrum(_top_products(pb.values, b.values, size_cap))
         if majorized_by(pa, pb, tol):
             return MultiCopyWitness(Relation.FORWARD, m)
         if majorized_by(pb, pa, tol):
@@ -297,17 +296,15 @@ def _catalysed_prefix_sums(
 ) -> np.ndarray:
     """Row r: prefix sums 1..width of the product of `values` and catalysts[r].
 
-    Products are formed, sorted and renormalized exactly as
-    :func:`tensor_product_spectrum` does it, so every entry has the same
-    bits; past the product's length the sums stay at the row total, as
-    :func:`~entorder.spectra.prefix_sums` pads a finite spectrum.
+    One :func:`_top_products` call forms every row's products, which are
+    renormalized as :func:`tensor_product_spectrum` does it, so every entry
+    has the same bits; past the product's length the sums stay at the row
+    total, as :func:`~entorder.spectra.prefix_sums` pads a finite spectrum.
     """
-    rows = len(catalysts)
-    products = values[:, None] * catalysts[:, None, :]
-    products = np.sort(products.reshape(rows, -1), axis=1)[:, ::-1]
+    products = _top_products(catalysts, values, catalysts.shape[1] * len(values))
     spectra = products / products.sum(axis=1, keepdims=True)
     size = spectra.shape[1]
-    sums = np.empty((rows, width))
+    sums = np.empty((len(catalysts), width))
     np.cumsum(spectra, axis=1, out=sums[:, :size])
     sums[:, size:] = sums[:, size - 1 : size]
     return sums

@@ -190,9 +190,13 @@ def make_spectrum(
     Unsorted input is sorted and slightly denormalized input (within
     `tol.tau_norm`) is rescaled to total mass 1; either fix sets the
     `adjusted` flag on the result instead of rejecting.  Masses further than
-    `tau_norm` from 1, negative entries, and non-finite entries are errors.
+    `tau_norm` from 1 and negative, non-finite or non-numeric entries (ragged
+    nested lists included) are errors.
     """
-    arr = np.asarray(values, dtype=float).ravel().copy()
+    try:
+        arr = np.asarray(values, dtype=float).ravel().copy()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"spectrum entries must be numbers: {exc}") from exc
     if arr.size == 0:
         raise InvalidInput("a spectrum needs at least one entry")
     if not np.all(np.isfinite(arr)):
@@ -254,10 +258,8 @@ def schmidt_spectrum(
     norm = float(np.linalg.norm(mat))
     if not abs(norm - 1.0) <= tol.tau_norm:  # a NaN entry fails here too
         raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1")
-    sv = np.linalg.svd(mat, compute_uv=False)
-    probs = sv * sv
-    probs /= probs.sum()
-    return SchmidtSpectrum(probs)
+    from .sampling import _probabilities  # sampling imports this module
+    return SchmidtSpectrum(_probabilities(mat))
 
 
 def schmidt_number(

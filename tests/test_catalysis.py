@@ -112,7 +112,7 @@ def test_tensor_power_matches_enumeration_exactly():
             assert np.array_equal(got, enumerate_power(s.values, m))
 
 
-def test_size_cap():
+def test_size_cap(no_merge):
     with pytest.raises(SizeCapExceeded) as info:
         tensor_power_spectrum(spec(0.5, 0.5), 30, size_cap=10**6)
     assert info.value.required == 2**30
@@ -121,7 +121,7 @@ def test_size_cap():
 
 
 @pytest.mark.parametrize("m", [20000, 10**10])
-def test_size_cap_with_huge_copy_counts(m):
+def test_size_cap_with_huge_copy_counts(m, no_merge):
     # the size is taken at an exponent clipped to 64, so it stays a small
     # integer and the error message formats
     with pytest.raises(SizeCapExceeded, match=rf"needs 2\*\*{m} entries") as info:
@@ -245,14 +245,95 @@ def test_top_k_merge_edge_cases():
     assert one.tolist() == [1.0]
 
 
+def test_product_kernel_matches_heap_and_full_sort_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        x = random_sorted_probs(rng, int(rng.integers(1, 9)))
+        y = random_sorted_probs(rng, int(rng.integers(1, 9)))
+        full = np.sort(np.multiply.outer(x, y).ravel())[::-1]
+        size = len(full)
+        for k in {1, max(1, size - 1), size, size + 1, int(rng.integers(1, 80))}:
+            got = catalysis._top_products(x, y, k)
+            assert got.tobytes() == full[:k].tobytes()
+            assert got.tobytes() == heap_top_products(x, y, k).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5, 11, 12, 13, 100])
+def test_product_kernel_on_stacked_rows(k):
+    # rows of catalysts, as the scan stacks them; 4 * 3 = 12 products a row
+    rng = np.random.default_rng(44)
+    x = np.stack([random_sorted_probs(rng, 4) for _ in range(7)])
+    y = random_sorted_probs(rng, 3)
+    got = catalysis._top_products(x, y, k)
+    assert got.shape == (7, min(k, 12))
+    for row, expected in zip(got, x):
+        assert row.tobytes() == heap_top_products(expected, y, k).tobytes()
+        full = np.sort(np.multiply.outer(expected, y).ravel())[::-1]
+        assert row.tobytes() == full[:k].tobytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record the factor `y` of every product kernel call."""
+    calls = []
+    kernel = catalysis._top_products
+
+    def counting(x, y, k):
+        calls.append(y.tobytes())
+        return kernel(x, y, k)
+
+    monkeypatch.setattr(catalysis, "_top_products", counting)
+    return calls
+
+
+def test_every_product_path_runs_the_one_kernel(kernel_calls):
+    a, b, c = spec(*JP_A), spec(*JP_B), spec(0.6, 0.4)
+    paths = {
+        "product": lambda: tensor_product_spectrum(a, c),
+        "power": lambda: tensor_power_spectrum(a, 3),
+        "top-k": lambda: top_k_tensor_power(a, 3, 5),
+        "multi-copy": lambda: multicopy_convertible(a, b, 2),
+        "catalyst scan": lambda: catalyst_search(a, b, 2, 10),
+    }
+    for name, path in paths.items():
+        before = len(kernel_calls)
+        path()
+        assert len(kernel_calls) > before, name
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+def test_multicopy_builds_each_power_from_the_last(kernel_calls, m_max):
+    rng = np.random.default_rng(45)
+    for _ in range(5):
+        a, b = (make_spectrum(v) for v in random_condition_c_pair(rng))
+        kernel_calls.clear()
+        assert multicopy_convertible(a, b, m_max) is None
+        # one kernel call per further copy of each spectrum, none rebuilt
+        assert kernel_calls.count(a.values.tobytes()) == m_max - 1
+        assert kernel_calls.count(b.values.tobytes()) == m_max - 1
+        assert len(kernel_calls) == 2 * (m_max - 1)
+
+
+def test_powers_share_no_memory_with_their_factor():
+    for values in [(0.5, 0.3, 0.2), (1.0,)]:
+        a = spec(*values)
+        for m in (1, 2):
+            power = tensor_power_spectrum(a, m).values
+            assert not np.shares_memory(power, a.values)
+            assert not np.shares_memory(top_k_tensor_power(a, m, 2), a.values)
+        top = top_k_tensor_power(a, 1, 5)
+        top[0] = 7.0  # writing to a result leaves the caller's spectrum as it was
+        assert a.values[0] == values[0]
+
+
 class MergeReached(Exception):
     pass
 
 
 @pytest.fixture
 def no_merge(monkeypatch):
-    """Stop any top-k merge, so a call that passes the cap check allocates
-    nothing and a missed check cannot allocate."""
+    """Stop the product kernel, so a call that passes the cap check
+    allocates nothing and a missed check cannot allocate."""
 
     def stop(*args):
         raise MergeReached
@@ -392,7 +473,7 @@ def test_two_copy_witness_frozen_pair():
     assert multicopy_convertible(a, b, 3) == MultiCopyWitness(Relation.FORWARD, 2)
 
 
-def test_multicopy_respects_size_cap():
+def test_multicopy_respects_size_cap(no_merge):
     with pytest.raises(SizeCapExceeded):
         multicopy_convertible(spec(0.5, 0.5), spec(0.7, 0.3), 30, size_cap=10**6)
 

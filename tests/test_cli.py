@@ -67,6 +67,24 @@ def test_compare_rejects_unnormalized_input():
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        '{"values": "abc"}',
+        '{"values": {"a": 1}}',
+        '{"values": [0.5, "x"]}',
+        '{"values": [[0.5, 0.5], [0.1]]}',
+        '{"values": [1' + "0" * 400 + "]}",
+    ],
+)
+def test_compare_rejects_non_numeric_json_values(values):
+    code, out, err = invoke("compare", "--a", values, "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert "spectrum entries must be numbers" in err
+    assert "Traceback" not in err
+
+
 def test_compare_tol_flag_controls_comparison_slack():
     # with a huge slack everything within it collapses to equivalence
     code, out, _ = invoke(

@@ -16,6 +16,7 @@ from entorder import (
     make_spectrum,
     parse_spectrum,
     prefix_sums,
+    sampling,
     schmidt_number,
     schmidt_spectrum,
     spectrum_distance,
@@ -65,6 +66,13 @@ def test_random_matrices_match_gram_oracle():
         assert abs(spec.values.sum() - 1.0) < 1e-12
         assert (np.diff(spec.values) <= 1e-15).all()
         assert spec.values == pytest.approx(gram_spectrum(mat), abs=1e-10)
+        # the sweep's SVD helper, bit for bit the squared singular values
+        # renormalized by their sum
+        sv = np.linalg.svd(mat, compute_uv=False)
+        probs = sv * sv
+        probs /= probs.sum()
+        assert spec.values.tobytes() == probs.tobytes()
+        assert sampling._probabilities(mat).tobytes() == probs.tobytes()
 
 
 def test_unitary_invariance():
