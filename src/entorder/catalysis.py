@@ -46,18 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfiniteSchmidtNumber,
-    InternalInconsistency,
-    InvalidInput,
-    SizeCapExceeded,
-)
+from .errors import InfiniteSchmidtNumber, InternalInconsistency, SizeCapExceeded
 from .majorization import Relation, compare_many, majorized_by
 from .spectra import (
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
     Tolerances,
+    _integer,
     schmidt_number,
+    spectrum_to_json,
 )
 
 DEFAULT_SIZE_CAP = 10**7
@@ -122,8 +119,7 @@ def tensor_power_spectrum(
 ) -> SchmidtSpectrum:
     """Spectrum of m copies: all m-fold entry products, sorted non-increasing."""
     _require_finite(a, "tensor power")
-    if m < 1:
-        raise InvalidInput("copy count must be at least 1")
+    m = _integer("m", m, 1, "copy count must be at least 1")
     _check_power_size(len(a), m, size_cap)
     return SchmidtSpectrum(_power_prefix(a, m, size_cap, size_cap))
 
@@ -185,10 +181,8 @@ def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
     any array is built.
     """
     _require_finite(a, "tensor power prefix")
-    if m < 1:
-        raise InvalidInput("copy count must be at least 1")
-    if k < 1:
-        raise InvalidInput("prefix length must be at least 1")
+    m = _integer("m", m, 1, "copy count must be at least 1")
+    k = _integer("k", k, 1, "prefix length must be at least 1")
     size = min(k, _power_size(len(a), m, k))
     if size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(size, DEFAULT_SIZE_CAP)
@@ -242,8 +236,6 @@ class CatalystWitness:
     catalyst: SchmidtSpectrum
 
     def to_json(self) -> dict:
-        from .spectra import spectrum_to_json
-
         return {
             "kind": "catalyst",
             "direction": self.direction.value,
@@ -268,8 +260,7 @@ def multicopy_convertible(
     """
     _require_finite(a, "multi-copy search")
     _require_finite(b, "multi-copy search")
-    if m_max < 1:
-        raise InvalidInput("m_max must be at least 1")
+    m_max = _integer("m_max", m_max, 1)
     _check_power_size(max(len(a), len(b)), m_max, size_cap)
     pa, pb = a, b
     for m in range(1, m_max + 1):
@@ -369,10 +360,8 @@ def sorted_simplex_grid(dim: int, steps: int):
     that :func:`catalyst_search` scans, so a grid of more than
     `DEFAULT_SIZE_CAP` entries raises SizeCapExceeded at the first step.
     """
-    if dim < 1:
-        raise InvalidInput("dimension must be at least 1")
-    if steps < 2:
-        raise InvalidInput("grid needs at least 2 steps")
+    dim = _integer("dim", dim, 1, "dimension must be at least 1")
+    steps = _integer("steps", steps, 2, "grid needs at least 2 steps")
     for row in _catalyst_grid(dim, steps, DEFAULT_SIZE_CAP):
         yield row.copy()
 
@@ -494,10 +483,8 @@ def catalyst_search(
     """
     _require_finite(a, "catalyst search")
     _require_finite(b, "catalyst search")
-    if dim_max < 2:
-        raise InvalidInput("dim_max must be at least 2")
-    if grid_steps < 2:
-        raise InvalidInput("grid needs at least 2 steps")
+    dim_max = _integer("dim_max", dim_max, 2)
+    grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     grid_cap = _grid_cap(size_cap)
     for dim in range(2, dim_max + 1):
         if grid_steps < dim > 2:
@@ -572,13 +559,9 @@ def strong_verdict(
     overturns a proven verdict, and `checked_bounds` records the bounds
     actually audited.
     """
-    for name, value, least in (
-        ("m_max", m_max, 1),
-        ("catalyst_dim_max", catalyst_dim_max, 2),
-        ("grid_steps", grid_steps, 2),
-    ):
-        if value < least:
-            raise InvalidInput(f"{name} must be at least {least}")
+    m_max = _integer("m_max", m_max, 1)
+    catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
+    grid_steps = _integer("grid_steps", grid_steps, 2)
     holds = condition_c(a, b, tol)
     if holds:
         width = max(len(a), len(b))

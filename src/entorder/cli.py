@@ -41,6 +41,7 @@ from .errors import (
 from .majorization import Relation, compare
 from .spectra import (
     Tolerances,
+    _is_json_number,
     format_spectrum,
     g17,
     parse_spectrum,
@@ -164,13 +165,13 @@ def _matrix_arg(value: str):
         raise InvalidInput("matrix JSON must be a non-empty array of rows")
 
     def entry(x):
-        if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(
-            isinstance(part, (int, float)) for part in x
-        ):
-            return complex(x[0], x[1])
-        raise InvalidInput(f"bad matrix entry {x!r}: use a number or [re, im]")
+        parts = x if isinstance(x, list) and len(x) == 2 else [x]
+        if not all(map(_is_json_number, parts)):
+            raise InvalidInput(f"bad matrix entry {x!r}: use a number or [re, im]")
+        try:
+            return complex(*parts)
+        except OverflowError as exc:  # an integer past the float range
+            raise InvalidInput(f"bad matrix entry: {exc}") from None
 
     return [[entry(x) for x in row] for row in rows]
 

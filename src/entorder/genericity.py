@@ -28,6 +28,7 @@ from .spectra import (
     GeometricTail,
     SchmidtSpectrum,
     Tolerances,
+    _integer,
     _merge_tail_boundary,
     spectrum_distance,
 )
@@ -53,8 +54,7 @@ def complete_extension(
     """
     if base.tail is not None:
         raise InvalidInput("base must have a finite Schmidt number")
-    if m < 1:
-        raise InvalidInput("approximation index must be at least 1")
+    m = _integer("m", m, 1, "approximation index must be at least 1")
     head = base.values[base.values > tol.tau_zero]
     if head.size == 0:
         raise InvalidInput("base has no positive entries")
@@ -118,8 +118,7 @@ def truncation_pair(
     Requires top entries unequal beyond `tau_cmp` (TopEntriesTied otherwise)
     and enough positive entries to keep (NotComplete otherwise).
     """
-    if m < 2:
-        raise InvalidInput("truncation index must be at least 2")
+    m = _integer("m", m, 2, "truncation index must be at least 2")
     gap = float(a.values[0] - b.values[0])
     if abs(gap) <= tol.tau_cmp:
         raise TopEntriesTied(
@@ -145,8 +144,7 @@ def minimal_c_index(
     m..m+5 is re-checked and any failure emits a PermanenceWarning rather
     than being silently trusted.
     """
-    if m_max < 2:
-        raise InvalidInput("m_max must be at least 2")
+    m_max = _integer("m_max", m_max, 2)
     found = None
     for m in range(2, m_max + 1):
         pair = truncation_pair(a, b, m, tol=tol)
@@ -192,7 +190,7 @@ def convergence_report(
     incomparable.  Rows are ordered by m regardless of input order.
     """
     rows = []
-    for m in sorted(set(int(m) for m in m_list)):
+    for m in sorted({_integer("m", m) for m in m_list}):
         pair = truncation_pair(a, b, m, tol=tol)
         rows.append(
             ConvergenceRow(

@@ -21,18 +21,17 @@ its near ties).  Every spectrum and tally is bitwise equal to sampling and
 comparing the pairs one at a time.
 
 Stream setup is batched too.  :func:`pair_stream` builds numpy's
-``SeedSequence(seed, spawn_key=(n, i))`` for one sample; the sweep computes
-the same four PCG64 state words for a whole block of indices at once (the
-seed and n words are mixed into SeedSequence's entropy pool once per call,
-only the index words per row) and hands each row to numpy's own PCG64
-seeding.  A guard checks each call's first row against a real
-``SeedSequence`` and raises InternalInconsistency on any difference.
+``SeedSequence(seed, spawn_key=(n, i))`` for one sample; the sweep asks
+numpy once per call for the (seed, n) entropy pool, adds only the index step
+for a whole block of indices at once, and hands each row's four PCG64 state
+words to numpy's own PCG64 seeding.  A guard checks each call's first row
+against a real ``SeedSequence`` and raises InternalInconsistency on any
+difference.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .majorization import compare_many, near_ties
-from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances
+from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances, _integer
 
 # Normal quantile for a two-sided 95% interval.
 Z95 = 1.959963984540054
@@ -87,42 +86,29 @@ def pair_stream(seed: int, n: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, index)))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, the multiplicative hash constants of entropy mixing (A) and
-# of state generation (B), and the two multipliers of `mix`.
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the
+# multiplicative hash constants of entropy mixing (A) and of state
+# generation (B), and the two multipliers of `mix`.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """Hash constants init * mult**k mod 2**32 for k from `start` on, as uint32."""
+    steps = range(start, start + count)
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in steps], "u4")
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The first `count` hash constants init * mult**k mod 2**32."""
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-# Each hash step is the same expression on Python ints (exact, then masked)
-# and on uint32 arrays (wrapping); constant `h` is the step's xor word, and
-# h * mult its multiplier.
+# Hash steps on uint32 arrays, whose products wrap mod 2**32: constant `h` is
+# the step's xor word, and h * mult its multiplier.
 def _hash(value, h, mult: int = _MULT_A):
-    value = (value ^ h) * (h * mult & _MASK32) & _MASK32
+    value = (value ^ h) * (h * mult)
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    value = _MIX_L * x - _MIX_R * y
     return value ^ value >> 16
 
 
@@ -132,38 +118,27 @@ def _stream_words(seed: int, n: int):
     Returns a function from an index array to a C-ordered `(rows, 4)`
     uint64 array whose row j equals
     ``SeedSequence(seed, spawn_key=(n, indices[j])).generate_state(4,
-    np.uint64)``.  The hash constants do not depend on the data, so the
-    seed and n words are mixed into the pool here, once, as Python ints;
-    the returned function mixes in only the index words, vectorized.  As in
+    np.uint64)``.  numpy computes the pool of ``SeedSequence(seed,
+    spawn_key=(n,))``: the seed, zero-padded to the pool size, and n mixed
+    in, which is every (n, i) stream's pool before its index words.  The
+    returned function adds only the index step, vectorized: as in
     SeedSequence, an index of 2**32 or more is two words, and one block may
     hold indices of both lengths.
     """
     # on first use: importing numpy.random at package import would cost
     # every command, sampling or not, its start-up time and memory
     np.random.bit_generator.ISeedSequence.register(_StateWords)
-    # the seed fills the pool (zero-padded: the spawn key is not empty),
-    # is mixed through it, and its words past the pool and n's follow
-    run = _uint32_words(seed)
-    run += [0] * (_POOL - len(run))
-    later = run[_POOL:] + _uint32_words(n)
-    mixed = _POOL * (_POOL + len(later))
-    # hash constants of the scalar steps, then of an index's two words
-    constants = _hash_constants(_INIT_A, _MULT_A, mixed + 2 * _POOL)
-    steps = iter(constants[:mixed])
-    pool = [_hash(word, next(steps)) for word in run[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
-    for word in later:
-        pool = [_mix(p, _hash(word, next(steps))) for p in pool]
+    root = np.random.SeedSequence(seed, spawn_key=(n,))
+    size = root.pool_size
     # pool words down the rows, samples across the columns
-    head = np.array(pool, dtype=np.uint32)[:, None]
-    index_steps = np.array(constants[mixed:], dtype=np.uint32).reshape(2, _POOL, 1)
+    head = root.pool[:, None]
+    # an index's words follow one hash step per pool word for each word of
+    # the padded seed and of n (SeedSequence splits 0 into one word)
+    seed_words, n_words = (max(1, (v.bit_length() + 31) // 32) for v in (seed, n))
+    mixed = size * (max(size, seed_words) + n_words)
+    index_steps = _hash_constants(_INIT_A, _MULT_A, mixed, 2 * size).reshape(2, size, 1)
     # generate_state's eight uint32 outputs: two passes over the pool
-    state_steps = np.array(
-        _hash_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32
-    )[:, None]
+    state_steps = _hash_constants(_INIT_B, _MULT_B, 0, 2 * size)[:, None]
 
     def words(indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.uint64)
@@ -270,14 +245,6 @@ class SweepRecord:
                 "tau_cmp": self.tol.tau_cmp,
             },
         }
-
-
-def _integer(name: str, value) -> int:
-    """`value` as a plain int, or InvalidInput when it is not integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_dimension(n: int) -> None:

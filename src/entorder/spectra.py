@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -61,6 +62,21 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _integer(name: str, value, least: int | None = None, message: str = "") -> int:
+    """`value` as a plain int, or InvalidInput when it is not integral.
+
+    Given `least`, a smaller value raises InvalidInput too, with `message`
+    (by default "<name> must be at least <least>").
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidInput(message or f"{name} must be at least {least}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -373,16 +389,33 @@ def spectrum_to_json(spec: SchmidtSpectrum) -> dict:
             "adjusted": spec.adjusted}
 
 
+def _is_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number; booleans and strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def spectrum_from_json(
     payload: dict, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SchmidtSpectrum:
+    """Spectrum of a decoded JSON object; every entry must be a JSON number."""
     if not isinstance(payload, dict) or "values" not in payload:
         raise InvalidInput("spectrum JSON needs a 'values' array")
     tail = None
     raw_tail = payload.get("tail")
     if raw_tail is not None:
         try:
-            tail = GeometricTail(float(raw_tail["first"]), float(raw_tail["ratio"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            first, ratio = raw_tail["first"], raw_tail["ratio"]
+            if not (_is_json_number(first) and _is_json_number(ratio)):
+                raise InvalidInput(f"tail first and ratio must be numbers: {raw_tail}")
+            tail = GeometricTail(float(first), float(ratio))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInput(f"bad tail object: {exc}") from exc
+    # nested lists are walked without recursion; make_spectrum checks shape
+    pending = [payload["values"]]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not _is_json_number(item):
+            raise InvalidInput(f"spectrum entries must be numbers, got {item!r}")
     return make_spectrum(payload["values"], tail, tol=tol)

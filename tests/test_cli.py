@@ -75,6 +75,10 @@ def test_compare_rejects_unnormalized_input():
         '{"values": [0.5, "x"]}',
         '{"values": [[0.5, 0.5], [0.1]]}',
         '{"values": [1' + "0" * 400 + "]}",
+        # JSON booleans and strings are not numbers, though numpy converts them
+        '{"values": "1"}',
+        '{"values": [true]}',
+        '{"values": ["0.5", "0.5"]}',
     ],
 )
 def test_compare_rejects_non_numeric_json_values(values):
@@ -82,6 +86,33 @@ def test_compare_rejects_non_numeric_json_values(values):
     assert code == 2
     assert out == ""
     assert "spectrum entries must be numbers" in err
+    assert "Traceback" not in err
+
+
+TAILED = '{"values": [0.5], "tail": {"first": %s, "ratio": %s}}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compare", "--a", TAILED % ('"0.25"', 0.5)), "tail first and ratio"),
+        (("compare", "--a", TAILED % (0.25, "false")), "tail first and ratio"),
+        (("compare", "--a", TAILED % ("1" + "0" * 400, 0.5)), "bad tail object"),
+        (("spectrum", "--matrix", "[[true,0],[0,false]]"), "bad matrix entry True"),
+        (("spectrum", "--matrix", '[["0.6",0],[0,0.8]]'), "bad matrix entry '0.6'"),
+        (("spectrum", "--matrix", "[[[0.6,true],0],[0,0.8]]"), "bad matrix entry"),
+        (("spectrum", "--matrix", "[[1" + "0" * 400 + ",0],[0,0]]"), "bad matrix entry"),
+    ],
+)
+def test_json_tails_and_matrices_must_be_numbers(argv, message):
+    # JSON booleans and strings are not numbers, though float() and complex()
+    # would convert some of them
+    if argv[0] == "compare":
+        argv += ("--b", "0.5,0.5")
+    code, out, err = invoke(*argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
     assert "Traceback" not in err
 
 

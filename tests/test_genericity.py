@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -12,14 +13,20 @@ from entorder import (
     PermanenceWarning,
     Relation,
     TopEntriesTied,
+    catalyst_search,
     compare,
     complete_extension,
     condition_c,
     convergence_report,
     make_spectrum,
     minimal_c_index,
+    multicopy_convertible,
     schmidt_number,
+    sorted_simplex_grid,
     spectrum_distance,
+    strong_verdict,
+    tensor_power_spectrum,
+    top_k_tensor_power,
     truncation_pair,
 )
 from oracles import random_complete_pair, random_sorted_probs
@@ -262,3 +269,75 @@ def test_report_rows_above_minimal_index_certify_incomparability():
         assert row.condition_c
         assert row.incomparable
         assert compare(a, b).relation in Relation
+
+
+# --- count arguments ---------------------------------------------------------
+
+
+COUNT_A, COUNT_B = spec(0.6, 0.2, 0.1, 0.1), spec(0.4, 0.4, 0.2)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda a, b: strong_verdict(a, b, m_max=2.5), "m_max"),
+        (lambda a, b: strong_verdict(a, b, catalyst_dim_max=2.0), "catalyst_dim_max"),
+        (lambda a, b: strong_verdict(a, b, grid_steps="100"), "grid_steps"),
+        (lambda a, b: complete_extension(a, 1.5), "m"),
+        (lambda a, b: convergence_report(a, b, [3, 2.7]), "m"),
+        (lambda a, b: truncation_pair(a, b, 2.5), "m"),
+        (lambda a, b: minimal_c_index(a, b, 2.5), "m_max"),
+        (lambda a, b: tensor_power_spectrum(a, 2.0), "m"),
+        (lambda a, b: multicopy_convertible(a, b, 2.5), "m_max"),
+        (lambda a, b: catalyst_search(a, b, 3, 20.0), "grid_steps"),
+        (lambda a, b: list(sorted_simplex_grid(2, 5.0)), "steps"),
+        (lambda a, b: top_k_tensor_power(a, 3.0, 5), "m"),
+        (lambda a, b: top_k_tensor_power(a, 3, 5.0), "k"),
+    ],
+)
+def test_count_arguments_must_be_integers(call, name):
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+        call(COUNT_A, COUNT_B)
+
+
+def test_count_checks_keep_the_range_messages_and_their_order():
+    a, b = spec(0.6, 0.4), spec(0.5, 0.5)
+    # an earlier argument's range check still comes before a later one's type
+    with pytest.raises(InvalidInput, match="m_max must be at least 1"):
+        strong_verdict(a, b, m_max=0, grid_steps=1.5)
+    with pytest.raises(InvalidInput, match="copy count must be at least 1"):
+        top_k_tensor_power(a, 0, 5.0)
+    with pytest.raises(InvalidInput, match="dim_max must be at least 2"):
+        catalyst_search(a, b, 1, 20.0)
+
+
+def test_numpy_integer_counts_are_accepted():
+    a, b = spec(0.4, 0.4, 0.1, 0.1), spec(0.5, 0.25, 0.25)
+    got = strong_verdict(
+        a, b, m_max=np.int64(3), catalyst_dim_max=np.int32(3), grid_steps=np.uint16(40)
+    )
+    expected = strong_verdict(a, b, m_max=3, catalyst_dim_max=3, grid_steps=40)
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+    assert (
+        tensor_power_spectrum(a, np.int8(2)).values.tobytes()
+        == tensor_power_spectrum(a, 2).values.tobytes()
+    )
+    assert (
+        top_k_tensor_power(a, np.int64(3), np.uint8(5)).tobytes()
+        == top_k_tensor_power(a, 3, 5).tobytes()
+    )
+    assert multicopy_convertible(a, b, np.int16(3)) == multicopy_convertible(a, b, 3)
+    witness = catalyst_search(a, b, np.int64(2), np.int64(20))
+    assert witness.to_json() == catalyst_search(a, b, 2, 20).to_json()
+    assert [list(v) for v in sorted_simplex_grid(np.int64(2), np.int64(4))] == [
+        list(v) for v in sorted_simplex_grid(2, 4)
+    ]
+    ca, cb = complete_extension(a, np.int64(25)), complete_extension(b, 25)
+    assert ca.values.tobytes() == complete_extension(a, 25).values.tobytes()
+    rows = convergence_report(ca, cb, np.array([3, 5]))
+    assert rows == convergence_report(ca, cb, [3, 5])
+    assert all(type(row.m) is int for row in rows)
+    pair, expected = truncation_pair(ca, cb, np.int32(3)), truncation_pair(ca, cb, 3)
+    assert type(pair.m) is int
+    assert pair.a_m.values.tobytes() == expected.a_m.values.tobytes()
+    assert pair.b_m.values.tobytes() == expected.b_m.values.tobytes()

@@ -285,7 +285,11 @@ ACROSS_2_32 = np.array(
 )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+# seeds of more than four words (2**128 on) are not zero-padded to the pool size
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 - 1, 2**128, 10**40],
+)
 def test_stream_words_are_seed_sequence_words(seed):
     # 1581 is the largest dimension under the default size cap
     assert 4 * 1581**2 <= sampling.DEFAULT_SIZE_CAP < 4 * 1582**2
@@ -325,9 +329,10 @@ def test_sweep_builds_one_seed_sequence_per_call(monkeypatch):
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    # dimension 8 takes 128 samples a block: 300 samples are three blocks
+    # dimension 8 takes 128 samples a block: 300 samples are three blocks;
+    # one SeedSequence gives the pool, one the guard, and none is per sample
     record = incomparability_fraction(8, 300, 4)
-    assert built == [(8, 0)]
+    assert built == [(8,), (8, 0)]
     monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
     reference = scalar_samples(8, 300, 4)
     expected = np.sum([tally for _, _, tally in reference], axis=0)
@@ -335,7 +340,7 @@ def test_sweep_builds_one_seed_sequence_per_call(monkeypatch):
     built.clear()
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     sweep([2, 3, 5], 300, 4)
-    assert built == [(2, 0), (3, 0), (5, 0)]
+    assert built == [(2,), (2, 0), (3,), (3, 0), (5,), (5, 0)]
 
 
 def test_stream_word_mismatch_is_an_internal_inconsistency(monkeypatch):
