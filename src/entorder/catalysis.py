@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteSchmidtNumber, InternalInconsistency, SizeCapExceeded
-from .majorization import Relation, compare_many, majorized_by
+from .majorization import Relation, _prefix_pair, compare_many
 from .spectra import (
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
@@ -256,8 +256,18 @@ def multicopy_convertible(
     Returns the smallest qualifying m (forward checked before backward), or
     None if the bounded search finds nothing.  Convertibility at some m says
     nothing about m+1, so each copy count is tested independently.  Power
-    m is one kernel call on power m - 1, as in :func:`tensor_power_spectrum`.
+    m is one kernel call on power m - 1, as in :func:`tensor_power_spectrum`,
+    and both directions at m come from one
+    :func:`~entorder.majorization.compare_many` call: its backward mask is
+    bit for bit the forward mask of the swapped pair, since IEEE subtraction
+    is antisymmetric.
     """
+    return _multicopy_search(a, b, 1, m_max, tol, size_cap)
+
+
+def _multicopy_search(a, b, first, m_max, tol, size_cap):
+    """:func:`multicopy_convertible` deciding only m = first..m_max; the
+    powers below `first` are still built, each from the last."""
     _require_finite(a, "multi-copy search")
     _require_finite(b, "multi-copy search")
     m_max = _integer("m_max", m_max, 1)
@@ -267,9 +277,12 @@ def multicopy_convertible(
         if m > 1:
             pa = SchmidtSpectrum(_top_products(pa.values, a.values, size_cap))
             pb = SchmidtSpectrum(_top_products(pb.values, b.values, size_cap))
-        if majorized_by(pa, pb, tol):
+        if m < first:
+            continue
+        forward, backward = compare_many(*_prefix_pair(pa, pb, tol))
+        if not forward.any():
             return MultiCopyWitness(Relation.FORWARD, m)
-        if majorized_by(pb, pa, tol):
+        if not backward.any():
             return MultiCopyWitness(Relation.BACKWARD, m)
     return None
 
@@ -586,7 +599,8 @@ def strong_verdict(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
         )
     if witness is None and m_max > 1:
-        witness = multicopy_convertible(a, b, m_max, tol, size_cap=size_cap)
+        # m = 1 was decided above
+        witness = _multicopy_search(a, b, 2, m_max, tol, size_cap)
     if holds and witness is not None:
         raise InternalInconsistency(
             f"sound sufficient test and witness search both fired: {witness}"

@@ -77,26 +77,32 @@ class Config:
             raise InvalidInput(f"unknown format {self.output_format!r}")
 
 
+_DEFAULT_CONFIG = Config()
+
+
 def _settings(config: Config, values: dict) -> Config:
     """`config` with each setting that `values` holds and is not None replaced.
-    The config file and the flags both pass the same checks here."""
+    The config file and the flags both pass the same checks here.  With no
+    such setting `config` itself comes back, and its tolerances are copied
+    only when a tolerance is set."""
 
     def given(keys):
         return {key: values[key] for key in keys if values.get(key) is not None}
 
-    return replace(
-        config,
-        tolerances=replace(config.tolerances, **given(_TOLERANCE_KEYS)),
-        **given([*_COUNT_LEAST, "output_format"]),
-    )
+    changes = given((*_COUNT_LEAST, "output_format"))
+    tolerances = given(_TOLERANCE_KEYS)
+    if tolerances:
+        changes["tolerances"] = replace(config.tolerances, **tolerances)
+    return replace(config, **changes) if changes else config
 
 
 def load_config(path: str | None) -> Config:
-    """Read a key=value config file; missing path means library defaults."""
+    """Read a key=value config file; missing path means library defaults,
+    the one default `Config` shared by every call."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
-        return Config()
+        return _DEFAULT_CONFIG
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -122,7 +128,7 @@ def load_config(path: str | None) -> Config:
             values[key] = parse(value)
         except ValueError as exc:
             raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-    return _settings(Config(), values)
+    return _settings(_DEFAULT_CONFIG, values)
 
 
 def _read_arg(value: str) -> str:

@@ -10,11 +10,12 @@ pair.
 
 There is one majorization kernel, :func:`compare_many`, which decides
 stacked rows of prefix sums at once; :func:`compare` and
-:func:`majorized_by` are its one-row calls, the catalyst scan feeds it
-blocks of catalysed prefix sums, and the Monte Carlo sweep whole blocks of
-sampled pairs.  The near-tie diagnostic, :func:`near_ties`, is a separate
-function, called only where a verdict reports it: by :func:`compare` and
-by the sweep's tallies.
+:func:`majorized_by` are its one-row calls, as is each copy count of the
+multi-copy search, the catalyst scan feeds it blocks of catalysed prefix
+sums, and the Monte Carlo sweep whole blocks of sampled pairs.  The
+near-tie diagnostic, :func:`near_ties`, is a separate function, called
+only where a verdict reports it: by :func:`compare` and by the sweep's
+tallies.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def near_ties(
 def _prefix_pair(a, b, tol):
     """Prefix sums of both spectra up to their common comparison horizon,
     and the slack: `tau_cmp`, widened by the residual mass of both spectra
-    past the horizon when a tail is present."""
+    past the horizon when a tail is present.  For two finite spectra the
+    horizon is the longer length and the slack is `tau_cmp`."""
     k = comparison_horizon(a, b, tol)
     slack = tol.tau_cmp
     if a.tail is not None or b.tail is not None:
@@ -127,23 +129,19 @@ def compare(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ComparisonVerdict:
     """Classify the pair as forward/backward convertible, equivalent, or
-    incomparable, with the complete list of violated prefix indices."""
+    incomparable, with the complete list of violated prefix indices.
+
+    Two finite spectra are compared over the longer length with slack
+    `tau_cmp`, with no tail horizon to compute; each violation list comes
+    from one `nonzero` of the kernel's mask.
+    """
     pa, pb, slack = _prefix_pair(a, b, tol)
     forward, backward = compare_many(pa, pb, slack)
-    forward = np.flatnonzero(forward) + 1
-    backward = np.flatnonzero(backward) + 1
+    forward = tuple((forward.nonzero()[0] + 1).tolist())
+    backward = tuple((backward.nonzero()[0] + 1).tolist())
     near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
-    if len(forward) == 0 and len(backward) == 0:
-        relation = Relation.EQUIVALENT
-    elif len(forward) == 0:
-        relation = Relation.FORWARD
-    elif len(backward) == 0:
-        relation = Relation.BACKWARD
+    if forward:
+        relation = Relation.INCOMPARABLE if backward else Relation.BACKWARD
     else:
-        relation = Relation.INCOMPARABLE
-    return ComparisonVerdict(
-        relation,
-        tuple(int(k) for k in forward),
-        tuple(int(k) for k in backward),
-        near,
-    )
+        relation = Relation.FORWARD if backward else Relation.EQUIVALENT
+    return ComparisonVerdict(relation, forward, backward, near)

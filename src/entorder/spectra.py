@@ -34,6 +34,9 @@ from .errors import (
 # treated as an ill-conditioned input rather than ground through.
 MAX_HORIZON = 10**6
 
+# A total mass this close to 1 counts as already normalized on ingestion.
+_ROUNDING = 4 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -67,10 +70,13 @@ DEFAULT_TOLERANCES = Tolerances()
 def _integer(name: str, value, least: int | None = None, message: str = "") -> int:
     """`value` as a plain int, or InvalidInput when it is not integral.
 
+    Booleans are refused, though `operator.index` takes them as 0 and 1.
     Given `least`, a smaller value raises InvalidInput too, with `message`
     (by default "<name> must be at least <least>").
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
@@ -208,14 +214,18 @@ def make_spectrum(
     `adjusted` flag on the result instead of rejecting.  Masses further than
     `tau_norm` from 1 and negative, non-finite or non-numeric entries (ragged
     nested lists included) are errors.
+
+    The input is copied once and checked for finiteness once; it is sorted
+    only when some entry exceeds the one before it, and the head's sum is
+    taken once, for both the mass check and the rescaling.
     """
     try:
-        arr = np.asarray(values, dtype=float).ravel().copy()
+        arr = np.array(values, dtype=float).ravel()
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"spectrum entries must be numbers: {exc}") from exc
     if arr.size == 0:
         raise InvalidInput("a spectrum needs at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("spectrum entries must be finite numbers")
     adjusted = False
     negative = arr < 0
@@ -224,10 +234,9 @@ def make_spectrum(
             raise InvalidInput(f"negative entry {arr.min()!r} in spectrum")
         arr[negative] = 0.0
         adjusted = True
-    order = np.sort(arr)[::-1]
-    if not np.array_equal(order, arr):
+    if (arr[1:] > arr[:-1]).any():
         adjusted = True
-        arr = order
+        arr = np.sort(arr)[::-1]
     if tail is not None:
         # Positive tail entries cannot sit below explicit zeros.
         keep = arr > tol.tau_zero
@@ -237,15 +246,16 @@ def make_spectrum(
         if arr.size == 0:
             raise InvalidInput("a tailed spectrum needs a positive head")
     tail_mass = tail.mass() if tail is not None else 0.0
-    total = float(arr.sum()) + tail_mass
+    head = float(arr.sum())
+    total = head + tail_mass
     if abs(total - 1.0) > tol.tau_norm:
         raise NotNormalized(f"total mass {total!r} deviates from 1 beyond tau_norm")
     head_target = 1.0 - tail_mass
     if head_target <= 0:
         raise NotNormalized("tail mass alone reaches or exceeds 1")
-    if abs(total - 1.0) > 4 * np.finfo(float).eps:
+    if abs(total - 1.0) > _ROUNDING:
         adjusted = True
-    arr *= head_target / arr.sum()
+    arr *= head_target / head
     arr, tail = _merge_tail_boundary(arr, tail)
     return SchmidtSpectrum(arr, tail, adjusted)
 
@@ -312,7 +322,12 @@ def prefix_sums(spec: SchmidtSpectrum, k_max: int) -> np.ndarray:
 def comparison_horizon(
     a: SchmidtSpectrum, b: SchmidtSpectrum, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> int:
-    """Entry count after which both residual masses drop below `tau_cmp`."""
+    """Entry count after which both residual masses drop below `tau_cmp`.
+
+    For two finite spectra that is the longer length, at least 1.
+    """
+    if a.tail is None and b.tail is None:
+        return max(len(a.values), len(b.values), 1)
     return max(a.horizon(tol.tau_cmp), b.horizon(tol.tau_cmp), 1)
 
 
@@ -397,7 +412,8 @@ def _is_json_number(value) -> bool:
 def spectrum_from_json(
     payload: dict, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SchmidtSpectrum:
-    """Spectrum of a decoded JSON object; every entry must be a JSON number."""
+    """Spectrum of a decoded JSON object: `values` must be an array (flat or
+    nested), and every entry in it a JSON number."""
     if not isinstance(payload, dict) or "values" not in payload:
         raise InvalidInput("spectrum JSON needs a 'values' array")
     tail = None
@@ -410,12 +426,17 @@ def spectrum_from_json(
             tail = GeometricTail(float(first), float(ratio))
         except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInput(f"bad tail object: {exc}") from exc
+    values = payload["values"]
+    if not isinstance(values, list):
+        raise InvalidInput(
+            f"spectrum entries must be numbers in an array, got {values!r}"
+        )
     # nested lists are walked without recursion; make_spectrum checks shape
-    pending = [payload["values"]]
+    pending = [values]
     while pending:
         item = pending.pop()
         if isinstance(item, list):
             pending.extend(item)
         elif not _is_json_number(item):
             raise InvalidInput(f"spectrum entries must be numbers, got {item!r}")
-    return make_spectrum(payload["values"], tail, tol=tol)
+    return make_spectrum(values, tail, tol=tol)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entorder import (
+    DEFAULT_TOLERANCES,
     CatalystWitness,
     InfiniteSchmidtNumber,
     InvalidInput,
@@ -476,6 +477,63 @@ def test_two_copy_witness_frozen_pair():
 def test_multicopy_respects_size_cap(no_merge):
     with pytest.raises(SizeCapExceeded):
         multicopy_convertible(spec(0.5, 0.5), spec(0.7, 0.3), 30, size_cap=10**6)
+
+
+def reference_multicopy(a, b, m_max, tol=DEFAULT_TOLERANCES):
+    """The search as it was before both directions shared one kernel call:
+    `majorized_by` once each way per copy count."""
+    pa, pb = a, b
+    for m in range(1, m_max + 1):
+        if m > 1:
+            pa = SchmidtSpectrum(catalysis._top_products(pa.values, a.values, 10**7))
+            pb = SchmidtSpectrum(catalysis._top_products(pb.values, b.values, 10**7))
+        if majorized_by(pa, pb, tol):
+            return MultiCopyWitness(Relation.FORWARD, m)
+        if majorized_by(pb, pa, tol):
+            return MultiCopyWitness(Relation.BACKWARD, m)
+    return None
+
+
+def test_multicopy_matches_the_two_sided_reference():
+    rng = np.random.default_rng(47)
+    pairs = [(spec(*TWO_COPY_A), spec(*TWO_COPY_B)), (spec(*JP_A), spec(*JP_B))]
+    for _ in range(400):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            a, b = random_condition_c_pair(rng)
+        else:
+            n = int(rng.integers(2, 6))
+            a, b = random_sorted_probs(rng, n), random_sorted_probs(rng, n)
+            if kind == 2:  # dyadic entries: exact prefix ties
+                a = np.sort(rng.multinomial(16, np.full(n, 1.0 / n)))[::-1] / 16.0
+        pairs.append((make_spectrum(a), make_spectrum(b)))
+    outcomes = set()
+    for a, b in pairs:
+        for pair in ((a, b), (b, a), (a, a)):
+            got = multicopy_convertible(*pair, 3)
+            assert got == reference_multicopy(*pair, 3)
+            outcomes.add(None if got is None else (got.direction, got.copies))
+    # every kind of outcome occurs: none, both directions, one and more copies
+    assert None in outcomes and (Relation.BACKWARD, 1) in outcomes
+    assert any(o is not None and o[1] > 1 for o in outcomes)
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3])
+def test_strong_verdict_decides_each_copy_count_once(monkeypatch, m_max):
+    decided = []
+    prefix_pair = catalysis._prefix_pair
+
+    def counting(pa, pb, tol):
+        decided.append((len(pa), len(pb)))
+        return prefix_pair(pa, pb, tol)
+
+    monkeypatch.setattr(catalysis, "_prefix_pair", counting)
+    a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    verdict = strong_verdict(a, b, m_max=m_max, catalyst_dim_max=2, grid_steps=5)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (m_max, 2, 5)
+    # the single-copy check before the catalyst scan is not repeated after it
+    assert decided == [(4**m, 2**m) for m in range(1, m_max + 1)]
 
 
 # --- catalyst checks ---------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entorder import cli
+from entorder import InvalidInput, cli
 from entorder.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,6 +79,9 @@ def test_compare_rejects_unnormalized_input():
         '{"values": "1"}',
         '{"values": [true]}',
         '{"values": ["0.5", "0.5"]}',
+        # a bare number is not an array of them
+        '{"values": 1}',
+        '{"values": 0.5, "tail": {"first": 0.25, "ratio": 0.5}}',
     ],
 )
 def test_compare_rejects_non_numeric_json_values(values):
@@ -488,6 +491,25 @@ def test_config_env_var(tmp_path, monkeypatch):
     code, out, _ = invoke("compare", "--a", "0.5,0.5", "--b", "0.7,0.3")
     assert code == 0
     json.loads(out)
+
+
+def test_settings_copy_only_what_a_flag_sets(monkeypatch):
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    default = cli.load_config(None)
+    assert cli.load_config(None) is default  # one default, built once
+    none_set = {"tau_cmp": None, "m_max": None, "output_format": None}
+    assert cli._settings(default, none_set) is default
+    formatted = cli._settings(default, {**none_set, "output_format": "json"})
+    assert formatted.output_format == "json"
+    assert formatted.tolerances is default.tolerances
+    tightened = cli._settings(default, {**none_set, "tau_cmp": 1e-6})
+    assert tightened.tolerances.tau_cmp == 1e-6
+    assert default.tolerances.tau_cmp == 1e-12
+    # a copy is still checked like a config file's value
+    with pytest.raises(InvalidInput, match="m_max must be at least 1"):
+        cli._settings(default, {**none_set, "m_max": 0})
+    with pytest.raises(InvalidInput, match="tolerances must be strictly positive"):
+        cli._settings(default, {**none_set, "tau_cmp": -1.0})
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -18,6 +18,7 @@ from entorder import (
     complete_extension,
     condition_c,
     convergence_report,
+    incomparability_fraction,
     make_spectrum,
     minimal_c_index,
     multicopy_convertible,
@@ -293,6 +294,12 @@ COUNT_A, COUNT_B = spec(0.6, 0.2, 0.1, 0.1), spec(0.4, 0.4, 0.2)
         (lambda a, b: list(sorted_simplex_grid(2, 5.0)), "steps"),
         (lambda a, b: top_k_tensor_power(a, 3.0, 5), "m"),
         (lambda a, b: top_k_tensor_power(a, 3, 5.0), "k"),
+        # booleans are not counts, though operator.index takes them
+        (lambda a, b: strong_verdict(a, b, m_max=True), "m_max"),
+        (lambda a, b: tensor_power_spectrum(a, True), "m"),
+        (lambda a, b: incomparability_fraction(3, True, 0), "samples"),
+        (lambda a, b: incomparability_fraction(3, 1, False), "seed"),
+        (lambda a, b: complete_extension(a, np.True_), "m"),
     ],
 )
 def test_count_arguments_must_be_integers(call, name):

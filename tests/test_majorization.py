@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from entorder import (
     DEFAULT_TOLERANCES,
     GeometricTail,
+    ComparisonVerdict,
     Relation,
     compare,
     compare_many,
@@ -332,3 +335,75 @@ def test_a_common_tensor_factor_can_open_a_conversion():
     c = spec(0.6, 0.4)
     assert not majorized_by(a, b)
     assert majorized_by(tensor_product_spectrum(a, c), tensor_product_spectrum(b, c))
+
+
+# --- compare against its earlier body ----------------------------------------
+#
+# Two finite spectra skip the tail horizon, and the violation lists come
+# from one `nonzero` each.  The body below is `compare` as it was before,
+# kept as the reference: verdicts must match it exactly, types included.
+
+
+def reference_compare(a, b, tol=DEFAULT_TOLERANCES):
+    k = max(a.horizon(tol.tau_cmp), b.horizon(tol.tau_cmp), 1)
+    slack = tol.tau_cmp
+    if a.tail is not None or b.tail is not None:
+        slack += a.residual_after(k) + b.residual_after(k)
+    pa, pb = prefix_sums(a, k), prefix_sums(b, k)
+    forward, backward = compare_many(pa, pb, slack)
+    forward = np.flatnonzero(forward) + 1
+    backward = np.flatnonzero(backward) + 1
+    near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
+    if len(forward) == 0 and len(backward) == 0:
+        relation = Relation.EQUIVALENT
+    elif len(forward) == 0:
+        relation = Relation.FORWARD
+    elif len(backward) == 0:
+        relation = Relation.BACKWARD
+    else:
+        relation = Relation.INCOMPARABLE
+    return ComparisonVerdict(
+        relation,
+        tuple(int(k) for k in forward),
+        tuple(int(k) for k in backward),
+        near,
+    )
+
+
+def assert_compares_like_the_reference(a, b):
+    got, expected = compare(a, b), reference_compare(a, b)
+    assert got == expected
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+    for k in got.forward_violations + got.backward_violations:
+        assert type(k) is int
+    assert type(got.near_tie) is bool
+
+
+def test_compare_matches_its_reference_on_seeded_pairs():
+    rng = np.random.default_rng(63)
+    tails = [None, GeometricTail(0.01, 0.5), GeometricTail(0.002, 0.9)]
+    for _ in range(1500):
+        specs = []
+        for _ in range(2):
+            n = int(rng.integers(1, 9))
+            # dyadic entries give exact ties, random ones clean margins
+            if rng.random() < 0.5:
+                values = random_sorted_probs(rng, n)
+            else:
+                counts = np.sort(rng.multinomial(64, np.full(n, 1.0 / n)))[::-1]
+                values = counts / 64.0
+            tail = tails[int(rng.integers(0, 3))] if rng.random() < 0.2 else None
+            if tail is not None:
+                values = np.maximum(values, 0.05) * (1.0 - tail.mass())
+                values /= values.sum() / (1.0 - tail.mass())
+            values = np.concatenate([values, np.zeros(int(rng.integers(0, 3)))])
+            specs.append(make_spectrum(values, tail))
+        a, b = specs
+        assert_compares_like_the_reference(a, b)
+        assert_compares_like_the_reference(a, a)
+
+
+@PROPERTY
+@given(ANY, ANY)
+def test_compare_matches_its_reference_on_generated_pairs(a, b):
+    assert_compares_like_the_reference(a, b)

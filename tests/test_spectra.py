@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entorder import (
+    DEFAULT_TOLERANCES,
     DimensionTooSmall,
+    EntOrderError,
     GeometricTail,
     InvalidInput,
     NotNormalized,
@@ -23,6 +27,7 @@ from entorder import (
     spectrum_from_json,
     spectrum_to_json,
 )
+from entorder.spectra import _merge_tail_boundary
 from oracles import gram_spectrum, random_sorted_probs
 
 
@@ -275,3 +280,186 @@ def test_parse_rejects_garbage():
     for bad in ("", "0.5,abc", "0.5...geom(0.5)", '{"tail": null}'):
         with pytest.raises(InvalidInput):
             parse_spectrum(bad)
+
+
+# --- ingestion and distance against their earlier bodies -------------------
+#
+# `make_spectrum` copies, checks and sums its input once, and two finite
+# spectra skip the tail horizon.  The bodies below are the functions as they
+# were before, kept as references: every output and every error must match
+# them bit for bit.
+
+
+def reference_make_spectrum(values, tail=None, *, tol=DEFAULT_TOLERANCES):
+    try:
+        arr = np.asarray(values, dtype=float).ravel().copy()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"spectrum entries must be numbers: {exc}") from exc
+    if arr.size == 0:
+        raise InvalidInput("a spectrum needs at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("spectrum entries must be finite numbers")
+    adjusted = False
+    negative = arr < 0
+    if negative.any():
+        if arr.min() < -tol.tau_zero:
+            raise InvalidInput(f"negative entry {arr.min()!r} in spectrum")
+        arr[negative] = 0.0
+        adjusted = True
+    order = np.sort(arr)[::-1]
+    if not np.array_equal(order, arr):
+        adjusted = True
+        arr = order
+    if tail is not None:
+        keep = arr > tol.tau_zero
+        if not keep.all():
+            arr = arr[keep]
+            adjusted = True
+        if arr.size == 0:
+            raise InvalidInput("a tailed spectrum needs a positive head")
+    tail_mass = tail.mass() if tail is not None else 0.0
+    total = float(arr.sum()) + tail_mass
+    if abs(total - 1.0) > tol.tau_norm:
+        raise NotNormalized(f"total mass {total!r} deviates from 1 beyond tau_norm")
+    head_target = 1.0 - tail_mass
+    if head_target <= 0:
+        raise NotNormalized("tail mass alone reaches or exceeds 1")
+    if abs(total - 1.0) > 4 * np.finfo(float).eps:
+        adjusted = True
+    arr *= head_target / arr.sum()
+    arr, tail = _merge_tail_boundary(arr, tail)
+    return SchmidtSpectrum(arr, tail, adjusted)
+
+
+def reference_distance(a, b, tol=DEFAULT_TOLERANCES):
+    k = max(a.horizon(tol.tau_cmp), b.horizon(tol.tau_cmp), 1)
+    overlap = float(np.sqrt(a.entry_prefix(k) * b.entry_prefix(k)).sum())
+    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+
+
+def ingestion_outcome(ingest, values, tail):
+    """The bytes of everything `ingest` returns, or its error's type and text."""
+    try:
+        spec = ingest(values, tail)
+    except EntOrderError as exc:
+        return type(exc), str(exc)
+    got_tail = None if spec.tail is None else (spec.tail.first, spec.tail.ratio)
+    return spec.values.tobytes(), spec.values.shape, got_tail, spec.adjusted
+
+
+def assert_ingests_like_the_reference(values, tail=None):
+    got = ingestion_outcome(make_spectrum, values, tail)
+    assert got == ingestion_outcome(reference_make_spectrum, values, tail)
+    if not isinstance(got[0], type):
+        spec = make_spectrum(values, tail)
+        assert not np.shares_memory(spec.values, np.asarray(values))
+
+
+def seeded_ingestion_inputs(rng, count):
+    """Valid and invalid spectra of every shape ingestion handles."""
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        values = list(random_sorted_probs(rng, n))
+        kind = int(rng.integers(0, 9))
+        tail = None
+        if kind == 1:
+            rng.shuffle(values)
+        elif kind == 2:  # denormalized, within tau_norm or just past it
+            scale = 1.0 + float(rng.choice([-5e-10, 3e-10, 2e-15, 2e-9]))
+            values = [v * scale for v in values]
+        elif kind == 3:  # tiny negatives and signed zeros among the entries
+            values += [float(rng.choice([-1e-13, -0.0, 0.0, -2e-12]))] * 2
+            rng.shuffle(values)
+        elif kind == 4 and n % 2 == 0:
+            values = [values[: n // 2], values[n // 2 :]]
+        elif kind == 5:
+            ratio = float(rng.choice([0.1, 0.5, 0.9]))
+            tail = GeometricTail(float(rng.uniform(0.001, 0.3)) * (1 - ratio), ratio)
+            values = [v * (1.0 - tail.mass()) for v in values]
+            if rng.random() < 0.5:
+                values.append(0.0)
+        elif kind == 6:
+            bad = float(rng.choice([np.nan, np.inf, -np.inf]))
+            values[int(rng.integers(0, n))] = bad
+        elif kind == 7:
+            values = np.array(values)[:: int(rng.choice([1, -1]))]
+        yield values, tail
+
+
+def test_make_spectrum_matches_its_reference_on_seeded_inputs():
+    rng = np.random.default_rng(61)
+    for values, tail in seeded_ingestion_inputs(rng, 3000):
+        assert_ingests_like_the_reference(values, tail)
+
+
+@pytest.mark.parametrize(
+    "values, tail",
+    [
+        ([], None),
+        ([0.5, "x"], None),
+        ([[0.5, 0.5], [0.1]], None),
+        ([1.2, -0.2], None),
+        ([0.5, 0.5, -0.0, 0.0, -1e-13, 0.0], None),
+        ([0.5, -1e-13, 0.5, -0.0], None),
+        ([0.0, 0.0], None),
+        ([1.0], None),
+        (1.0, None),
+        ([0.5, 0.6], None),
+        pytest.param([1e308, 1e308], None, marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning"
+        )),
+        ([0.5, 0.05], GeometricTail(0.225, 0.5)),
+        ([0.0, 0.0], GeometricTail(0.5, 0.5)),
+        ([0.1], GeometricTail(0.9, 0.5)),
+        (np.array([[0.25, 0.5], [0.125, 0.125]]), None),
+        (np.array([0.1, 0.2, 0.3, 0.4])[::2] / 0.4, None),
+    ],
+)
+def test_make_spectrum_matches_its_reference_on_edge_inputs(values, tail):
+    assert_ingests_like_the_reference(values, tail)
+
+
+ENTRY = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, -1e-13, -1e-11, 1e-13])
+)
+
+
+@st.composite
+def raw_spectra(draw):
+    """Entries, rescaled to a mass near 1 most of the time, perhaps nested,
+    perhaps under a geometric tail."""
+    values = draw(st.lists(ENTRY, max_size=8))
+    tail = None
+    if draw(st.booleans()):
+        ratio = draw(st.sampled_from([0.1, 0.5, 0.9]))
+        tail = GeometricTail(draw(st.floats(1e-6, 0.3)) * (1.0 - ratio), ratio)
+    mass = sum(v for v in values if math.isfinite(v) and v > 0)
+    if mass > 0 and draw(st.integers(0, 3)):
+        scale = draw(st.sampled_from([1.0, 1 + 3e-16, 1 - 4e-10, 1 + 2e-9]))
+        target = 1.0 if tail is None else 1.0 - tail.mass()
+        values = [v / mass * target * scale for v in values]
+    if values and not draw(st.integers(0, 7)):
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.floats(allow_nan=True, allow_infinity=True)
+        )
+    if len(values) % 2 == 0 and values and draw(st.booleans()):
+        values = [values[: len(values) // 2], values[len(values) // 2 :]]
+    return values, tail
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(raw_spectra())
+def test_make_spectrum_matches_its_reference_on_generated_inputs(case):
+    assert_ingests_like_the_reference(*case)
+
+
+def test_spectrum_distance_matches_its_reference():
+    rng = np.random.default_rng(62)
+    specs = []
+    for values, tail in seeded_ingestion_inputs(rng, 400):
+        try:
+            specs.append(make_spectrum(values, tail))
+        except EntOrderError:
+            pass
+    for a, b in zip(specs, specs[1:] + specs[:1]):
+        assert spectrum_distance(a, b).hex() == reference_distance(a, b).hex()
