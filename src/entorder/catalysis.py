@@ -25,7 +25,7 @@ This module provides
   reports an honest ``inconclusive``.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
-:func:`sorted_simplex_grid` is built as a read-only ``(G, dim)`` array
+:func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
 and kept in a size-bounded cache, and a block of grid rows is decided
 together: products ``a (x) c`` and ``b (x) c`` for every row, row-wise
 prefix sums, and both prefix inequalities, decided by
@@ -363,29 +363,17 @@ def catalyst_convertible(
     return None if hit is None else hit[1]
 
 
-def sorted_simplex_grid(dim: int, steps: int):
-    """Yield sorted probability vectors (c1 >= ... >= c_dim) on a 1/steps grid.
-
-    Enumeration is ascending lexicographic (flattest vectors first), so the
-    first hit of a scan is a deterministic, canonical witness.  For dim > 2
-    vectors with a trailing zero are skipped: they already appeared at the
-    lower dimension.  The vectors are copies of the rows of the cached grid
-    that :func:`catalyst_search` scans, so a grid of more than
-    `DEFAULT_SIZE_CAP` entries raises SizeCapExceeded at the first step.
-    """
-    dim = _integer("dim", dim, 1, "dimension must be at least 1")
-    steps = _integer("steps", steps, 2, "grid needs at least 2 steps")
-    for row in _catalyst_grid(dim, steps, DEFAULT_SIZE_CAP):
-        yield row.copy()
-
-
-def _grid_cap(size_cap: int) -> int:
-    """Entries one catalyst grid may hold under a product cap `size_cap`.
-
-    A small `size_cap` bounds product spectra without shrinking the grids
-    the default allows; a larger one lets larger grids through.
-    """
-    return max(size_cap, DEFAULT_SIZE_CAP)
+def _dimension_grid(
+    a: SchmidtSpectrum, b: SchmidtSpectrum, dim: int, steps: int, size_cap: int
+) -> np.ndarray:
+    """The catalyst grid of dimension `dim`, the one gate of the scan and the
+    audit: products with a `dim`-entry catalyst are checked against
+    `size_cap` (`a` before `b`), then the grid is refused past
+    max(size_cap, DEFAULT_SIZE_CAP) entries before it is built, so a small
+    `size_cap` bounds products without shrinking the default grids."""
+    for spec in (a, b):
+        _check_product_factor(spec, dim, size_cap)
+    return _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
 
 
 # Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
@@ -435,18 +423,22 @@ _catalyst_grid.cache_clear = _grid_cache.clear
 
 
 def _build_catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
-    """The grid of :func:`sorted_simplex_grid` as a read-only (G, dim) array.
+    """Sorted probability vectors c1 >= ... >= c_dim on a 1/steps grid, as
+    the rows of a read-only (G, dim) array in the canonical scan order.
 
-    A row is a partition of `steps` into `dim` non-increasing parts (all
-    positive above dim 2), divided by `steps`.  The columns are built one
-    part at a time: each partial row is repeated once per admissible next
-    part, in ascending order, so the rows stay in ascending lexicographic
-    order.  A next part is admissible when it is at most the previous part,
-    at least ceil(left / slots) of the mass `left` still to place in `slots`
-    parts, and leaves the later parts their least value; the last part is
-    the mass left.  Every partial row can therefore be completed and the
-    row count never falls from one part to the next, so a grid of more than
-    `cap` entries is refused before its first level over the cap is built.
+    A row is a partition of `steps` into `dim` non-increasing parts, divided
+    by `steps`.  Rows ascend lexicographically (flattest first), so the
+    first hit of a scan is a deterministic, canonical witness.  Above dim 2
+    every part is positive: a vector with a trailing zero already appeared
+    at the lower dimension.  The columns are built one part at a time: each
+    partial row is repeated once per admissible next part, in ascending
+    order, so the rows keep that order.  A next part is admissible when it
+    is at most the previous part, at least ceil(left / slots) of the mass
+    `left` still to place in `slots` parts, and leaves the later parts their
+    least value; the last part is the mass left.  Every partial row can
+    therefore be completed and the row count never falls from one part to
+    the next, so a grid of more than `cap` entries is refused before its
+    first level over the cap is built.
     """
     least = 1 if dim > 2 else 0
     parts = np.empty((1, 0), dtype=np.int64)
@@ -481,15 +473,13 @@ def catalyst_search(
     """Scan grid catalysts of dimension 2..dim_max for an opened direction.
 
     Returns the first working catalyst in the canonical grid order (see
-    :func:`sorted_simplex_grid`), with the direction
+    :func:`_build_catalyst_grid`), with the direction
     :func:`catalyst_convertible` gives for it.  Each dimension's grid is
     built once and cached while the cache has room; it is scanned in blocks
     of rows, each decided by one batched kernel, and the scan stops at the
-    block holding the first hit.  Before a dimension's grid is built, products of
-    that size are checked against `size_cap` (`a` before `b`), and then
-    :func:`_catalyst_grid` refuses a grid of more than max(size_cap,
-    DEFAULT_SIZE_CAP) entries before building it; so smaller dimensions
-    that fit are scanned first.
+    block holding the first hit.  :func:`_dimension_grid` checks each
+    dimension against the caps before its grid is built, so smaller
+    dimensions that fit are scanned first.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -498,13 +488,10 @@ def catalyst_search(
     _require_finite(b, "catalyst search")
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
-    grid_cap = _grid_cap(size_cap)
     for dim in range(2, dim_max + 1):
         if grid_steps < dim > 2:
             continue  # every vector has a trailing zero, seen at a lower dim
-        for spec in (a, b):
-            _check_product_factor(spec, dim, size_cap)
-        grid = _catalyst_grid(dim, grid_steps, grid_cap)
+        grid = _dimension_grid(a, b, dim, grid_steps, size_cap)
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
         for start in range(0, len(grid), rows):
             hit = _first_hit(a, b, grid[start : start + rows], tol)
@@ -566,11 +553,10 @@ def strong_verdict(
     requires strictly); if they ever do, an InternalInconsistency is raised
     because one of the implementations is wrong.  When condition_c holds,
     the witness searches still run as a self-audit, but only as far as the
-    caps allow: copy counts and catalyst dimensions whose products would
-    exceed `size_cap`, or whose grid would exceed max(size_cap,
-    DEFAULT_SIZE_CAP) entries, are skipped, so a resource cap never
-    overturns a proven verdict, and `checked_bounds` records the bounds
-    actually audited.
+    caps allow: copy counts whose products would exceed `size_cap`, and
+    catalyst dimensions that :func:`_dimension_grid` refuses, are skipped,
+    so a resource cap never overturns a proven verdict, and
+    `checked_bounds` records the bounds actually audited.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -581,15 +567,12 @@ def strong_verdict(
         while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
             # width**e exceeds size_cap for every e from its bit length on
             m_max = min(m_max - 1, size_cap.bit_length())
-        grid_cap = _grid_cap(size_cap)
-        dims = 1
-        while dims < catalyst_dim_max and width * (dims + 1) <= size_cap:
+        for dim in range(2, catalyst_dim_max + 1):
             try:
-                _catalyst_grid(dims + 1, grid_steps, grid_cap)
+                _dimension_grid(a, b, dim, grid_steps, size_cap)
             except SizeCapExceeded:
+                catalyst_dim_max = dim - 1
                 break
-            dims += 1
-        catalyst_dim_max = dims
     bounds = (m_max, catalyst_dim_max, grid_steps)
     witness: MultiCopyWitness | CatalystWitness | None = None
     if m_max > 0:

@@ -19,7 +19,10 @@ when the same value in the file would be.
 process and reuses it on every call; `build_parser` still returns a fresh
 parser, which callers may change freely.  A malformed argv is reported like
 any invalid input: the usage line and the message go to `err` and `run`
-returns 2, so only `--help` leaves through `SystemExit`.
+returns 2, so only `--help` leaves through `SystemExit`.  Each subcommand
+declares its spectrum flags once, in `build_parser`; `run` parses them,
+warning on `err` about any that ingestion adjusted, and passes the spectra
+to the subcommand's handler, which never sees `err`.
 """
 
 from __future__ import annotations
@@ -142,13 +145,13 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def _spectra(args, config: Config, err, *names):
-    """Parse the named spectrum flags, then warn about each one adjusted."""
+def _spectra(args, config: Config, err):
+    """Parse the subcommand's spectrum flags, then warn about each adjusted."""
     specs = [
         parse_spectrum(_read_arg(getattr(args, name)), tol=config.tolerances)
-        for name in names
+        for name in args.spectra
     ]
-    for name, spec in zip(names, specs):
+    for name, spec in zip(args.spectra, specs):
         if spec.adjusted:
             print(
                 f"warning: spectrum {name!r} was reordered or renormalized "
@@ -193,16 +196,15 @@ def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-# --- subcommand handlers: each returns (payload, text) ------------------------
+# --- subcommand handlers: (args, config, *spectra) -> (payload, text) ---
 
 
-def _cmd_spectrum(args, config, err):
+def _cmd_spectrum(args, config):
     spec = schmidt_spectrum(_matrix_arg(args.matrix), config.tolerances)
     return spectrum_to_json(spec), lambda: format_spectrum(spec)
 
 
-def _cmd_compare(args, config, err):
-    a, b = _spectra(args, config, err, "a", "b")
+def _cmd_compare(args, config, a, b):
     verdict = compare(a, b, config.tolerances)
     return verdict.to_json(), lambda: "\n".join(
         [
@@ -216,8 +218,7 @@ def _cmd_compare(args, config, err):
     )
 
 
-def _cmd_strong(args, config, err):
-    a, b = _spectra(args, config, err, "a", "b")
+def _cmd_strong(args, config, a, b):
     verdict = catalysis.strong_verdict(
         a,
         b,
@@ -253,14 +254,12 @@ def _cmd_strong(args, config, err):
     return payload, text
 
 
-def _cmd_power(args, config, err):
-    (a,) = _spectra(args, config, err, "a")
+def _cmd_power(args, config, a):
     spec = catalysis.tensor_power_spectrum(a, args.m, size_cap=config.size_cap)
     return spectrum_to_json(spec), lambda: format_spectrum(spec)
 
 
-def _cmd_catalyze(args, config, err):
-    a, b, c = _spectra(args, config, err, "a", "b", "c")
+def _cmd_catalyze(args, config, a, b, c):
     prod_a = catalysis.tensor_product_spectrum(a, c, size_cap=config.size_cap)
     prod_b = catalysis.tensor_product_spectrum(b, c, size_cap=config.size_cap)
     # Equal products count as forward, as in catalysis.catalyst_convertible.
@@ -283,14 +282,12 @@ def _cmd_catalyze(args, config, err):
     )
 
 
-def _cmd_complete(args, config, err):
-    (base,) = _spectra(args, config, err, "base")
+def _cmd_complete(args, config, base):
     spec = genericity.complete_extension(base, args.m, tol=config.tolerances)
     return spectrum_to_json(spec), lambda: format_spectrum(spec)
 
 
-def _cmd_truncate(args, config, err):
-    a, b = _spectra(args, config, err, "a", "b")
+def _cmd_truncate(args, config, a, b):
     pair = genericity.truncation_pair(a, b, args.m, tol=config.tolerances)
     payload = {
         "a_m": spectrum_to_json(pair.a_m),
@@ -308,8 +305,7 @@ def _cmd_truncate(args, config, err):
     )
 
 
-def _cmd_audit(args, config, err):
-    a, b = _spectra(args, config, err, "a", "b")
+def _cmd_audit(args, config, a, b):
     m_list = _int_list(args.m_list, "m-list")
     rows = genericity.convergence_report(a, b, m_list, tol=config.tolerances)
     payload = [
@@ -332,7 +328,7 @@ def _cmd_audit(args, config, err):
     )
 
 
-def _cmd_sweep(args, config, err):
+def _cmd_sweep(args, config):
     dims = _int_list(args.dims, "dims")
     records = sampling.sweep(dims, args.samples, args.seed, config.tolerances)
     return [record.to_json() for record in records], lambda: "\n".join(
@@ -370,17 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    spectrum_help = {"--c": "catalyst spectrum"}
 
     def command(parent, name, summary, handler, spectra, *options,
                 formats=("json", "text"), default="text"):
-        """Subparser: required spectrum flags, then `options`, then --format."""
+        """Subparser: required spectrum flags, then `options`, then --format.
+        `run` parses the spectra and passes them to `handler` in this order."""
         p = parent.add_parser(name, help=summary)
         for flag in spectra:
-            p.add_argument(flag, required=True)
+            p.add_argument(flag, required=True, help=spectrum_help.get(flag))
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", dest="output_format", choices=formats)
-        p.set_defaults(handler=handler, default_format=default)
+        p.set_defaults(handler=handler, default_format=default,
+                       spectra=tuple(flag[2:] for flag in spectra))
 
     count = {"required": True, "type": int}
     command(sub, "spectrum", "Schmidt spectrum of a coefficient matrix",
@@ -398,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "power", "spectrum of m collective copies",
             _cmd_power, ("--a",), ("--m", count))
     command(sub, "catalyze", "attach a catalyst and compare",
-            _cmd_catalyze, ("--a", "--b"),
-            ("--c", {"required": True, "help": "catalyst spectrum"}))
+            _cmd_catalyze, ("--a", "--b", "--c"))
     construct = sub.add_parser("construct", help="density constructions")
     csub = construct.add_subparsers(dest="construction", required=True)
     command(csub, "complete", "all-positive extension of a spectrum",
@@ -447,7 +445,7 @@ def run(argv=None, out=None, err=None) -> int:
     path = getattr(args, "out", None)  # only sweep has --out
     try:
         config = _settings(load_config(args.config), vars(args))
-        payload, text = args.handler(args, config, err)
+        payload, text = args.handler(args, config, *_spectra(args, config, err))
         fmt = config.output_format or args.default_format
         rendered = (json.dumps(payload, indent=2) if fmt == "json" else text()) + "\n"
         if path is None:

@@ -20,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import condition_c
-from .errors import InvalidInput, NotComplete, NotFoundWithin, TopEntriesTied
+from .catalysis import DEFAULT_SIZE_CAP, condition_c
+from .errors import (
+    InvalidInput,
+    NotComplete,
+    NotFoundWithin,
+    SizeCapExceeded,
+    TopEntriesTied,
+)
 from .majorization import Relation, compare
 from .spectra import (
     DEFAULT_TOLERANCES,
@@ -96,12 +102,7 @@ def _positive_prefix(spec: SchmidtSpectrum, count: int, tol: Tolerances) -> bool
     return bool(spec.tail.entries(1, extra - 1)[0] > tol.tau_zero)
 
 
-def _truncate(spec: SchmidtSpectrum, count: int, tol: Tolerances) -> SchmidtSpectrum:
-    if not _positive_prefix(spec, count, tol):
-        raise NotComplete(
-            f"spectrum has fewer than {count} positive entries; "
-            "the construction needs a complete input"
-        )
+def _truncate(spec: SchmidtSpectrum, count: int) -> SchmidtSpectrum:
     kept = spec.entry_prefix(count)
     return SchmidtSpectrum(kept / kept.sum())
 
@@ -116,7 +117,9 @@ def truncation_pair(
     """Renormalized truncations with a forced Schmidt-number gap of one.
 
     Requires top entries unequal beyond `tau_cmp` (TopEntriesTied otherwise)
-    and enough positive entries to keep (NotComplete otherwise).
+    and enough positive entries to keep (NotComplete otherwise, `a` checked
+    before `b`).  Both are decided, and m is refused past `DEFAULT_SIZE_CAP`
+    (SizeCapExceeded), before either truncation is materialized.
     """
     m = _integer("m", m, 2, "truncation index must be at least 2")
     gap = float(a.values[0] - b.values[0])
@@ -125,9 +128,16 @@ def truncation_pair(
             f"top entries differ by {gap!r}, within tau_cmp; "
             "the construction cannot orient the pair"
         )
-    if gap > 0:
-        return TruncationPair(_truncate(a, m, tol), _truncate(b, m - 1, tol), m, False)
-    return TruncationPair(_truncate(a, m - 1, tol), _truncate(b, m, tol), m, True)
+    counts = (m, m - 1) if gap > 0 else (m - 1, m)
+    for spec, count in zip((a, b), counts):
+        if not _positive_prefix(spec, count, tol):
+            raise NotComplete(
+                f"spectrum has fewer than {count} positive entries; "
+                "the construction needs a complete input"
+            )
+    if m > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(m, DEFAULT_SIZE_CAP)
+    return TruncationPair(_truncate(a, counts[0]), _truncate(b, counts[1]), m, gap < 0)
 
 
 def minimal_c_index(

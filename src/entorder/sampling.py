@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import DEFAULT_SIZE_CAP
+from .catalysis import DEFAULT_SIZE_CAP, _BLOCK_ENTRIES
 from .errors import (
     DimensionTooSmall,
     InternalInconsistency,
@@ -48,11 +48,6 @@ from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances, _integer
 
 # Normal quantile for a two-sided 95% interval.
 Z95 = 1.959963984540054
-
-# Gaussian entries per block of the sweep, four n-by-n planes per sample:
-# the same budget as the catalyst scan's blocks.  Bounds the sweep's peak
-# memory.
-_BLOCK_ENTRIES = 1 << 15
 
 
 def _probabilities(mats: np.ndarray) -> np.ndarray:
@@ -312,6 +307,7 @@ def incomparability_fraction(
         raise InvalidInput("need at least one sample")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
+    # The catalyst scan's block budget bounds the sweep's peak memory too.
     rows = max(1, _BLOCK_ENTRIES // (4 * n * n))
     z = np.empty((min(rows, samples), 4, n, n))
     tallies = np.zeros(6, dtype=np.int64)

@@ -133,10 +133,6 @@ class SchmidtSpectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.tail is None
-
     def total_mass(self) -> float:
         mass = float(self.values.sum())
         if self.tail is not None:
@@ -185,13 +181,22 @@ def _merge_tail_boundary(values, tail):
     """Peel leading tail entries into the head until head >= tail everywhere.
 
     Keeps the representation exact: peeled entries become explicit, the
-    remainder is still geometric with the same ratio.
+    remainder is still geometric with the same ratio.  A tail that stays
+    above the head for more than `MAX_HORIZON` entries is refused before the
+    peel, as its horizon would be.
     """
     if tail is None:
         return values, None
     smallest = values[-1] if len(values) else np.inf
     if tail.first <= smallest:
         return values, tail
+    if tail.first * tail.ratio**MAX_HORIZON > smallest:
+        raise SizeCapExceeded(
+            MAX_HORIZON + 1,
+            MAX_HORIZON,
+            "tail stays above the head's last entry for more than "
+            f"{MAX_HORIZON} entries",
+        )
     count = 0
     first = tail.first
     while first > smallest:

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import time
 import tracemalloc
 
@@ -25,7 +26,6 @@ from entorder import (
     make_spectrum,
     multicopy_convertible,
     schmidt_number,
-    sorted_simplex_grid,
     strong_verdict,
     tensor_power_spectrum,
     tensor_product_spectrum,
@@ -582,10 +582,11 @@ def test_reductio_consistency_top_products():
 # --- grid and search ---------------------------------------------------------
 
 
-def test_sorted_simplex_grid_structure():
-    grid = list(sorted_simplex_grid(2, 4))
+def test_catalyst_grid_structure():
+    cap = catalysis.DEFAULT_SIZE_CAP
+    grid = catalysis._catalyst_grid(2, 4, cap)
     assert [tuple(g) for g in grid] == [(0.5, 0.5), (0.75, 0.25), (1.0, 0.0)]
-    for vec in sorted_simplex_grid(3, 7):
+    for vec in catalysis._catalyst_grid(3, 7, cap):
         assert vec.sum() == pytest.approx(1.0)
         assert (np.diff(vec) <= 0).all()
         assert vec[-1] > 0  # trailing zeros already covered at dim 2
@@ -748,10 +749,6 @@ def test_catalyst_grid_is_cached_and_read_only():
         vec.tobytes() for vec in enumerate_simplex_grid(3, 7)
     ]
     assert catalysis._catalyst_grid(4, 3, cap).shape == (0, 4)
-    # the public generator yields writable copies of the cached rows
-    vectors = list(sorted_simplex_grid(3, 7))
-    assert [vec.tobytes() for vec in vectors] == [row.tobytes() for row in grid]
-    assert all(vec.flags.writeable and vec.base is None for vec in vectors)
 
 
 def test_catalyst_grid_matches_the_recursive_generator():
@@ -1067,6 +1064,34 @@ def test_strong_verdict_audit_follows_a_raised_size_cap(monkeypatch):
     )
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
     assert verdict.checked_bounds == (3, 4, GRID_STEPS_OVER_CAP)
+
+
+def test_strong_verdict_audit_stops_where_the_scan_is_refused():
+    # a proven verdict's catalyst bound D is the scan's reach: the scan up to
+    # D is within the caps, and one dimension more is refused
+    rng = np.random.default_rng(12)
+    pairs = [(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5))] + [
+        tuple(map(make_spectrum, random_condition_c_pair(rng))) for _ in range(2)
+    ]
+    seen = set()
+    for a, b in pairs:
+        for cap, dim_max, steps in itertools.product(
+            (6, 9, 16, catalysis.DEFAULT_SIZE_CAP), (2, 3, 4), (4, GRID_STEPS_OVER_CAP)
+        ):
+            verdict = strong_verdict(
+                a, b, m_max=1, catalyst_dim_max=dim_max, grid_steps=steps, size_cap=cap
+            )
+            assert verdict.outcome is StrongOutcome.STRONG_BY_C
+            dims = verdict.checked_bounds[1]
+            if dims > 1:
+                assert catalyst_search(a, b, dims, steps, size_cap=cap) is None
+            if dims < dim_max:
+                with pytest.raises(SizeCapExceeded) as info:
+                    catalyst_search(a, b, dims + 1, steps, size_cap=cap)
+                seen.add("grid" if "catalyst grid" in str(info.value) else "product")
+            else:
+                seen.add("full")
+    assert seen == {"grid", "product", "full"}
 
 
 def test_strong_verdict_grid_cap_still_raises_before_a_proof():

@@ -917,6 +917,24 @@ def test_golden_sweep_out_file_holds_the_stdout_bytes(config, tmp_path, monkeypa
     assert target.read_text() == expected
 
 
+def test_catalyze_help_keeps_its_bytes(capsys, monkeypatch):
+    # --c is parsed as a spectrum like --a and --b, and keeps its help line
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        run(["catalyze", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == (
+        "usage: entorder catalyze [-h] --a A --b B --c C [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --c C                 catalyst spectrum\n"
+        "  --format {json,text}\n"
+    )
+
+
 @pytest.mark.parametrize("command", list(GOLDEN_USAGE))
 def test_golden_usage_lists_every_flag(command, capsys):
     with pytest.raises(SystemExit) as exit_:

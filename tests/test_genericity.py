@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from entorder import (
     NotFoundWithin,
     PermanenceWarning,
     Relation,
+    SizeCapExceeded,
     TopEntriesTied,
     catalyst_search,
     compare,
@@ -23,7 +25,6 @@ from entorder import (
     minimal_c_index,
     multicopy_convertible,
     schmidt_number,
-    sorted_simplex_grid,
     spectrum_distance,
     strong_verdict,
     tensor_power_spectrum,
@@ -173,6 +174,26 @@ def test_truncation_stops_where_the_tail_drops_below_tau_zero():
         truncation_pair(a, b, positive + 1)
 
 
+def test_truncation_decides_both_sides_before_materializing_either():
+    ratio = 0.99999999
+    a = make_spectrum([0.5000000025123796], GeometricTail(5e-09, ratio))
+    b = make_spectrum([0.4], GeometricTail(0.6 * (1 - ratio), ratio))
+    # a's m - 1 entries are not built before the short side is refused, and
+    # an index past the size cap is refused before either side is built
+    for short, m, error, message in (
+        (spec(0.6, 0.4), 10**7, NotComplete, "fewer than 10000000 positive"),
+        (b, 10**7 + 1, SizeCapExceeded, "needs 10000001 entries; cap is 10000000"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                truncation_pair(a, short, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 # --- minimal_c_index -----------------------------------------------------------
 
 
@@ -291,7 +312,6 @@ COUNT_A, COUNT_B = spec(0.6, 0.2, 0.1, 0.1), spec(0.4, 0.4, 0.2)
         (lambda a, b: tensor_power_spectrum(a, 2.0), "m"),
         (lambda a, b: multicopy_convertible(a, b, 2.5), "m_max"),
         (lambda a, b: catalyst_search(a, b, 3, 20.0), "grid_steps"),
-        (lambda a, b: list(sorted_simplex_grid(2, 5.0)), "steps"),
         (lambda a, b: top_k_tensor_power(a, 3.0, 5), "m"),
         (lambda a, b: top_k_tensor_power(a, 3, 5.0), "k"),
         # booleans are not counts, though operator.index takes them
@@ -336,9 +356,6 @@ def test_numpy_integer_counts_are_accepted():
     assert multicopy_convertible(a, b, np.int16(3)) == multicopy_convertible(a, b, 3)
     witness = catalyst_search(a, b, np.int64(2), np.int64(20))
     assert witness.to_json() == catalyst_search(a, b, 2, 20).to_json()
-    assert [list(v) for v in sorted_simplex_grid(np.int64(2), np.int64(4))] == [
-        list(v) for v in sorted_simplex_grid(2, 4)
-    ]
     ca, cb = complete_extension(a, np.int64(25)), complete_extension(b, 25)
     assert ca.values.tobytes() == complete_extension(a, 25).values.tobytes()
     rows = convergence_report(ca, cb, np.array([3, 5]))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from entorder import (
     InvalidInput,
     NotNormalized,
     SchmidtSpectrum,
+    SizeCapExceeded,
     Tolerances,
     complete_extension,
     format_spectrum,
@@ -241,6 +243,19 @@ def test_ingestion_merges_tail_above_head():
     assert (np.diff(spec.values) <= 1e-15).all()
     assert spec.tail.first <= spec.values[-1] + 1e-15
     assert spec.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ingestion_refuses_a_tail_above_the_head_past_the_horizon():
+    # the tail stays above the head's last entry for about 5.5 million
+    # entries: refused at once instead of peeled one entry per pass
+    start = time.process_time()
+    with pytest.raises(SizeCapExceeded, match="for more than 1000000 entries"):
+        parse_spectrum("0.9994999999980144,2e-12...geom(5e-10,0.999999)")
+    assert time.process_time() - start < 0.1
+    # about 101 thousand entries to peel is within the horizon
+    spec = parse_spectrum("0.9994999999980144,2e-12...geom(5e-08,0.9999)")
+    assert len(spec) == 101264
+    assert spec.tail.first <= spec.values[-1]
 
 
 def test_entry_prefix_crosses_into_tail():
