@@ -47,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteSchmidtNumber, InternalInconsistency, SizeCapExceeded
-from .majorization import Relation, _prefix_pair, compare_many
+from .majorization import (
+    DIRECTIONS, Relation, _prefix_pair, compare_many, verdict_code
+)
 from .spectra import (
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
@@ -106,6 +108,8 @@ def tensor_product_spectrum(
 ) -> SchmidtSpectrum:
     """Spectrum of a joint system: sorted pairwise products, renormalized."""
     _require_finite(c, "tensor product")
+    _require_finite(a, "tensor product")
+    size_cap = _integer("size_cap", size_cap, 1)
     _check_product_factor(a, len(c), size_cap)
     products = _top_products(a.values, c.values, len(a) * len(c))
     return SchmidtSpectrum(products / products.sum())
@@ -120,6 +124,7 @@ def tensor_power_spectrum(
     """Spectrum of m copies: all m-fold entry products, sorted non-increasing."""
     _require_finite(a, "tensor power")
     m = _integer("m", m, 1, "copy count must be at least 1")
+    size_cap = _integer("size_cap", size_cap, 1)
     _check_power_size(len(a), m, size_cap)
     return SchmidtSpectrum(_power_prefix(a, m, size_cap, size_cap))
 
@@ -262,15 +267,16 @@ def multicopy_convertible(
     bit for bit the forward mask of the swapped pair, since IEEE subtraction
     is antisymmetric.
     """
+    _require_finite(a, "multi-copy search")
+    _require_finite(b, "multi-copy search")
+    m_max = _integer("m_max", m_max, 1)
+    size_cap = _integer("size_cap", size_cap, 1)
     return _multicopy_search(a, b, 1, m_max, tol, size_cap)
 
 
 def _multicopy_search(a, b, first, m_max, tol, size_cap):
-    """:func:`multicopy_convertible` deciding only m = first..m_max; the
-    powers below `first` are still built, each from the last."""
-    _require_finite(a, "multi-copy search")
-    _require_finite(b, "multi-copy search")
-    m_max = _integer("m_max", m_max, 1)
+    """:func:`multicopy_convertible` on checked arguments, deciding only m =
+    first..m_max (the powers below `first` are still built, each from the last)."""
     _check_power_size(max(len(a), len(b)), m_max, size_cap)
     pa, pb = a, b
     for m in range(1, m_max + 1):
@@ -280,10 +286,9 @@ def _multicopy_search(a, b, first, m_max, tol, size_cap):
         if m < first:
             continue
         forward, backward = compare_many(*_prefix_pair(pa, pb, tol))
-        if not forward.any():
-            return MultiCopyWitness(Relation.FORWARD, m)
-        if not backward.any():
-            return MultiCopyWitness(Relation.BACKWARD, m)
+        direction = DIRECTIONS[verdict_code(bool(forward.any()), bool(backward.any()))]
+        if direction is not None:
+            return MultiCopyWitness(direction, m)
     return None
 
 
@@ -317,26 +322,18 @@ def _catalysed_prefix_sums(
 def _first_hit(
     a: SchmidtSpectrum, b: SchmidtSpectrum, catalysts: np.ndarray, tol: Tolerances
 ) -> tuple[int, Relation] | None:
-    """First row of `catalysts` that opens a direction, with that direction.
-
-    Every row is decided by :func:`~entorder.majorization.compare_many`
-    with slack `tau_cmp`.  Forward means a (x) c is majorized by b (x) c, so
-    equal product spectra count as forward.  Backward decides only rows
-    that are not forward.
-    """
+    """First row of `catalysts` that opens a direction, with that direction:
+    each row is decided by :func:`~entorder.majorization.compare_many` with
+    slack `tau_cmp`, and its direction read from its verdict code."""
     width = max(len(a), len(b)) * catalysts.shape[1]
     forward, backward = compare_many(
         _catalysed_prefix_sums(a.values, catalysts, width),
         _catalysed_prefix_sums(b.values, catalysts, width),
         tol.tau_cmp,
     )
-    forward = ~forward.any(axis=1)
-    backward = ~backward.any(axis=1)
-    hits = np.flatnonzero(forward | backward)
-    if len(hits) == 0:
-        return None
-    row = int(hits[0])
-    return row, Relation.FORWARD if forward[row] else Relation.BACKWARD
+    codes = verdict_code(forward.any(axis=1), backward.any(axis=1))
+    hits = np.flatnonzero(codes < 3)  # code 3 opens neither direction
+    return (int(hits[0]), DIRECTIONS[codes[hits[0]]]) if len(hits) else None
 
 
 def catalyst_convertible(
@@ -357,6 +354,8 @@ def catalyst_convertible(
     checked before `b`, before any product is formed.
     """
     _require_finite(c, "tensor product")
+    _require_finite(a, "tensor product")
+    size_cap = _integer("size_cap", size_cap, 1)
     for spec in (a, b):
         _check_product_factor(spec, len(c), size_cap)
     hit = _first_hit(a, b, c.values[None, :], tol)
@@ -488,6 +487,7 @@ def catalyst_search(
     _require_finite(b, "catalyst search")
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
+    size_cap = _integer("size_cap", size_cap, 1)
     for dim in range(2, dim_max + 1):
         if grid_steps < dim > 2:
             continue  # every vector has a trailing zero, seen at a lower dim
@@ -524,11 +524,9 @@ class StrongVerdict:
         return {
             "outcome": self.outcome.value,
             "witness": None if self.witness is None else self.witness.to_json(),
-            "checked_bounds": {
-                "m_max": self.checked_bounds[0],
-                "catalyst_dim_max": self.checked_bounds[1],
-                "grid_steps": self.checked_bounds[2],
-            },
+            "checked_bounds": dict(
+                zip(("m_max", "catalyst_dim_max", "grid_steps"), self.checked_bounds)
+            ),
         }
 
 
@@ -562,6 +560,7 @@ def strong_verdict(
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2)
     holds = condition_c(a, b, tol)
+    size_cap = _integer("size_cap", size_cap, 1)
     if holds:
         width = max(len(a), len(b))
         while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
@@ -576,7 +575,7 @@ def strong_verdict(
     bounds = (m_max, catalyst_dim_max, grid_steps)
     witness: MultiCopyWitness | CatalystWitness | None = None
     if m_max > 0:
-        witness = multicopy_convertible(a, b, 1, tol, size_cap=size_cap)
+        witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None and catalyst_dim_max > 1:
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap

@@ -41,7 +41,7 @@ from .errors import (
     InvalidInput,
     SizeCapExceeded,
 )
-from .majorization import Relation, compare
+from .majorization import DIRECTIONS, RELATIONS, compare
 from .spectra import (
     Tolerances,
     _is_json_number,
@@ -192,8 +192,18 @@ def _int_list(raw: str, what: str) -> list[int]:
         raise InvalidInput(f"bad {what}: {exc}") from exc
 
 
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _cell(value) -> str:
+    """A text or CSV cell: booleans as true/false, floats with 17 digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return g17(value) if isinstance(value, float) else str(value)
+
+
+def _csv(columns, rows) -> str:
+    """CSV of `rows`, dicts as printed in JSON, under the JSON keys `columns`."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row[key]) for key in columns) for row in rows]
+    return "\n".join(lines)
 
 
 # --- subcommand handlers: (args, config, *spectra) -> (payload, text) ---
@@ -213,7 +223,7 @@ def _cmd_compare(args, config, a, b):
             + (",".join(map(str, verdict.forward_violations)) or "-"),
             "backward violations: "
             + (",".join(map(str, verdict.backward_violations)) or "-"),
-            f"near tie: {_csv_bool(verdict.near_tie)}",
+            f"near tie: {_cell(verdict.near_tie)}",
         ]
     )
 
@@ -262,20 +272,16 @@ def _cmd_power(args, config, a):
 def _cmd_catalyze(args, config, a, b, c):
     prod_a = catalysis.tensor_product_spectrum(a, c, size_cap=config.size_cap)
     prod_b = catalysis.tensor_product_spectrum(b, c, size_cap=config.size_cap)
-    # Equal products count as forward, as in catalysis.catalyst_convertible.
-    direction = {
-        Relation.FORWARD: Relation.FORWARD.value,
-        Relation.EQUIVALENT: Relation.FORWARD.value,
-        Relation.BACKWARD: Relation.BACKWARD.value,
-    }.get(compare(prod_a, prod_b, config.tolerances).relation)
+    relation = compare(prod_a, prod_b, config.tolerances).relation
+    direction = DIRECTIONS[RELATIONS.index(relation)]
     payload = {
-        "direction": direction,
+        "direction": None if direction is None else direction.value,
         "a_product": spectrum_to_json(prod_a),
         "b_product": spectrum_to_json(prod_b),
     }
     return payload, lambda: "\n".join(
         [
-            "direction: " + (direction or "-"),
+            "direction: " + (payload["direction"] or "-"),
             "a (x) c: " + format_spectrum(prod_a),
             "b (x) c: " + format_spectrum(prod_b),
         ]
@@ -300,7 +306,7 @@ def _cmd_truncate(args, config, a, b):
             "a_m: " + format_spectrum(pair.a_m),
             "b_m: " + format_spectrum(pair.b_m),
             f"m: {pair.m}",
-            f"swapped: {_csv_bool(pair.swapped)}",
+            f"swapped: {_cell(pair.swapped)}",
         ]
     )
 
@@ -308,37 +314,18 @@ def _cmd_truncate(args, config, a, b):
 def _cmd_audit(args, config, a, b):
     m_list = _int_list(args.m_list, "m-list")
     rows = genericity.convergence_report(a, b, m_list, tol=config.tolerances)
-    payload = [
-        {
-            "m": row.m,
-            "dist_a": row.dist_a,
-            "dist_b": row.dist_b,
-            "condition_C": row.condition_c,
-            "incomparable": row.incomparable,
-        }
-        for row in rows
-    ]
-    return payload, lambda: "\n".join(
-        ["m,dist_a,dist_b,condition_C,incomparable"]
-        + [
-            f"{row.m},{g17(row.dist_a)},{g17(row.dist_b)},"
-            f"{_csv_bool(row.condition_c)},{_csv_bool(row.incomparable)}"
-            for row in rows
-        ]
-    )
+    # one column per ConvergenceRow field, in the field order vars() keeps
+    columns = ("m", "dist_a", "dist_b", "condition_C", "incomparable")
+    payload = [dict(zip(columns, vars(row).values())) for row in rows]
+    return payload, lambda: _csv(columns, payload)
 
 
 def _cmd_sweep(args, config):
     dims = _int_list(args.dims, "dims")
     records = sampling.sweep(dims, args.samples, args.seed, config.tolerances)
-    return [record.to_json() for record in records], lambda: "\n".join(
-        ["n,samples,incomparable,fraction,ci95,seed"]
-        + [
-            f"{r.n},{r.samples},{r.incomparable_count},{g17(r.fraction)},"
-            f"{g17(r.ci95_halfwidth)},{r.seed}"
-            for r in records
-        ]
-    )
+    payload = [record.to_json() for record in records]
+    columns = ("n", "samples", "incomparable", "fraction", "ci95", "seed")
+    return payload, lambda: _csv(columns, payload)
 
 
 # --- parser ---------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from .catalysis import DEFAULT_SIZE_CAP, condition_c
 from .errors import (
+    InfiniteSchmidtNumber,
     InvalidInput,
     NotComplete,
     NotFoundWithin,
@@ -59,7 +60,7 @@ def complete_extension(
     distance to `base` decreases to 0 as m grows.
     """
     if base.tail is not None:
-        raise InvalidInput("base must have a finite Schmidt number")
+        raise InfiniteSchmidtNumber("base must have a finite Schmidt number")
     m = _integer("m", m, 1, "approximation index must be at least 1")
     head = base.values[base.values > tol.tau_zero]
     if head.size == 0:

@@ -12,10 +12,12 @@ There is one majorization kernel, :func:`compare_many`, which decides
 stacked rows of prefix sums at once; :func:`compare` and
 :func:`majorized_by` are its one-row calls, as is each copy count of the
 multi-copy search, the catalyst scan feeds it blocks of catalysed prefix
-sums, and the Monte Carlo sweep whole blocks of sampled pairs.  The
-near-tie diagnostic, :func:`near_ties`, is a separate function, called
-only where a verdict reports it: by :func:`compare` and by the sweep's
-tallies.
+sums, and the Monte Carlo sweep whole blocks of sampled pairs.  Relations
+and conversion directions are read from the masks' :func:`verdict_code`
+through `RELATIONS` and `DIRECTIONS`, by every caller that reports one (the
+CLI's `catalyze` included).  The near-tie diagnostic,
+:func:`near_ties`, is separate, called only by :func:`compare` and by the
+sweep's tallies.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ class Relation(enum.Enum):
     BACKWARD = "backward-convertible"
     EQUIVALENT = "equivalent"
     INCOMPARABLE = "incomparable"
+
+
+# A pair's verdict code is 2 * (forward fails) + (backward fails).  Indexed by
+# it: the relation, in the order the sweep tallies them, and the direction a
+# conversion goes (equal spectra convert forward, incomparable ones neither way).
+RELATIONS = (
+    Relation.EQUIVALENT, Relation.FORWARD, Relation.BACKWARD, Relation.INCOMPARABLE
+)
+DIRECTIONS = (Relation.FORWARD, Relation.FORWARD, Relation.BACKWARD, None)
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,12 @@ def compare_many(
     """
     diff = pa - pb
     return diff > slack, diff < -slack
+
+
+def verdict_code(forward_fails, backward_fails):
+    """Verdict code of a pair from whether each direction fails; elementwise
+    on arrays, such as the row-wise `any` of :func:`compare_many`'s masks."""
+    return 2 * forward_fails + backward_fails
 
 
 def near_ties(
@@ -140,8 +157,5 @@ def compare(
     forward = tuple((forward.nonzero()[0] + 1).tolist())
     backward = tuple((backward.nonzero()[0] + 1).tolist())
     near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
-    if forward:
-        relation = Relation.INCOMPARABLE if backward else Relation.BACKWARD
-    else:
-        relation = Relation.FORWARD if backward else Relation.EQUIVALENT
+    relation = RELATIONS[verdict_code(bool(forward), bool(backward))]
     return ComparisonVerdict(relation, forward, backward, near)

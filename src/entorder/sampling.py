@@ -17,8 +17,11 @@ the one :func:`pair_stream` defines, in the order
 :func:`sample_random_spectrum` draws them; one stacked SVD call turns the
 block into spectra, and one :func:`~entorder.majorization.compare_many`
 call classifies it (one :func:`~entorder.majorization.near_ties` call flags
-its near ties).  Every spectrum and tally is bitwise equal to sampling and
-comparing the pairs one at a time.
+its near ties).  The verdicts are tallied by their
+:func:`~entorder.majorization.verdict_code`, in the order of
+:data:`~entorder.majorization.RELATIONS`, so every spectrum and tally is
+bitwise equal to sampling the pairs one at a time and comparing them with
+:func:`~entorder.majorization.compare`.
 
 Stream setup is batched too.  :func:`pair_stream` builds numpy's
 ``SeedSequence(seed, spawn_key=(n, i))`` for one sample; the sweep asks
@@ -32,7 +35,7 @@ difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
     InvalidInput,
     SizeCapExceeded,
 )
-from .majorization import compare_many, near_ties
+from .majorization import RELATIONS, Relation, compare_many, near_ties, verdict_code
 from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances, _integer
 
 # Normal quantile for a two-sided 95% interval.
@@ -234,11 +237,7 @@ class SweepRecord:
             "equivalent": self.equivalent_count,
             "near_tie": self.near_tie_count,
             "near_product": self.near_product_count,
-            "tol": {
-                "tau_norm": self.tol.tau_norm,
-                "tau_zero": self.tol.tau_zero,
-                "tau_cmp": self.tol.tau_cmp,
-            },
+            "tol": asdict(self.tol),
         }
 
 
@@ -259,8 +258,9 @@ def _check_dimension(n: int) -> None:
 def _block_tallies(z: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Tallies of a `(rows, 4, n, n)` block of Gaussian planes.
 
-    Returns counts of equivalent, forward, backward and incomparable
-    verdicts, then of near ties and of near-product samples.
+    Returns the count of each verdict, in the order of
+    :data:`~entorder.majorization.RELATIONS`, then of near ties and of
+    near-product samples.
     """
     # real + 1j * imag, formed in place: the same bits with one temporary
     mats = 1j * z[:, 1::2]
@@ -271,12 +271,10 @@ def _block_tallies(z: np.ndarray, tol: Tolerances) -> np.ndarray:
     pa, pb = prefix[:, 0], prefix[:, 1]
     forward, backward = compare_many(pa, pb, tol.tau_cmp)
     near = near_ties(pa, pb, totals[:, 0], totals[:, 1], tol)
-    # 2 * (forward fails) + (backward fails): 0 equivalent, 1 forward,
-    # 2 backward, 3 incomparable, as compare() assigns them.
-    codes = 2 * forward.any(axis=-1) + backward.any(axis=-1)
+    codes = verdict_code(forward.any(axis=-1), backward.any(axis=-1))
     near_product = (probs[:, :, 0] > 1.0 - tol.tau_norm).any(axis=-1)
     return np.concatenate([
-        np.bincount(codes, minlength=4),
+        np.bincount(codes, minlength=len(RELATIONS)),
         [np.count_nonzero(near), np.count_nonzero(near_product)],
     ])
 
@@ -321,9 +319,9 @@ def incomparability_fraction(
             bits = np.random.PCG64(_StateWords(state))
             np.random.Generator(bits).standard_normal(out=plane)
         tallies += _block_tallies(block, tol)
-    equivalent, forward, backward, incomparable, near_ties, near_products = (
-        int(count) for count in tallies
-    )
+    *verdicts, near_ties, near_products = (int(count) for count in tallies)
+    counts = dict(zip(RELATIONS, verdicts))
+    incomparable = counts[Relation.INCOMPARABLE]
     return SweepRecord(
         n=n,
         samples=samples,
@@ -332,9 +330,9 @@ def incomparability_fraction(
         ci95_halfwidth=wilson_halfwidth(incomparable, samples),
         seed=seed,
         tol=tol,
-        forward_count=forward,
-        backward_count=backward,
-        equivalent_count=equivalent,
+        forward_count=counts[Relation.FORWARD],
+        backward_count=counts[Relation.BACKWARD],
+        equivalent_count=counts[Relation.EQUIVALENT],
         near_tie_count=near_ties,
         near_product_count=near_products,
     )

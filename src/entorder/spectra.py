@@ -115,6 +115,21 @@ class GeometricTail:
         """The tail that remains after its first `count` entries are removed."""
         return GeometricTail(self.first * self.ratio**count, self.ratio)
 
+    def count_above(self, level: float) -> int:
+        """Count of entries first * ratio**i above `level`, each formed as
+        :meth:`dropped` forms it, capped at `MAX_HORIZON` + 1: a log estimate
+        corrected a step at a time (entries fall with i; one that underflows
+        to 0 is at or below a level of 0)."""
+        if self.first <= level:
+            return 0
+        guess = math.log(max(level, math.ulp(0.0)) / self.first) / math.log(self.ratio)
+        count = min(max(math.ceil(guess), 1), MAX_HORIZON + 1)
+        while count > 1 and self.first * self.ratio ** (count - 1) <= level:
+            count -= 1
+        while count <= MAX_HORIZON and self.first * self.ratio**count > level:
+            count += 1
+        return count
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
@@ -178,30 +193,16 @@ class SchmidtSpectrum:
 
 
 def _merge_tail_boundary(values, tail):
-    """Peel leading tail entries into the head until head >= tail everywhere.
-
-    Keeps the representation exact: peeled entries become explicit, the
-    remainder is still geometric with the same ratio.  A tail that stays
-    above the head for more than `MAX_HORIZON` entries is refused before the
-    peel, as its horizon would be.
-    """
-    if tail is None:
-        return values, None
-    smallest = values[-1] if len(values) else np.inf
-    if tail.first <= smallest:
+    """Peel exactly the tail entries above the last entry of the non-empty
+    head `values` into the head; the rest of the tail starts at or below it.
+    A tail above it for more than `MAX_HORIZON` entries is refused before
+    anything is peeled, as its horizon would be."""
+    count = 0 if tail is None else tail.count_above(values[-1])
+    if count > MAX_HORIZON:
+        raise SizeCapExceeded(MAX_HORIZON + 1, MAX_HORIZON, "tail stays above the "
+                              f"head's last entry for more than {MAX_HORIZON} entries")
+    if not count:
         return values, tail
-    if tail.first * tail.ratio**MAX_HORIZON > smallest:
-        raise SizeCapExceeded(
-            MAX_HORIZON + 1,
-            MAX_HORIZON,
-            "tail stays above the head's last entry for more than "
-            f"{MAX_HORIZON} entries",
-        )
-    count = 0
-    first = tail.first
-    while first > smallest:
-        count += 1
-        first *= tail.ratio
     merged = np.sort(np.concatenate([values, tail.entries(count)]))[::-1]
     return merged, tail.dropped(count)
 

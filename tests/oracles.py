@@ -51,6 +51,20 @@ def brute_relation(a, b, tau=TAU):
     return "incomparable"
 
 
+def check_sorted_spectrum(spec):
+    """Assert that `spec` is sorted: its head non-increasing, compared as
+    plain floats, and its tail, if any, starting at or below the last head
+    entry."""
+    values = [float(v) for v in spec.values]
+    for k, (x, y) in enumerate(zip(values, values[1:])):
+        assert x >= y, f"entry {k + 1} ({y!r}) exceeds entry {k} ({x!r})"
+    if spec.tail is not None:
+        assert spec.tail.first <= values[-1], (
+            f"tail starts at {spec.tail.first!r}, above the last head entry "
+            f"{values[-1]!r}"
+        )
+
+
 def enumerate_power(values, m):
     """All m-fold products by explicit tuple enumeration, sorted descending."""
     products = [

@@ -7,6 +7,7 @@ import shlex
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,69 @@ def test_construct_audit_csv():
     assert first[4] == "true"
     # 17-significant-digit fields parse back to exact doubles
     assert float(first[1]) == float(first[1])
+
+
+def test_construct_audit_with_no_index_still_prints_its_header():
+    # the CSV columns are fixed: an empty table keeps its header line
+    argv = ("construct", "audit", "--a", "0.6,0.4", "--b", "0.5,0.5", "--m-list", ",")
+    assert invoke(*argv) == (0, "m,dist_a,dist_b,condition_C,incomparable\n", "")
+    assert invoke(*argv, "--format", "json") == (0, "[]\n", "")
+
+
+# a head whose last entry lies in the window where peeling one entry per
+# multiplication stopped one entry short of first * ratio**count
+WINDOW_TAIL = (
+    "0.9870147999897549,2.5467880399645532e-08"
+    "...geom(0.0027884442025675844,0.7852593976715402)"
+)
+
+
+def test_construct_truncate_of_a_peeled_tail_is_non_increasing():
+    code, out, _ = invoke(
+        "construct", "truncate", "--a", WINDOW_TAIL, "--b", "0.5...geom(0.05,0.9)",
+        "--m", "52", "--format", "json",
+    )
+    assert code == 0
+    values = json.loads(out)["a_m"]["values"]
+    assert len(values) == 52
+    assert all(x >= y for x, y in zip(values, values[1:]))
+
+
+def test_a_tail_that_shrinks_too_slowly_exits_3_without_peeling_one_by_one():
+    # about 9e5 tail entries sit above the head: they are counted in closed
+    # form, and the horizon then refuses the spectrum
+    start = time.process_time()
+    got = invoke(
+        "compare", "--a",
+        "0.9983793832124775,2e-12...geom(1.620616785515077e-08,0.99999)",
+        "--b", "0.6,0.4",
+    )
+    assert time.process_time() - start < 0.2
+    assert got == (3, "", "error: tail residual shrinks too slowly\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "audit", "--a", "0.6,0.2,0.1,0.05,0.05",
+         "--b", "0.4,0.3,0.2,0.05,0.05", "--m-list", "2,3,4,5"),
+        ("construct", "audit", "--a", WINDOW_TAIL, "--b", "0.5...geom(0.05,0.9)",
+         "--m-list", "3,20,52"),
+        ("sweep", "--dims", "2,3,4", "--samples", "40", "--seed", "5"),
+    ],
+)
+def test_csv_cells_are_the_json_values_under_their_column_keys(argv):
+    code, out, _ = invoke(*argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    code, out, _ = invoke(*argv, "--format", "json")
+    records = json.loads(out)
+    assert len(lines) == len(records) > 0
+    for line, record in zip(lines, records):
+        for key, cell in zip(header.split(","), line.split(",")):
+            value = json.loads(cell)
+            assert value == record[key]
+            assert isinstance(value, bool) == isinstance(record[key], bool)
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 from entorder import (
     GeometricTail,
+    InfiniteSchmidtNumber,
     InvalidInput,
     NotComplete,
     NotFoundWithin,
@@ -15,7 +17,9 @@ from entorder import (
     Relation,
     SizeCapExceeded,
     TopEntriesTied,
+    catalyst_convertible,
     catalyst_search,
+    cli,
     compare,
     complete_extension,
     condition_c,
@@ -28,6 +32,7 @@ from entorder import (
     spectrum_distance,
     strong_verdict,
     tensor_power_spectrum,
+    tensor_product_spectrum,
     top_k_tensor_power,
     truncation_pair,
 )
@@ -320,6 +325,14 @@ COUNT_A, COUNT_B = spec(0.6, 0.2, 0.1, 0.1), spec(0.4, 0.4, 0.2)
         (lambda a, b: incomparability_fraction(3, True, 0), "samples"),
         (lambda a, b: incomparability_fraction(3, 1, False), "seed"),
         (lambda a, b: complete_extension(a, np.True_), "m"),
+        # size_cap, in each of the six functions that take it
+        (lambda a, b: strong_verdict(a, b, size_cap=1e7), "size_cap"),
+        (lambda a, b: strong_verdict(a, b, size_cap=True), "size_cap"),
+        (lambda a, b: tensor_product_spectrum(a, b, size_cap=100.0), "size_cap"),
+        (lambda a, b: tensor_power_spectrum(a, 2, size_cap="100"), "size_cap"),
+        (lambda a, b: multicopy_convertible(a, b, 2, size_cap=2.5), "size_cap"),
+        (lambda a, b: catalyst_convertible(a, b, b, size_cap=100.0), "size_cap"),
+        (lambda a, b: catalyst_search(a, b, 3, 20, size_cap=1e7), "size_cap"),
     ],
 )
 def test_count_arguments_must_be_integers(call, name):
@@ -336,25 +349,56 @@ def test_count_checks_keep_the_range_messages_and_their_order():
         top_k_tensor_power(a, 0, 5.0)
     with pytest.raises(InvalidInput, match="dim_max must be at least 2"):
         catalyst_search(a, b, 1, 20.0)
+    # size_cap is checked after every other argument, and refused below 1
+    with pytest.raises(InvalidInput, match="m_max must be at least 1"):
+        strong_verdict(a, b, m_max=0, size_cap="x")
+    tailed = make_spectrum([0.5], GeometricTail(0.25, 0.5))
+    with pytest.raises(InfiniteSchmidtNumber):
+        tensor_product_spectrum(tailed, b, size_cap=0)
+    with pytest.raises(InfiniteSchmidtNumber):
+        catalyst_convertible(tailed, b, b, size_cap=0)
+    with pytest.raises(InfiniteSchmidtNumber):
+        strong_verdict(tailed, b, size_cap=0)
+    with pytest.raises(InvalidInput, match="copy count must be at least 1"):
+        tensor_power_spectrum(a, 0, size_cap=-1)
+    # a condition-c pair used to come back strong-by-c with bounds (0, 1, 100)
+    with pytest.raises(InvalidInput, match="^size_cap must be at least 1$"):
+        strong_verdict(COUNT_A, COUNT_B, size_cap=0)
+    with pytest.raises(InvalidInput, match="^size_cap must be at least 1$"):
+        catalyst_search(a, b, 2, 20, size_cap=-5)
 
 
 def test_numpy_integer_counts_are_accepted():
     a, b = spec(0.4, 0.4, 0.1, 0.1), spec(0.5, 0.25, 0.25)
     got = strong_verdict(
-        a, b, m_max=np.int64(3), catalyst_dim_max=np.int32(3), grid_steps=np.uint16(40)
+        a, b, m_max=np.int64(3), catalyst_dim_max=np.int32(3), grid_steps=np.uint16(40),
+        size_cap=np.int64(10**7),
     )
     expected = strong_verdict(a, b, m_max=3, catalyst_dim_max=3, grid_steps=40)
     assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
     assert (
-        tensor_power_spectrum(a, np.int8(2)).values.tobytes()
+        tensor_power_spectrum(a, np.int8(2), size_cap=np.int32(100)).values.tobytes()
         == tensor_power_spectrum(a, 2).values.tobytes()
     )
+    assert (
+        tensor_product_spectrum(a, b, size_cap=np.uint8(12)).values.tobytes()
+        == tensor_product_spectrum(a, b).values.tobytes()
+    )
+    assert catalyst_convertible(a, b, b, size_cap=np.int16(12)) == catalyst_convertible(
+        a, b, b
+    )
+    # a condition-c pair audits its bounds against a numpy size_cap too
+    got = strong_verdict(COUNT_A, COUNT_B, size_cap=np.int64(100))
+    expected = strong_verdict(COUNT_A, COUNT_B, size_cap=100)
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
     assert (
         top_k_tensor_power(a, np.int64(3), np.uint8(5)).tobytes()
         == top_k_tensor_power(a, 3, 5).tobytes()
     )
-    assert multicopy_convertible(a, b, np.int16(3)) == multicopy_convertible(a, b, 3)
-    witness = catalyst_search(a, b, np.int64(2), np.int64(20))
+    assert multicopy_convertible(
+        a, b, np.int16(3), size_cap=np.int64(10**7)
+    ) == multicopy_convertible(a, b, 3)
+    witness = catalyst_search(a, b, np.int64(2), np.int64(20), size_cap=np.int64(10**7))
     assert witness.to_json() == catalyst_search(a, b, 2, 20).to_json()
     ca, cb = complete_extension(a, np.int64(25)), complete_extension(b, 25)
     assert ca.values.tobytes() == complete_extension(a, 25).values.tobytes()
@@ -365,3 +409,16 @@ def test_numpy_integer_counts_are_accepted():
     assert type(pair.m) is int
     assert pair.a_m.values.tobytes() == expected.a_m.values.tobytes()
     assert pair.b_m.values.tobytes() == expected.b_m.values.tobytes()
+
+
+def test_complete_extension_refuses_a_tailed_base_as_an_infinite_schmidt_number():
+    base = make_spectrum([0.45, 0.45], GeometricTail(0.05, 0.5))
+    with pytest.raises(InfiniteSchmidtNumber, match="^base must have a finite Schmidt"):
+        complete_extension(base, 3)
+    # still an input error to the CLI, with the same bytes
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["construct", "complete", "--base", "0.45,0.45...geom(0.05,0.5)", "--m", "3"]
+    assert cli.run(argv, out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: base must have a finite Schmidt number\n"
+    )

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from entorder import (
     GeometricTail,
     ComparisonVerdict,
     Relation,
+    catalysis,
+    cli,
     compare,
     compare_many,
     complete_extension,
@@ -17,6 +20,7 @@ from entorder import (
     majorized_by,
     near_ties,
     prefix_sums,
+    sampling,
     schmidt_number,
     tensor_product_spectrum,
 )
@@ -407,3 +411,42 @@ def test_compare_matches_its_reference_on_seeded_pairs():
 @given(ANY, ANY)
 def test_compare_matches_its_reference_on_generated_pairs(a, b):
     assert_compares_like_the_reference(a, b)
+
+
+# --- one verdict code, read by every path ------------------------------------
+#
+# Each row: a pair, its relation, and the direction a conversion goes.  The
+# sweep tallies the relations in the order equivalent, forward, backward,
+# incomparable; equal spectra convert forward, incomparable ones neither way.
+VERDICT_ROWS = [
+    ((0.5, 0.3, 0.2), (0.5, 0.3, 0.2), Relation.EQUIVALENT, Relation.FORWARD),
+    ((0.5, 0.3, 0.2), (0.7, 0.2, 0.1), Relation.FORWARD, Relation.FORWARD),
+    ((0.7, 0.2, 0.1), (0.5, 0.3, 0.2), Relation.BACKWARD, Relation.BACKWARD),
+    ((0.6, 0.2, 0.2), (0.5, 0.4, 0.1), Relation.INCOMPARABLE, None),
+]
+TALLY_ORDER = (
+    Relation.EQUIVALENT, Relation.FORWARD, Relation.BACKWARD, Relation.INCOMPARABLE
+)
+
+
+@pytest.mark.parametrize("a, b, relation, direction", VERDICT_ROWS)
+def test_every_verdict_path_agrees_on_relation_and_direction(a, b, relation, direction):
+    sa, sb = spec(*a), spec(*b)
+    assert compare(sa, sb).relation is relation
+    # the sweep's tallies of a one-pair block: diagonal Gaussian planes
+    planes = np.zeros((1, 4, 3, 3))
+    planes[0, 0], planes[0, 2] = np.diag(np.sqrt(a)), np.diag(np.sqrt(b))
+    tallies = sampling._block_tallies(planes, DEFAULT_TOLERANCES)[:4]
+    assert tallies.tolist() == [int(r is relation) for r in TALLY_ORDER]
+    # the catalyst scan with the trivial catalyst, and one copy
+    hit = catalysis._first_hit(sa, sb, np.array([[1.0]]), DEFAULT_TOLERANCES)
+    assert (hit and hit[1]) is direction
+    witness = catalysis._multicopy_search(
+        sa, sb, 1, 1, DEFAULT_TOLERANCES, catalysis.DEFAULT_SIZE_CAP
+    )
+    assert (witness and witness.direction) is direction
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["catalyze", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b)),
+            "--c", "1", "--format", "json"]
+    assert cli.run(argv, out, err) == 0
+    assert json.loads(out.getvalue())["direction"] == (direction and direction.value)

@@ -13,6 +13,7 @@ from entorder import (
     EntOrderError,
     GeometricTail,
     InvalidInput,
+    NotComplete,
     NotNormalized,
     SchmidtSpectrum,
     SizeCapExceeded,
@@ -28,9 +29,11 @@ from entorder import (
     spectrum_distance,
     spectrum_from_json,
     spectrum_to_json,
+    TopEntriesTied,
+    truncation_pair,
 )
-from entorder.spectra import _merge_tail_boundary
-from oracles import gram_spectrum, random_sorted_probs
+from entorder.spectra import MAX_HORIZON, _merge_tail_boundary
+from oracles import check_sorted_spectrum, gram_spectrum, random_sorted_probs
 
 
 def haar_unitary(rng, n):
@@ -256,6 +259,76 @@ def test_ingestion_refuses_a_tail_above_the_head_past_the_horizon():
     spec = parse_spectrum("0.9994999999980144,2e-12...geom(5e-08,0.9999)")
     assert len(spec) == 101264
     assert spec.tail.first <= spec.values[-1]
+
+
+def window_tails(rng, count):
+    """Two-entry heads under tails whose boundary falls where peeling one
+    entry per multiplication and forming first * ratio**n disagree: the
+    head's last entry is first multiplied by ratio n times, which lies below
+    first * ratio**n.  Ratios are not powers of 2, and every head is exact,
+    so ingestion keeps it as given."""
+    found = 0
+    while found < count:
+        ratio = float(rng.uniform(0.3, 0.99))
+        first = float(rng.uniform(0.01, 0.3)) * (1.0 - ratio)
+        n = int(rng.integers(5, 400))
+        level = first
+        for _ in range(n):
+            level *= ratio
+        tail = GeometricTail(first, ratio)
+        big = 1.0 - tail.mass() - level
+        if not (1e-9 < level < first * ratio**n) or big + level != 1.0 - tail.mass():
+            continue
+        found += 1
+        yield [big, level], tail
+
+
+def test_a_peeled_tail_never_starts_above_the_head():
+    rng = np.random.default_rng(71)
+    for values, tail in window_tails(rng, 200):
+        check_sorted_spectrum(make_spectrum(values, tail))
+        text = f"{values[0]!r},{values[1]!r}...geom({tail.first!r},{tail.ratio!r})"
+        check_sorted_spectrum(parse_spectrum(text))
+
+
+def test_a_tail_is_refused_exactly_when_entry_max_horizon_is_above_the_head():
+    tail = GeometricTail(1e-3, 0.99999)
+    level = tail.first * tail.ratio**MAX_HORIZON  # entry MAX_HORIZON
+    values, kept = _merge_tail_boundary(np.array([0.5, level]), tail)
+    assert len(values) == 2 + MAX_HORIZON  # entries 0 .. MAX_HORIZON - 1 peeled
+    assert kept == GeometricTail(level, tail.ratio)
+    check_sorted_spectrum(SchmidtSpectrum(values, kept))
+    with pytest.raises(SizeCapExceeded, match="for more than 1000000 entries"):
+        _merge_tail_boundary(np.array([0.5, np.nextafter(level, 0.0)]), tail)
+
+
+@st.composite
+def tailed_inputs(draw):
+    """Positive head entries and a tail of mass `share`, normalized together;
+    the tail may start anywhere relative to the head."""
+    head = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6))
+    ratio = draw(st.floats(0.01, 0.999))
+    tail = GeometricTail(draw(st.floats(1e-4, 0.9)) * (1.0 - ratio), ratio)
+    total = sum(head)
+    return [v / total * (1.0 - tail.mass()) for v in head], tail
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(tailed_inputs(), st.integers(1, 40), st.integers(2, 30))
+def test_every_ingestion_path_returns_a_sorted_spectrum(case, m, index):
+    values, tail = case
+    text = ",".join(map(repr, values)) + f"...geom({tail.first!r},{tail.ratio!r})"
+    payload = {"values": values, "tail": {"first": tail.first, "ratio": tail.ratio}}
+    spec = make_spectrum(values, tail)
+    complete = complete_extension(make_spectrum([v / sum(values) for v in values]), m)
+    specs = [spec, parse_spectrum(text), parse_spectrum(json.dumps(payload)), complete]
+    try:
+        pair = truncation_pair(spec, complete, index)
+        specs += [pair.a_m, pair.b_m]
+    except (TopEntriesTied, NotComplete):
+        pass
+    for got in specs:
+        check_sorted_spectrum(got)
 
 
 def test_entry_prefix_crosses_into_tail():
