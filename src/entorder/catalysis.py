@@ -26,9 +26,10 @@ This module provides
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
-and kept in a size-bounded cache, and a block of grid rows is decided
-together: products ``a (x) c`` and ``b (x) c`` for every row, row-wise
-prefix sums, and both prefix inequalities, decided by
+and kept in a size-bounded cache.  The rows of every admitted dimension
+form one sequence, cut into blocks that may span dimensions, and a block
+is decided together: products ``a (x) c`` and ``b (x) c`` for every row,
+one prefix-sum buffer, and both prefix inequalities, decided by
 :func:`~entorder.majorization.compare_many` like every other majorization
 verdict.  So each row's verdict is the one
 :func:`~entorder.majorization.compare` gives on that pair of
@@ -91,8 +92,9 @@ def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     the products as computed, their mass off 1 by about m rounding units.
     """
     if k >= x.shape[-1] * len(y):
-        products = (y[:, None] * x[..., None, :]).reshape(*x.shape[:-1], -1)
-        return np.sort(products, axis=-1)[..., ::-1]
+        # a 2-D block of catalysts runs the inner loop over the longer spectrum
+        products = x[..., None] * y if x.ndim > 1 else y[:, None] * x
+        return np.sort(products.reshape(*x.shape[:-1], -1), axis=-1)[..., ::-1]
     columns = [x[..., : k // (j + 1)] * y[j] for j in range(min(len(y), k))]
     products = np.concatenate(columns, axis=-1)
     cut = products.shape[-1] - k
@@ -300,40 +302,38 @@ def _check_product_factor(spec: SchmidtSpectrum, dim: int, size_cap: int) -> Non
         raise SizeCapExceeded(size, size_cap)
 
 
-def _catalysed_prefix_sums(
-    values: np.ndarray, catalysts: np.ndarray, width: int
-) -> np.ndarray:
-    """Row r: prefix sums 1..width of the product of `values` and catalysts[r].
-
-    One :func:`_top_products` call forms every row's products, which are
-    renormalized as :func:`tensor_product_spectrum` does it, so every entry
-    has the same bits; past the product's length the sums stay at the row
-    total, as :func:`~entorder.spectra.prefix_sums` pads a finite spectrum.
-    """
-    products = _top_products(catalysts, values, catalysts.shape[1] * len(values))
-    spectra = products / products.sum(axis=1, keepdims=True)
-    size = spectra.shape[1]
-    sums = np.empty((len(catalysts), width))
-    np.cumsum(spectra, axis=1, out=sums[:, :size])
-    sums[:, size:] = sums[:, size - 1 : size]
-    return sums
-
-
 def _first_hit(
-    a: SchmidtSpectrum, b: SchmidtSpectrum, catalysts: np.ndarray, tol: Tolerances
-) -> tuple[int, Relation] | None:
-    """First row of `catalysts` that opens a direction, with that direction:
-    each row is decided by :func:`~entorder.majorization.compare_many` with
-    slack `tau_cmp`, and its direction read from its verdict code."""
-    width = max(len(a), len(b)) * catalysts.shape[1]
-    forward, backward = compare_many(
-        _catalysed_prefix_sums(a.values, catalysts, width),
-        _catalysed_prefix_sums(b.values, catalysts, width),
-        tol.tau_cmp,
-    )
-    codes = verdict_code(forward.any(axis=1), backward.any(axis=1))
+    a: SchmidtSpectrum, b: SchmidtSpectrum, pieces: list[np.ndarray], tol: Tolerances
+) -> tuple[np.ndarray, Relation] | None:
+    """First catalyst of a block that opens a direction, with that direction.
+
+    The block is the rows of `pieces`, one `(rows, dim)` catalyst array per
+    dimension, widest last.  Each piece's products come from one
+    :func:`_top_products` call per spectrum, divided by their own row sums
+    as in :func:`tensor_product_spectrum`, so every entry has the same bits;
+    zeros past them in each spectrum's `(width, rows)` buffer keep a row's
+    prefix sums at its total.  One cumsum and one `compare_many` call (slack
+    `tau_cmp`) decide the block, a row's verdict code its direction.
+    """
+    width = max(len(a), len(b)) * pieces[-1].shape[1]
+    sums = np.zeros((2, width, sum(len(piece) for piece in pieces)))
+    for out, values in zip(sums, (a.values, b.values)):
+        start = 0
+        for piece in pieces:
+            products = _top_products(piece, values, piece.shape[1] * len(values))
+            rows = out[: products.shape[1], start : start + len(piece)]
+            np.divide(products.T, products.sum(axis=1), out=rows)
+            start += len(piece)
+    forward, backward = compare_many(*np.cumsum(sums, axis=1, out=sums), tol.tau_cmp)
+    codes = verdict_code(forward.any(axis=0), backward.any(axis=0))
     hits = np.flatnonzero(codes < 3)  # code 3 opens neither direction
-    return (int(hits[0]), DIRECTIONS[codes[hits[0]]]) if len(hits) else None
+    if not len(hits):
+        return None
+    row = hits[0]
+    for piece in pieces:
+        if row < len(piece):
+            return piece[row], DIRECTIONS[codes[hits[0]]]
+        row -= len(piece)
 
 
 def catalyst_convertible(
@@ -358,21 +358,28 @@ def catalyst_convertible(
     size_cap = _integer("size_cap", size_cap, 1)
     for spec in (a, b):
         _check_product_factor(spec, len(c), size_cap)
-    hit = _first_hit(a, b, c.values[None, :], tol)
+    hit = _first_hit(a, b, [c.values[None, :]], tol)
     return None if hit is None else hit[1]
 
 
-def _dimension_grid(
-    a: SchmidtSpectrum, b: SchmidtSpectrum, dim: int, steps: int, size_cap: int
-) -> np.ndarray:
-    """The catalyst grid of dimension `dim`, the one gate of the scan and the
-    audit: products with a `dim`-entry catalyst are checked against
-    `size_cap` (`a` before `b`), then the grid is refused past
-    max(size_cap, DEFAULT_SIZE_CAP) entries before it is built, so a small
-    `size_cap` bounds products without shrinking the default grids."""
-    for spec in (a, b):
-        _check_product_factor(spec, dim, size_cap)
-    return _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
+def _admitted_grids(
+    a: SchmidtSpectrum, b: SchmidtSpectrum, dim_max: int, steps: int, size_cap: int
+) -> tuple[list[np.ndarray], SizeCapExceeded | None]:
+    """The catalyst grids of dimensions 2..dim_max that the caps admit, and
+    the first refusal or None: the one gate of the scan and the audit.  Per
+    dimension, products with its catalysts are checked against `size_cap`
+    (`a` before `b`), then its grid is refused past max(size_cap,
+    DEFAULT_SIZE_CAP) entries unbuilt, so a small `size_cap` bounds products
+    without shrinking the default grids."""
+    grids = []
+    try:
+        for dim in range(2, dim_max + 1):
+            for spec in (a, b):
+                _check_product_factor(spec, dim, size_cap)
+            grids.append(_catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP)))
+    except SizeCapExceeded as refusal:
+        return grids, refusal
+    return grids, None
 
 
 # Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
@@ -473,12 +480,11 @@ def catalyst_search(
 
     Returns the first working catalyst in the canonical grid order (see
     :func:`_build_catalyst_grid`), with the direction
-    :func:`catalyst_convertible` gives for it.  Each dimension's grid is
-    built once and cached while the cache has room; it is scanned in blocks
-    of rows, each decided by one batched kernel, and the scan stops at the
-    block holding the first hit.  :func:`_dimension_grid` checks each
-    dimension against the caps before its grid is built, so smaller
-    dimensions that fit are scanned first.
+    :func:`catalyst_convertible` gives for it.  The rows of every grid that
+    :func:`_admitted_grids` admits, dimension by dimension, are scanned in
+    blocks that may span dimensions, each decided by one batched kernel,
+    and the scan stops at the block holding the first hit.  A refused
+    dimension is raised only after the smaller ones have been scanned.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -488,18 +494,31 @@ def catalyst_search(
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     size_cap = _integer("size_cap", size_cap, 1)
-    for dim in range(2, dim_max + 1):
-        if grid_steps < dim > 2:
-            continue  # every vector has a trailing zero, seen at a lower dim
-        grid = _dimension_grid(a, b, dim, grid_steps, size_cap)
-        rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
-        for start in range(0, len(grid), rows):
-            hit = _first_hit(a, b, grid[start : start + rows], tol)
-            if hit is not None:
-                row, direction = hit
-                catalyst = SchmidtSpectrum(grid[start + row].copy())
-                return CatalystWitness(direction, catalyst)
+    grids, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
+    for block in _scan_blocks(grids, len(a) + len(b)):
+        hit = _first_hit(a, b, block, tol)
+        if hit is not None:
+            return CatalystWitness(hit[1], SchmidtSpectrum(hit[0].copy()))
+    if refusal is not None and len(grids) + 2 <= grid_steps:
+        raise refusal  # past grid_steps a dimension has no rows to scan
     return None
+
+
+def _scan_blocks(grids: list[np.ndarray], pair_entries: int):
+    """The rows of `grids` (dimensions 2, 3, ...) in blocks, each a list of
+    grid slices, one per dimension, and at most `_BLOCK_ENTRIES` product
+    entries of a pair counted at its widest dimension (or one row)."""
+    block, held = [], 0
+    for dim, grid in enumerate(grids, 2):
+        rows = max(1, _BLOCK_ENTRIES // (pair_entries * dim))
+        while len(grid):
+            if held >= rows:
+                yield block
+                block, held = [], 0
+            block.append(grid[: rows - held])
+            held, grid = held + len(block[-1]), grid[rows - held :]
+    if block:
+        yield block
 
 
 class StrongOutcome(enum.Enum):
@@ -552,7 +571,7 @@ def strong_verdict(
     because one of the implementations is wrong.  When condition_c holds,
     the witness searches still run as a self-audit, but only as far as the
     caps allow: copy counts whose products would exceed `size_cap`, and
-    catalyst dimensions that :func:`_dimension_grid` refuses, are skipped,
+    catalyst dimensions that :func:`_admitted_grids` refuses, are skipped,
     so a resource cap never overturns a proven verdict, and
     `checked_bounds` records the bounds actually audited.
     """
@@ -566,12 +585,8 @@ def strong_verdict(
         while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
             # width**e exceeds size_cap for every e from its bit length on
             m_max = min(m_max - 1, size_cap.bit_length())
-        for dim in range(2, catalyst_dim_max + 1):
-            try:
-                _dimension_grid(a, b, dim, grid_steps, size_cap)
-            except SizeCapExceeded:
-                catalyst_dim_max = dim - 1
-                break
+        grids, _ = _admitted_grids(a, b, catalyst_dim_max, grid_steps, size_cap)
+        catalyst_dim_max = 1 + len(grids)
     bounds = (m_max, catalyst_dim_max, grid_steps)
     witness: MultiCopyWitness | CatalystWitness | None = None
     if m_max > 0:

@@ -25,6 +25,7 @@ from entorder import (
     majorized_by,
     make_spectrum,
     multicopy_convertible,
+    prefix_sums,
     schmidt_number,
     strong_verdict,
     tensor_power_spectrum,
@@ -656,14 +657,25 @@ def scalar_scan_cases():
     return cases
 
 
-@pytest.mark.parametrize("block_entries", [None, 1])
+@pytest.mark.parametrize("block_entries", [None, 1, 150, 400])
 def test_batched_scan_matches_scalar_reference(
     scalar_scan_cases, block_entries, monkeypatch
 ):
     # block_entries=1 scans one grid row per block, so every hit after a
-    # dimension's first row lies past the first block of that dimension
+    # dimension's first row lies past the first block of that dimension; 150
+    # and 400 cut a dimension's grid into several blocks, and some block
+    # holds the last rows of one dimension and the first of the next
     if block_entries is not None:
         monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", block_entries)
+    spans = set()
+    first_hit = catalysis._first_hit
+
+    def recording(a, b, pieces, tol):
+        dims = [piece.shape[1] for piece in pieces]
+        spans.update(zip(dims, dims[1:]))
+        return first_hit(a, b, pieces, tol)
+
+    monkeypatch.setattr(catalysis, "_first_hit", recording)
     outcomes = set()
     for a, b, dim_max, grid_steps, expected in scalar_scan_cases:
         witness = catalyst_search(a, b, dim_max, grid_steps)
@@ -680,20 +692,54 @@ def test_batched_scan_matches_scalar_reference(
     assert outcomes == {
         None, Relation.FORWARD, Relation.BACKWARD, "first row", "past first row"
     }
+    assert spans == (set() if block_entries == 1 else {(2, 3), (3, 4)})
+
+
+def test_a_mixed_block_keeps_every_catalysed_spectrum_bitwise(monkeypatch):
+    # each column of the prefix sums that decide a block spanning dimensions
+    # 2..4 is those of the product spectrum with that column's catalyst, bit
+    # for bit; spectra of 3+ entries make rows of 8+ products, whose sums
+    # numpy regroups
+    seen = []
+    kernel = catalysis.compare_many
+
+    def recording(pa, pb, slack):
+        seen.append((pa.copy(), pb.copy()))
+        return kernel(pa, pb, slack)
+
+    monkeypatch.setattr(catalysis, "compare_many", recording)
+    rng = np.random.default_rng(46)
+    grids = [catalysis._catalyst_grid(dim, 9, catalysis.DEFAULT_SIZE_CAP)
+             for dim in (2, 3, 4)]
+    pieces = [grids[0][3:], grids[1], grids[2][:4]]
+    catalysts = [SchmidtSpectrum(row) for piece in pieces for row in piece]
+    for na, nb in itertools.product(range(1, 8), (1, 3, 6)):
+        a = make_spectrum(random_sorted_probs(rng, na))
+        b = make_spectrum(random_sorted_probs(rng, nb))
+        seen.clear()
+        catalysis._first_hit(a, b, pieces, DEFAULT_TOLERANCES)
+        [(pa, pb)] = seen
+        width = max(na, nb) * 4
+        assert pa.shape == pb.shape == (width, len(catalysts))
+        for spectrum, sums in ((a, pa), (b, pb)):
+            for column, c in zip(sums.T, catalysts):
+                product = tensor_product_spectrum(spectrum, c)
+                assert column.tobytes() == prefix_sums(product, width).tobytes()
 
 
 @pytest.fixture
 def kernel_blocks(monkeypatch):
-    """Shapes of the catalyst blocks the scan kernel is called on."""
-    shapes = []
+    """Per catalyst block the scan kernel is called on, the shape of each of
+    its pieces (one per dimension)."""
+    blocks = []
     first_hit = catalysis._first_hit
 
-    def recording(a, b, catalysts, tol):
-        shapes.append(catalysts.shape)
-        return first_hit(a, b, catalysts, tol)
+    def recording(a, b, pieces, tol):
+        blocks.append([piece.shape for piece in pieces])
+        return first_hit(a, b, pieces, tol)
 
     monkeypatch.setattr(catalysis, "_first_hit", recording)
-    return shapes
+    return blocks
 
 
 def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
@@ -705,7 +751,34 @@ def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
     monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
     witness = catalyst_search(a, b, 3, 100)
     assert witness.catalyst.values.tobytes() == expected[1].tobytes()
-    assert kernel_blocks == [(2, 2)] * (expected[2] // 2 + 1)
+    assert kernel_blocks == [[(2, 2)]] * (expected[2] // 2 + 1)
+
+    # at 10 steps and four rows a block at dimension 2, three at dimension
+    # 3, the 6 + 8 grid rows fall into blocks [0, 4), [4, 7) (two dim-2 rows
+    # and one dim-3 row), [7, 10), [10, 13) and [13, 14); a first hit at
+    # row 7 ends the scan after the block that spans the boundary
+    rng = np.random.default_rng(84)
+    for _ in range(21):
+        a, b = (make_spectrum(random_sorted_probs(rng, n)) for n in (3, 5))
+    expected = scalar_catalyst_search(a, b, 3, 10)
+    assert expected[2] == 7
+    monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 9 * (len(a) + len(b)))
+    kernel_blocks.clear()
+    witness = catalyst_search(a, b, 3, 10)
+    assert witness.catalyst.values.tobytes() == expected[1].tobytes()
+    assert kernel_blocks == [[(4, 2)], [(2, 2), (1, 3)], [(3, 3)]]
+
+
+def test_a_dimension_2_hit_in_a_block_with_dimension_3_rows(kernel_blocks):
+    # the default budget holds both grids of the worked pair in one block:
+    # the hit is its first working row, a dim-2 catalyst, not a later one
+    a, b = spec(*JP_A), spec(*JP_B)
+    direction, vec, position = scalar_catalyst_search(a, b, 3, 100)
+    witness = catalyst_search(a, b, 3, 100)
+    assert kernel_blocks == [[(51, 2), (833, 3)]]
+    assert position < 51 and len(witness.catalyst) == 2
+    assert witness.direction is direction
+    assert witness.catalyst.values.tobytes() == vec.tobytes()
 
 
 def test_catalyst_search_decides_every_block_by_the_kernel(
@@ -715,19 +788,25 @@ def test_catalyst_search_decides_every_block_by_the_kernel(
     kernel = catalysis.compare_many
 
     def counting(pa, pb, slack):
-        calls.append(len(pa))
+        calls.append(pa.shape[1])
         return kernel(pa, pb, slack)
 
     monkeypatch.setattr(catalysis, "compare_many", counting)
+    # the default budget holds the three grids of a condition-c pair in
+    # one block, decided by one call
+    assert catalyst_search(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5), 4, 12) is None
+    assert kernel_blocks == [[(7, 2), (12, 3), (15, 4)]] and calls == [34]
+    calls.clear()
+    kernel_blocks.clear()
     a, b = spec(*JP_A), spec(*JP_B)
     monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
     witness = catalyst_search(a, b, 3, 100)
-    assert calls == [shape[0] for shape in kernel_blocks]
+    assert calls == [sum(shape[0] for shape in block) for block in kernel_blocks]
     assert len(calls) > 1
 
     # a kernel that reports no violation makes the first grid row a hit
     def no_violations(pa, pb, slack):
-        calls.append(len(pa))
+        calls.append(pa.shape[1])
         return np.zeros(pa.shape, bool), np.zeros(pa.shape, bool)
 
     monkeypatch.setattr(catalysis, "compare_many", no_violations)
@@ -737,7 +816,7 @@ def test_catalyst_search_decides_every_block_by_the_kernel(
     assert hit.direction is Relation.FORWARD
     assert hit.catalyst.values.tolist() == [0.5, 0.5]
     assert witness.catalyst.values.tolist() != [0.5, 0.5]
-    assert calls == [2] and kernel_blocks == [(2, 2)]
+    assert calls == [2] and kernel_blocks == [[(2, 2)]]
 
 
 def test_catalyst_grid_is_cached_and_read_only():
@@ -765,11 +844,12 @@ def test_catalyst_grid_matches_the_recursive_generator():
 def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
 
-    # dimension 2 fits and finds nothing; dimension 3 needs 4*3 entries
+    # dimension 2 fits and finds nothing; dimension 3 needs 4*3 entries, and
+    # is refused only after the whole dim-2 grid has been scanned
     with pytest.raises(SizeCapExceeded) as info:
         catalyst_search(long, short, 3, 20, size_cap=8)
     assert (info.value.required, info.value.cap) == (12, 8)
-    assert [shape[1] for shape in kernel_blocks] == [2]
+    assert kernel_blocks == [[(11, 2)]]
 
     # `a` is checked before `b`
     kernel_blocks.clear()
@@ -791,6 +871,21 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     witness = catalyst_search(spec(*JP_A), spec(*JP_B), 3, 100, size_cap=8)
     assert witness.direction is Relation.FORWARD
     assert len(witness.catalyst) == 2
+
+
+def test_a_refused_dimension_past_grid_steps_is_passed_but_bounds_the_audit():
+    # above dimension 2, a grid with fewer steps than entries has no rows:
+    # the scan passes such a dimension whether or not the caps refuse it,
+    # and the audit of a proven verdict still stops before a refused one
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # dim 3 needs 12
+    assert catalyst_search(long, short, 4, 2, size_cap=8) is None
+    verdict = strong_verdict(
+        long, short, m_max=1, catalyst_dim_max=4, grid_steps=2, size_cap=8
+    )
+    assert verdict.checked_bounds == (1, 2, 2)
+    with pytest.raises(SizeCapExceeded) as info:
+        catalyst_search(long, short, 4, 3, size_cap=8)
+    assert (info.value.required, info.value.cap) == (12, 8)
 
 
 def test_catalyst_grid_counts_and_refuses_over_the_cap():
