@@ -154,10 +154,12 @@ def _check_power_size(length: int, m: int, size_cap: int) -> None:
 def _power_prefix(a: SchmidtSpectrum, m: int, k: int, cap: int) -> np.ndarray:
     """Largest k entries of the m-copy spectrum of `a`, as a new array.
 
-    The one copy loop: each further copy is one :func:`_top_products` call
-    on the running k-prefix, which is exact, since an entry outside the top
-    k of a partial product stays dominated by at least k entries after
-    every further factor.  The loop makes m - 1 passes whatever the size of
+    The copy loop of powers and top-k prefixes (:func:`_multicopy_search`
+    keeps its own, over full powers, deciding each copy count as it goes):
+    each further copy is one :func:`_top_products` call on the running
+    k-prefix, which is exact, since an entry outside the top k of a partial
+    product stays dominated by at least k entries after every further
+    factor.  The loop makes m - 1 passes whatever the size of
     its output, so m * len(a) is refused past `cap` first; for len(a) >= 2
     that is at most len(a)**m, so every output size error is raised before
     it.  A power of [1.0] is [1.0] bit for bit and takes no pass at all.
@@ -364,22 +366,24 @@ def catalyst_convertible(
 
 def _admitted_grids(
     a: SchmidtSpectrum, b: SchmidtSpectrum, dim_max: int, steps: int, size_cap: int
-) -> tuple[list[np.ndarray], SizeCapExceeded | None]:
-    """The catalyst grids of dimensions 2..dim_max that the caps admit, and
-    the first refusal or None: the one gate of the scan and the audit.  Per
-    dimension, products with its catalysts are checked against `size_cap`
-    (`a` before `b`), then its grid is refused past max(size_cap,
-    DEFAULT_SIZE_CAP) entries unbuilt, so a small `size_cap` bounds products
-    without shrinking the default grids."""
+) -> tuple[list[np.ndarray], int, SizeCapExceeded | None]:
+    """The catalyst grids of dimensions 2..min(dim_max, steps) that the caps
+    admit, the largest admitted dimension, and the first refusal or None:
+    the one gate of the scan and the audit.  Per dimension, products with
+    its catalysts are checked against `size_cap` (`a` before `b`), then its
+    grid is refused past max(size_cap, DEFAULT_SIZE_CAP) entries unbuilt, so
+    a small `size_cap` bounds products without shrinking the default grids.
+    Past `steps` a grid has no rows and none is built: only the product
+    check refuses there, first at size_cap // max(len(a), len(b)) + 1."""
     grids = []
     try:
-        for dim in range(2, dim_max + 1):
+        for dim in range(2, min(dim_max, steps) + 1):
             for spec in (a, b):
                 _check_product_factor(spec, dim, size_cap)
             grids.append(_catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP)))
     except SizeCapExceeded as refusal:
-        return grids, refusal
-    return grids, None
+        return grids, 1 + len(grids), refusal
+    return grids, min(dim_max, size_cap // max(len(a), len(b))), None
 
 
 # Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
@@ -494,13 +498,13 @@ def catalyst_search(
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     size_cap = _integer("size_cap", size_cap, 1)
-    grids, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
+    grids, _, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
     for block in _scan_blocks(grids, len(a) + len(b)):
         hit = _first_hit(a, b, block, tol)
         if hit is not None:
             return CatalystWitness(hit[1], SchmidtSpectrum(hit[0].copy()))
-    if refusal is not None and len(grids) + 2 <= grid_steps:
-        raise refusal  # past grid_steps a dimension has no rows to scan
+    if refusal is not None:
+        raise refusal
     return None
 
 
@@ -585,8 +589,9 @@ def strong_verdict(
         while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
             # width**e exceeds size_cap for every e from its bit length on
             m_max = min(m_max - 1, size_cap.bit_length())
-        grids, _ = _admitted_grids(a, b, catalyst_dim_max, grid_steps, size_cap)
-        catalyst_dim_max = 1 + len(grids)
+        _, catalyst_dim_max, _ = _admitted_grids(
+            a, b, catalyst_dim_max, grid_steps, size_cap
+        )
     bounds = (m_max, catalyst_dim_max, grid_steps)
     witness: MultiCopyWitness | CatalystWitness | None = None
     if m_max > 0:

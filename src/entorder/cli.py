@@ -5,7 +5,8 @@ output.  Spectra are given inline in the text form (`0.5,0.25,0.25`, tails
 as `head...geom(first,ratio)`), as JSON objects, or via `@path` indirection
 for long vectors.  Exit codes: 0 success, 2 invalid input, 3 size-cap
 exceeded.  Diagnostics go to stderr only; identical invocations produce
-byte-identical stdout.
+byte-identical stdout.  `_cell` prints every value of a text or CSV form,
+spectra included, and `_lines` joins `(label, value)` rows as text lines.
 
 Defaults may be set in a key=value config file passed with --config or named
 by the ENTORDER_CONFIG environment variable.  Recognized keys: tau_norm,
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .majorization import DIRECTIONS, RELATIONS, compare
 from .spectra import (
+    SchmidtSpectrum,
     Tolerances,
     _is_json_number,
     format_spectrum,
@@ -193,10 +195,23 @@ def _int_list(raw: str, what: str) -> list[int]:
 
 
 def _cell(value) -> str:
-    """A text or CSV cell: booleans as true/false, floats with 17 digits."""
+    """A text or CSV cell: booleans as true/false, floats with 17 digits, a
+    spectrum in its text form, None and an empty sequence as -, any other
+    sequence comma-joined."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return g17(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return g17(value)
+    if isinstance(value, SchmidtSpectrum):
+        return format_spectrum(value)
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_cell, value)) or "-"
+    return "-" if value is None else str(value)
+
+
+def _lines(*rows) -> str:
+    """Text form of `(label, value)` rows, one `label: value` line each."""
+    return "\n".join(f"{label}: {_cell(value)}" for label, value in rows)
 
 
 def _csv(columns, rows) -> str:
@@ -211,20 +226,16 @@ def _csv(columns, rows) -> str:
 
 def _cmd_spectrum(args, config):
     spec = schmidt_spectrum(_matrix_arg(args.matrix), config.tolerances)
-    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+    return spectrum_to_json(spec), lambda: _cell(spec)
 
 
 def _cmd_compare(args, config, a, b):
     verdict = compare(a, b, config.tolerances)
-    return verdict.to_json(), lambda: "\n".join(
-        [
-            f"relation: {verdict.relation.value}",
-            "forward violations: "
-            + (",".join(map(str, verdict.forward_violations)) or "-"),
-            "backward violations: "
-            + (",".join(map(str, verdict.backward_violations)) or "-"),
-            f"near tie: {_cell(verdict.near_tie)}",
-        ]
+    return verdict.to_json(), lambda: _lines(
+        ("relation", verdict.relation.value),
+        ("forward violations", verdict.forward_violations),
+        ("backward violations", verdict.backward_violations),
+        ("near tie", verdict.near_tie),
     )
 
 
@@ -244,29 +255,23 @@ def _cmd_strong(args, config, a, b):
     payload["b"] = spectrum_to_json(b)
 
     def text():
-        lines = [f"outcome: {verdict.outcome.value}"]
+        rows = [("outcome", verdict.outcome.value)]
         witness = verdict.witness
         if isinstance(witness, catalysis.MultiCopyWitness):
-            lines.append(
-                f"witness: {witness.direction.value} at {witness.copies} copies"
-            )
+            how = f"at {witness.copies} copies"
+            rows.append(("witness", f"{witness.direction.value} {how}"))
         elif isinstance(witness, catalysis.CatalystWitness):
-            lines.append(
-                f"witness: {witness.direction.value} with catalyst "
-                + format_spectrum(witness.catalyst)
-            )
-        m_max, dim, steps = verdict.checked_bounds
-        lines.append(
-            f"checked bounds: m_max={m_max} catalyst_dim={dim} grid_steps={steps}"
-        )
-        return "\n".join(lines)
+            how = f"with catalyst {_cell(witness.catalyst)}"
+            rows.append(("witness", f"{witness.direction.value} {how}"))
+        bounds = "m_max={} catalyst_dim={} grid_steps={}"
+        return _lines(*rows, ("checked bounds", bounds.format(*verdict.checked_bounds)))
 
     return payload, text
 
 
 def _cmd_power(args, config, a):
     spec = catalysis.tensor_power_spectrum(a, args.m, size_cap=config.size_cap)
-    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+    return spectrum_to_json(spec), lambda: _cell(spec)
 
 
 def _cmd_catalyze(args, config, a, b, c):
@@ -279,36 +284,23 @@ def _cmd_catalyze(args, config, a, b, c):
         "a_product": spectrum_to_json(prod_a),
         "b_product": spectrum_to_json(prod_b),
     }
-    return payload, lambda: "\n".join(
-        [
-            "direction: " + (payload["direction"] or "-"),
-            "a (x) c: " + format_spectrum(prod_a),
-            "b (x) c: " + format_spectrum(prod_b),
-        ]
+    return payload, lambda: _lines(
+        ("direction", payload["direction"]), ("a (x) c", prod_a), ("b (x) c", prod_b)
     )
 
 
 def _cmd_complete(args, config, base):
     spec = genericity.complete_extension(base, args.m, tol=config.tolerances)
-    return spectrum_to_json(spec), lambda: format_spectrum(spec)
+    return spectrum_to_json(spec), lambda: _cell(spec)
 
 
 def _cmd_truncate(args, config, a, b):
     pair = genericity.truncation_pair(a, b, args.m, tol=config.tolerances)
-    payload = {
-        "a_m": spectrum_to_json(pair.a_m),
-        "b_m": spectrum_to_json(pair.b_m),
-        "m": pair.m,
-        "swapped": pair.swapped,
-    }
-    return payload, lambda: "\n".join(
-        [
-            "a_m: " + format_spectrum(pair.a_m),
-            "b_m: " + format_spectrum(pair.b_m),
-            f"m: {pair.m}",
-            f"swapped: {_cell(pair.swapped)}",
-        ]
+    # one row per TruncationPair field, in the field order vars() keeps
+    payload = dict(
+        vars(pair), a_m=spectrum_to_json(pair.a_m), b_m=spectrum_to_json(pair.b_m)
     )
+    return payload, lambda: _lines(*vars(pair).items())
 
 
 def _cmd_audit(args, config, a, b):

@@ -888,6 +888,30 @@ def test_a_refused_dimension_past_grid_steps_is_passed_but_bounds_the_audit():
     assert (info.value.required, info.value.cap) == (12, 8)
 
 
+def test_no_grid_past_grid_steps_is_built_whatever_the_catalyst_dimension():
+    # past grid_steps only the product check can refuse a dimension, so its
+    # first refusal is computed, not found by building empty grids
+    long, short = spec(0.6, 0.3, 0.1), spec(0.5, 0.5)  # condition-c pair
+    catalysis._catalyst_grid.cache_clear()
+    verdict = strong_verdict(long, short, catalyst_dim_max=40, grid_steps=2)
+    assert verdict.checked_bounds == (3, 40, 2)
+    assert list(catalysis._grid_cache) == [(2, 2)]
+    start = time.process_time()
+    verdict = strong_verdict(long, short, catalyst_dim_max=10**5, grid_steps=2)
+    no_hit = catalyst_search(spec(0.5, 0.25, 0.25), spec(0.4, 0.4, 0.2), 10**5, 2)
+    assert time.process_time() - start < 0.5
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (3, 10**5, 2)
+    assert no_hit is None
+    # the audit still stops before the first dimension products refuse:
+    # 3 * 1001 entries are over the cap
+    verdict = strong_verdict(
+        long, short, catalyst_dim_max=10**5, grid_steps=2, size_cap=3000
+    )
+    assert verdict.checked_bounds == (3, 1000, 2)
+    assert list(catalysis._grid_cache) == [(2, 2)]
+
+
 def test_catalyst_grid_counts_and_refuses_over_the_cap():
     cap = catalysis.DEFAULT_SIZE_CAP
     rows = [len(catalysis._catalyst_grid(4, steps, cap)) for steps in (100, 200, 400)]

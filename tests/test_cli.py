@@ -457,6 +457,44 @@ def test_csv_cells_are_the_json_values_under_their_column_keys(argv):
             assert isinstance(value, bool) == isinstance(record[key], bool)
 
 
+# text labels that are not their JSON key with spaces for underscores
+TEXT_KEYS = {"a (x) c": "a_product", "b (x) c": "b_product"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2"),
+        ("compare", "--a", "0.5,0.3,0.2", "--b", "0.5,0.3,0.2"),
+        ("compare", "--a", "0.5,0.5", "--b", "0.7,0.3"),
+        ("compare", "--a", "0.45,0.45...geom(0.05,0.5)", "--b", "0.5,0.5"),
+        ("catalyze", "--a", "0.4,0.4,0.1,0.1", "--b", "0.5,0.25,0.25",
+         "--c", "0.6,0.4"),
+        ("catalyze", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2", "--c", "0.5,0.5"),
+        ("construct", "truncate", "--a", "0.6,0.2,0.1,0.05,0.05",
+         "--b", "0.4,0.3,0.2,0.05,0.05", "--m", "3"),
+        ("construct", "truncate", "--a", "0.4,0.3,0.2,0.05,0.05",
+         "--b", "0.6,0.2,0.1,0.05,0.05", "--m", "3"),
+    ],
+)
+def test_text_lines_are_the_json_values_under_their_keys(argv):
+    code, out, _ = invoke(*argv, "--format", "text")
+    assert code == 0
+    code, payload, _ = invoke(*argv, "--format", "json")
+    record = json.loads(payload)
+    keys = []
+    for line in out.splitlines():
+        label, cell = line.split(": ")
+        keys.append(TEXT_KEYS.get(label, label.replace(" ", "_")))
+        value = record[keys[-1]]
+        if isinstance(value, dict):  # a finite spectrum, by its parsed floats
+            assert value["tail"] is None
+            assert [float(x) for x in cell.split(",")] == value["values"]
+        else:
+            assert cell == cli._cell(value)
+    assert keys == list(record)
+
+
 # --- sweep -----------------------------------------------------------------------
 
 
@@ -894,6 +932,16 @@ GOLDEN = [
         "strong --a 0.5,0.25,0.25 --b 0.4,0.4,0.2 --m-max 1 --catalyst-dim 2"
         " --grid 2 --format json",
         None, 0, "2ceaad4438e25966",
+    ),
+    (
+        "construct truncate --a 0.4,0.3,0.2,0.05,0.05 --b 0.6,0.2,0.1,0.05,0.05"
+        " --m 3",
+        None, 0, "ce84c922aacb9139",
+    ),
+    ("compare --a 0.5,0.3,0.2 --b 0.5,0.3,0.2", None, 0, "062c6ab995f0d274"),
+    (
+        "strong --a 0.5,0.25,0.25 --b 0.4,0.4,0.1,0.1 --catalyst-dim 2",
+        None, 0, "57e75069607fa668",
     ),
 ]
 
