@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteSchmidtNumber, InternalInconsistency, SizeCapExceeded
+from .errors import InfiniteSchmidtNumber, SizeCapExceeded
 from .majorization import (
     DIRECTIONS, Relation, _prefix_pair, compare_many, verdict_code
 )
@@ -366,15 +366,14 @@ def catalyst_convertible(
 
 def _admitted_grids(
     a: SchmidtSpectrum, b: SchmidtSpectrum, dim_max: int, steps: int, size_cap: int
-) -> tuple[list[np.ndarray], int, SizeCapExceeded | None]:
+) -> tuple[list[np.ndarray], SizeCapExceeded | None]:
     """The catalyst grids of dimensions 2..min(dim_max, steps) that the caps
-    admit, the largest admitted dimension, and the first refusal or None:
-    the one gate of the scan and the audit.  Per dimension, products with
-    its catalysts are checked against `size_cap` (`a` before `b`), then its
-    grid is refused past max(size_cap, DEFAULT_SIZE_CAP) entries unbuilt, so
-    a small `size_cap` bounds products without shrinking the default grids.
-    Past `steps` a grid has no rows and none is built: only the product
-    check refuses there, first at size_cap // max(len(a), len(b)) + 1."""
+    admit, and the first refusal or None: the gate of the scan.  Per
+    dimension, products with its catalysts are checked against `size_cap`
+    (`a` before `b`), then its grid is refused past max(size_cap,
+    DEFAULT_SIZE_CAP) entries unbuilt, so a small `size_cap` bounds products
+    without shrinking the default grids.  Past `steps` a grid has no rows
+    and none is built, so no dimension there is refused."""
     grids = []
     try:
         for dim in range(2, min(dim_max, steps) + 1):
@@ -382,8 +381,8 @@ def _admitted_grids(
                 _check_product_factor(spec, dim, size_cap)
             grids.append(_catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP)))
     except SizeCapExceeded as refusal:
-        return grids, 1 + len(grids), refusal
-    return grids, min(dim_max, size_cap // max(len(a), len(b))), None
+        return grids, refusal
+    return grids, None
 
 
 # Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
@@ -498,7 +497,7 @@ def catalyst_search(
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     size_cap = _integer("size_cap", size_cap, 1)
-    grids, _, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
+    grids, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
     for block in _scan_blocks(grids, len(a) + len(b)):
         hit = _first_hit(a, b, block, tol)
         if hit is not None:
@@ -535,8 +534,10 @@ class StrongOutcome(enum.Enum):
 class StrongVerdict:
     """Tri-state strong-incomparability verdict with its evidence.
 
-    `checked_bounds` records (m_max, catalyst_dim_max, grid_steps) so an
-    `inconclusive` outcome carries the extent of the failed search.
+    `checked_bounds` records (m_max, catalyst_dim_max, grid_steps), the
+    bounds the verdict covers: for `strong-by-c` the requested ones, all of
+    which the proof covers, and otherwise those of the witness search, so
+    an `inconclusive` outcome carries the extent of the failed search.
     """
 
     outcome: StrongOutcome
@@ -566,49 +567,31 @@ def strong_verdict(
     """Combine the sound paths into one verdict.
 
     condition_c proves strong incomparability; a witness search proves
-    convertibility.  Witnesses are searched cheapest conversion first:
-    single copy, then a grid catalyst, then collective multi-copy
-    operations.  The two paths can never both succeed (top entries and
-    Schmidt numbers both multiply under tensor products, so a conversion
-    forces the non-strict reversal of one of the orderings that condition_c
-    requires strictly); if they ever do, an InternalInconsistency is raised
-    because one of the implementations is wrong.  When condition_c holds,
-    the witness searches still run as a self-audit, but only as far as the
-    caps allow: copy counts whose products would exceed `size_cap`, and
-    catalyst dimensions that :func:`_admitted_grids` refuses, are skipped,
-    so a resource cap never overturns a proven verdict, and
-    `checked_bounds` records the bounds actually audited.
+    convertibility.  In exact arithmetic the two never both succeed: top
+    entries and Schmidt numbers both multiply under tensor products, so a
+    conversion forces the non-strict reversal of one of the orderings that
+    condition_c requires strictly.  So a pair that passes condition_c is
+    returned as proven with no search, and `checked_bounds` is the
+    requested bounds, all of which the proof covers.  Otherwise witnesses
+    are searched cheapest conversion first: single copy, then a grid
+    catalyst, then collective multi-copy operations.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2)
     holds = condition_c(a, b, tol)
     size_cap = _integer("size_cap", size_cap, 1)
-    if holds:
-        width = max(len(a), len(b))
-        while m_max > 0 and _power_size(width, m_max, size_cap) > size_cap:
-            # width**e exceeds size_cap for every e from its bit length on
-            m_max = min(m_max - 1, size_cap.bit_length())
-        _, catalyst_dim_max, _ = _admitted_grids(
-            a, b, catalyst_dim_max, grid_steps, size_cap
-        )
     bounds = (m_max, catalyst_dim_max, grid_steps)
-    witness: MultiCopyWitness | CatalystWitness | None = None
-    if m_max > 0:
-        witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
-    if witness is None and catalyst_dim_max > 1:
+    if holds:
+        return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
+    witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
+    if witness is None:
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
         )
     if witness is None and m_max > 1:
         # m = 1 was decided above
         witness = _multicopy_search(a, b, 2, m_max, tol, size_cap)
-    if holds and witness is not None:
-        raise InternalInconsistency(
-            f"sound sufficient test and witness search both fired: {witness}"
-        )
-    if holds:
-        return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
     if witness is not None:
         return StrongVerdict(StrongOutcome.CONVERTIBLE, witness, bounds)
     return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)

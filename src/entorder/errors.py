@@ -49,5 +49,5 @@ class SizeCapExceeded(EntOrderError):
 
 
 class InternalInconsistency(EntOrderError):
-    """Two paths that must agree did not (for example, two mutually exclusive
-    verdict paths both fired): this is a bug."""
+    """Two paths that must agree did not (for example, the sweep's stream
+    words and numpy's ``SeedSequence`` words): this is a bug."""

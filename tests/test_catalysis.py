@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entorder import (
     DEFAULT_TOLERANCES,
@@ -66,6 +68,12 @@ TWO_COPY_B = (
     0.20716460313794391,
     0.12767201611332063,
 )
+
+# Incomparable, not a condition-c pair (top entries and Schmidt numbers are
+# ordered the same way), and no witness within the default strong_verdict
+# bounds, nor at catalyst dimension 4 on a 500-step grid.
+NO_WITNESS_A = (0.5, 0.2, 0.2, 0.1)
+NO_WITNESS_B = (0.48, 0.46, 0.03, 0.03)
 
 
 # --- tensor products --------------------------------------------------------
@@ -529,12 +537,12 @@ def test_strong_verdict_decides_each_copy_count_once(monkeypatch, m_max):
         return prefix_pair(pa, pb, tol)
 
     monkeypatch.setattr(catalysis, "_prefix_pair", counting)
-    a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
+    a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
     verdict = strong_verdict(a, b, m_max=m_max, catalyst_dim_max=2, grid_steps=5)
-    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.checked_bounds == (m_max, 2, 5)
     # the single-copy check before the catalyst scan is not repeated after it
-    assert decided == [(4**m, 2**m) for m in range(1, m_max + 1)]
+    assert decided == [(4**m, 4**m) for m in range(1, m_max + 1)]
 
 
 # --- catalyst checks ---------------------------------------------------------
@@ -876,39 +884,40 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
 def test_a_refused_dimension_past_grid_steps_is_passed_but_bounds_the_audit():
     # above dimension 2, a grid with fewer steps than entries has no rows:
     # the scan passes such a dimension whether or not the caps refuse it,
-    # and the audit of a proven verdict still stops before a refused one
+    # and a proven verdict, which scans nothing, covers the requested bounds
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # dim 3 needs 12
     assert catalyst_search(long, short, 4, 2, size_cap=8) is None
     verdict = strong_verdict(
         long, short, m_max=1, catalyst_dim_max=4, grid_steps=2, size_cap=8
     )
-    assert verdict.checked_bounds == (1, 2, 2)
+    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (1, 4, 2)
     with pytest.raises(SizeCapExceeded) as info:
         catalyst_search(long, short, 4, 3, size_cap=8)
     assert (info.value.required, info.value.cap) == (12, 8)
 
 
 def test_no_grid_past_grid_steps_is_built_whatever_the_catalyst_dimension():
-    # past grid_steps only the product check can refuse a dimension, so its
-    # first refusal is computed, not found by building empty grids
-    long, short = spec(0.6, 0.3, 0.1), spec(0.5, 0.5)  # condition-c pair
+    # past grid_steps a dimension has no rows, so the scan neither builds
+    # its grid nor checks its products against the cap
+    a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
     catalysis._catalyst_grid.cache_clear()
-    verdict = strong_verdict(long, short, catalyst_dim_max=40, grid_steps=2)
+    verdict = strong_verdict(a, b, catalyst_dim_max=40, grid_steps=2)
+    assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.checked_bounds == (3, 40, 2)
     assert list(catalysis._grid_cache) == [(2, 2)]
     start = time.process_time()
-    verdict = strong_verdict(long, short, catalyst_dim_max=10**5, grid_steps=2)
+    verdict = strong_verdict(a, b, catalyst_dim_max=10**5, grid_steps=2)
     no_hit = catalyst_search(spec(0.5, 0.25, 0.25), spec(0.4, 0.4, 0.2), 10**5, 2)
     assert time.process_time() - start < 0.5
-    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.checked_bounds == (3, 10**5, 2)
     assert no_hit is None
-    # the audit still stops before the first dimension products refuse:
-    # 3 * 1001 entries are over the cap
-    verdict = strong_verdict(
-        long, short, catalyst_dim_max=10**5, grid_steps=2, size_cap=3000
-    )
-    assert verdict.checked_bounds == (3, 1000, 2)
+    # 4 * 1001 product entries would be over this cap, but no dimension
+    # past grid_steps is visited
+    verdict = strong_verdict(a, b, catalyst_dim_max=10**5, grid_steps=2, size_cap=4000)
+    assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+    assert verdict.checked_bounds == (3, 10**5, 2)
     assert list(catalysis._grid_cache) == [(2, 2)]
 
 
@@ -960,7 +969,8 @@ def test_catalyst_grid_cache_does_not_keep_every_grid():
 
 
 def test_strong_verdict_audit_and_scan_build_each_grid_once(monkeypatch):
-    # the dimension-4 grid alone holds more than the cache's bound
+    # the dimension-4 grid alone holds more than the cache's bound; a proven
+    # verdict builds no grid, and a scan builds each grid once
     catalysis._catalyst_grid.cache_clear()
     builds = []
     build = catalysis._build_catalyst_grid
@@ -973,6 +983,12 @@ def test_strong_verdict_audit_and_scan_build_each_grid_once(monkeypatch):
     long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
     verdict = strong_verdict(long, short, catalyst_dim_max=4, grid_steps=500)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
+    assert verdict.checked_bounds == (3, 4, 500)
+    assert builds == []
+    verdict = strong_verdict(
+        spec(*NO_WITNESS_A), spec(*NO_WITNESS_B), catalyst_dim_max=4, grid_steps=500
+    )
+    assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.checked_bounds == (3, 4, 500)
     assert builds == [(2, 500), (3, 500), (4, 500)]
     assert 4 * count_simplex_grid(4, 500) > catalysis._GRID_CACHE_ENTRIES
@@ -1111,8 +1127,8 @@ def test_strong_verdict_inconclusive_is_honest():
     # numbers are ordered the same way), and no witness within tiny bounds:
     # the verdict must say so instead of claiming impossibility
     verdict = strong_verdict(
-        spec(0.5, 0.2, 0.2, 0.1),
-        spec(0.48, 0.46, 0.03, 0.03),
+        spec(*NO_WITNESS_A),
+        spec(*NO_WITNESS_B),
         m_max=1,
         catalyst_dim_max=2,
         grid_steps=3,
@@ -1132,51 +1148,116 @@ def test_strong_verdict_rejects_out_of_range_bounds_up_front(bounds):
         strong_verdict(spec(0.5, 0.5), spec(0.7, 0.3), **bounds)
 
 
-def test_strong_verdict_audit_stops_at_the_cap_once_proven():
+def test_strong_verdict_keeps_copy_counts_over_the_cap_once_proven():
     # condition_c holds; three copies of the 300-entry `a` would need 300**3
-    # entries, beyond the default cap, so the audit stops at two copies
+    # entries, beyond the default cap, and the proof still covers them
     a = spec(0.5, *[0.5 / 299] * 299)
     b = spec(*[1 / 299] * 299)
+    assert 300**3 > catalysis.DEFAULT_SIZE_CAP
     verdict = strong_verdict(a, b)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
-    assert verdict.checked_bounds == (2, 3, 100)
+    assert verdict.checked_bounds == (3, 3, 100)
 
 
 @pytest.mark.parametrize(
-    "size_cap, bounds", [(20, (2, 3, 100)), (8, (1, 2, 100)), (3, (0, 1, 100))]
+    "size_cap, bounds",
+    [(20, (3, 3, 100)), (8, (10, 4, 500)), (3, (10**6, 10**6, 10**6))],
 )
 def test_strong_verdict_records_the_audited_bounds(size_cap, bounds):
+    # the bounds of a proven verdict are the requested ones, whatever the cap
     a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
-    verdict = strong_verdict(a, b, size_cap=size_cap)
+    m_max, dim_max, steps = bounds
+    verdict = strong_verdict(
+        a, b, m_max=m_max, catalyst_dim_max=dim_max, grid_steps=steps, size_cap=size_cap
+    )
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
     assert verdict.checked_bounds == bounds
 
 
-def test_strong_verdict_audit_clips_a_huge_copy_count_once_proven():
-    # 3**4 = 81 entries fit a cap of 100, 3**5 do not
+def test_strong_verdict_keeps_a_huge_copy_count_once_proven():
+    # 3**5 entries are over a cap of 100; the proof covers every copy count
     a, b = spec(0.6, 0.2, 0.2), spec(0.5, 0.5)
     verdict = strong_verdict(a, b, m_max=10**10, size_cap=100)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
-    assert verdict.checked_bounds == (4, 3, 100)
+    assert verdict.checked_bounds == (10**10, 3, 100)
+
+
+def test_a_proven_verdict_does_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a proven verdict searched")
+
+    monkeypatch.setattr(catalysis, "_top_products", refuse)
+    monkeypatch.setattr(catalysis, "_build_catalyst_grid", refuse)
+    catalysis._catalyst_grid.cache_clear()
+    rng = np.random.default_rng(16)
+    pairs = [(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5))] + [
+        tuple(map(make_spectrum, random_condition_c_pair(rng))) for _ in range(4)
+    ]
+    for a, b in pairs:
+        for pair in ((a, b), (b, a)):
+            for bounds in ((1, 2, 2), (3, 3, 100), (10**10, 10**9, 10**6)):
+                m_max, dim_max, steps = bounds
+                for size_cap in range(1, 21):
+                    verdict = strong_verdict(
+                        *pair, m_max=m_max, catalyst_dim_max=dim_max,
+                        grid_steps=steps, size_cap=size_cap,
+                    )
+                    assert verdict.outcome is StrongOutcome.STRONG_BY_C
+                    assert verdict.witness is None
+                    assert verdict.checked_bounds == bounds
+    assert catalysis._grid_cache == {}
+
+
+@st.composite
+def condition_c_pairs(draw):
+    """A pair passing condition_c, either side first: `b` with 2..4 entries,
+    `a` with more, up to 5, and a top entry above b's by at least 1e-6 of
+    the mass below b's top entry.
+
+    The top gap of a product is the gap times at least 3/25 (three copies of
+    tops of 1/5 or more) or 1/3 (a catalyst of dimension 3 or less), and
+    every entry stays above 1e-3, so each blocked prefix inequality of a
+    product fails by far more than `tau_cmp`.
+    """
+    weights = st.floats(0.1, 1.0)
+    nb = draw(st.integers(2, 4))
+    b = np.array(draw(st.lists(weights, min_size=nb, max_size=nb)))
+    b = make_spectrum(b / b.sum())
+    top = b.values[0] + draw(st.floats(1e-6, 0.5)) * (1.0 - b.values[0])
+    rest = np.array(draw(st.lists(weights, min_size=nb, max_size=4)))
+    pair = (make_spectrum([top, *rest / rest.sum() * (1.0 - top)]), b)
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(condition_c_pairs())
+def test_condition_c_pairs_open_no_direction_by_search(pair):
+    # the soundness of the proven path, checked outside strong_verdict
+    assert condition_c(*pair)
+    assert compare(*pair).relation is Relation.INCOMPARABLE
+    assert multicopy_convertible(*pair, 3) is None
+    assert catalyst_search(*pair, 3, 12) is None
 
 
 def test_strong_verdict_cap_still_raises_before_a_proof():
     # equal Schmidt numbers: condition_c fails, so exceeding the cap is an error
-    a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
+    a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
     assert not condition_c(a, b)
     with pytest.raises(SizeCapExceeded):
         strong_verdict(a, b, catalyst_dim_max=2, grid_steps=3, size_cap=20)
 
 
 def test_strong_verdict_audit_skips_grids_over_the_cap_once_proven():
+    # the dimension-4 grid is over the cap; a proven verdict builds no grid
+    catalysis._catalyst_grid.cache_clear()
     a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
     verdict = strong_verdict(a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
-    assert verdict.checked_bounds == (3, 3, GRID_STEPS_OVER_CAP)
+    assert verdict.checked_bounds == (3, 4, GRID_STEPS_OVER_CAP)
+    assert catalysis._grid_cache == {}
 
 
-def test_strong_verdict_audit_follows_a_raised_size_cap(monkeypatch):
-    monkeypatch.setattr(catalysis, "_catalyst_grid", lambda d, s, c: np.empty((0, d)))
+def test_strong_verdict_audit_follows_a_raised_size_cap():
     a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
     verdict = strong_verdict(
         a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP, size_cap=10**8
@@ -1185,9 +1266,9 @@ def test_strong_verdict_audit_follows_a_raised_size_cap(monkeypatch):
     assert verdict.checked_bounds == (3, 4, GRID_STEPS_OVER_CAP)
 
 
-def test_strong_verdict_audit_stops_where_the_scan_is_refused():
-    # a proven verdict's catalyst bound D is the scan's reach: the scan up to
-    # D is within the caps, and one dimension more is refused
+def test_strong_verdict_covers_what_the_scan_refuses_once_proven():
+    # a proven verdict covers the requested catalyst bound, also where the
+    # scan is refused by a cap; wherever the scan runs, it finds nothing
     rng = np.random.default_rng(12)
     pairs = [(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5))] + [
         tuple(map(make_spectrum, random_condition_c_pair(rng))) for _ in range(2)
@@ -1201,20 +1282,17 @@ def test_strong_verdict_audit_stops_where_the_scan_is_refused():
                 a, b, m_max=1, catalyst_dim_max=dim_max, grid_steps=steps, size_cap=cap
             )
             assert verdict.outcome is StrongOutcome.STRONG_BY_C
-            dims = verdict.checked_bounds[1]
-            if dims > 1:
-                assert catalyst_search(a, b, dims, steps, size_cap=cap) is None
-            if dims < dim_max:
-                with pytest.raises(SizeCapExceeded) as info:
-                    catalyst_search(a, b, dims + 1, steps, size_cap=cap)
-                seen.add("grid" if "catalyst grid" in str(info.value) else "product")
-            else:
+            assert verdict.checked_bounds == (1, dim_max, steps)
+            try:
+                assert catalyst_search(a, b, dim_max, steps, size_cap=cap) is None
                 seen.add("full")
+            except SizeCapExceeded as refusal:
+                seen.add("grid" if "catalyst grid" in str(refusal) else "product")
     assert seen == {"grid", "product", "full"}
 
 
 def test_strong_verdict_grid_cap_still_raises_before_a_proof():
-    a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
+    a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
     with pytest.raises(SizeCapExceeded) as info:
         strong_verdict(
             a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP

@@ -250,7 +250,7 @@ def test_strong_audit_cap_does_not_overturn_condition_c():
     assert (code, err) == (0, "")
     assert out == (
         "outcome: strong-by-c\n"
-        "checked bounds: m_max=2 catalyst_dim=3 grid_steps=100\n"
+        "checked bounds: m_max=3 catalyst_dim=3 grid_steps=100\n"
     )
 
 

@@ -387,7 +387,7 @@ def test_numpy_integer_counts_are_accepted():
     assert catalyst_convertible(a, b, b, size_cap=np.int16(12)) == catalyst_convertible(
         a, b, b
     )
-    # a condition-c pair audits its bounds against a numpy size_cap too
+    # a condition-c pair takes a numpy size_cap too
     got = strong_verdict(COUNT_A, COUNT_B, size_cap=np.int64(100))
     expected = strong_verdict(COUNT_A, COUNT_B, size_cap=100)
     assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
