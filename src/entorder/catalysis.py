@@ -26,18 +26,18 @@ This module provides
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
-and kept in a size-bounded cache.  The rows of every admitted dimension
-form one sequence, cut into blocks that may span dimensions, and a block
-is decided together: products ``a (x) c`` and ``b (x) c`` for every row,
+and kept in a size-bounded cache.  The rows of dimensions 2, 3, ... form
+one sequence, cut into blocks that may span dimensions, and a block is
+decided together: products ``a (x) c`` and ``b (x) c`` for every row,
 one prefix-sum buffer, and both prefix inequalities, decided by
 :func:`~entorder.majorization.compare_many` like every other majorization
 verdict.  So each row's verdict is the one
 :func:`~entorder.majorization.compare` gives on that pair of
 :func:`tensor_product_spectrum` spectra.  Blocks hold a bounded number of
-product entries, which bounds peak memory and stops the scan at the block
-holding the first hit.  A grid is built in numpy one part per column, and
-one over its entry cap is refused before the first level over the cap is
-allocated.
+product entries, which bounds peak memory and stops the scan, and the
+building of grids, at the block holding the first hit.  A grid is built
+in numpy one part per column, and one over its entry cap is refused
+before the first level over the cap is allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .majorization import (
     DIRECTIONS, Relation, _prefix_pair, compare_many, verdict_code
 )
 from .spectra import (
+    _BLOCK_ENTRIES,
+    DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
     SchmidtSpectrum,
     Tolerances,
@@ -59,13 +61,6 @@ from .spectra import (
     schmidt_number,
     spectrum_to_json,
 )
-
-DEFAULT_SIZE_CAP = 10**7
-
-# Product entries, over both spectra of a pair, per block of the catalyst
-# grid scan.  Bounds the scan's peak memory and the work done past a hit.
-_BLOCK_ENTRIES = 1 << 15
-
 
 def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
     if spec.tail is not None:
@@ -364,27 +359,6 @@ def catalyst_convertible(
     return None if hit is None else hit[1]
 
 
-def _admitted_grids(
-    a: SchmidtSpectrum, b: SchmidtSpectrum, dim_max: int, steps: int, size_cap: int
-) -> tuple[list[np.ndarray], SizeCapExceeded | None]:
-    """The catalyst grids of dimensions 2..min(dim_max, steps) that the caps
-    admit, and the first refusal or None: the gate of the scan.  Per
-    dimension, products with its catalysts are checked against `size_cap`
-    (`a` before `b`), then its grid is refused past max(size_cap,
-    DEFAULT_SIZE_CAP) entries unbuilt, so a small `size_cap` bounds products
-    without shrinking the default grids.  Past `steps` a grid has no rows
-    and none is built, so no dimension there is refused."""
-    grids = []
-    try:
-        for dim in range(2, min(dim_max, steps) + 1):
-            for spec in (a, b):
-                _check_product_factor(spec, dim, size_cap)
-            grids.append(_catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP)))
-    except SizeCapExceeded as refusal:
-        return grids, refusal
-    return grids, None
-
-
 # Grid entries the catalyst grid cache keeps besides its largest grid (8 MB
 # of floats).  The largest is exempt so that a grid over this bound is not
 # dropped, and rebuilt, whenever a smaller one is built after it.
@@ -483,11 +457,12 @@ def catalyst_search(
 
     Returns the first working catalyst in the canonical grid order (see
     :func:`_build_catalyst_grid`), with the direction
-    :func:`catalyst_convertible` gives for it.  The rows of every grid that
-    :func:`_admitted_grids` admits, dimension by dimension, are scanned in
-    blocks that may span dimensions, each decided by one batched kernel,
-    and the scan stops at the block holding the first hit.  A refused
-    dimension is raised only after the smaller ones have been scanned.
+    :func:`catalyst_convertible` gives for it.  The grid rows of
+    :func:`_scan_blocks`, dimension by dimension, are scanned in blocks
+    that may span dimensions, each decided by one batched kernel, and the
+    scan stops at the block holding the first hit, so no grid past that
+    block is built.  A refused dimension is raised only after the smaller
+    ones have been scanned.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -497,29 +472,44 @@ def catalyst_search(
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     size_cap = _integer("size_cap", size_cap, 1)
-    grids, refusal = _admitted_grids(a, b, dim_max, grid_steps, size_cap)
-    for block in _scan_blocks(grids, len(a) + len(b)):
+    for block in _scan_blocks(a, b, dim_max, grid_steps, size_cap):
         hit = _first_hit(a, b, block, tol)
         if hit is not None:
             return CatalystWitness(hit[1], SchmidtSpectrum(hit[0].copy()))
-    if refusal is not None:
-        raise refusal
     return None
 
 
-def _scan_blocks(grids: list[np.ndarray], pair_entries: int):
-    """The rows of `grids` (dimensions 2, 3, ...) in blocks, each a list of
-    grid slices, one per dimension, and at most `_BLOCK_ENTRIES` product
-    entries of a pair counted at its widest dimension (or one row)."""
+def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
+    """The catalyst grid rows of dimensions 2..min(dim_max, steps) in
+    blocks, each a list of grid slices, one per dimension, and at most
+    `_BLOCK_ENTRIES` product entries of the pair counted at its widest
+    dimension (or one row).  A full block is yielded before the next
+    dimension's products are checked against `size_cap` (`a` before `b`) and
+    its grid is fetched, refused past max(size_cap, DEFAULT_SIZE_CAP)
+    entries unbuilt, so a small `size_cap` bounds products without shrinking
+    the default grids.  A refusal is raised after the pending block is
+    yielded.  Past `steps` a grid has no rows, so no dimension there is
+    checked or built."""
     block, held = [], 0
-    for dim, grid in enumerate(grids, 2):
-        rows = max(1, _BLOCK_ENTRIES // (pair_entries * dim))
+    for dim in range(2, min(dim_max, steps) + 1):
+        rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
+        if held >= rows:
+            yield block
+            block, held = [], 0
+        try:
+            for spec in (a, b):
+                _check_product_factor(spec, dim, size_cap)
+            grid = _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
+        except SizeCapExceeded:
+            if block:
+                yield block
+            raise
         while len(grid):
+            block.append(grid[: rows - held])
+            held, grid = held + len(block[-1]), grid[rows - held :]
             if held >= rows:
                 yield block
                 block, held = [], 0
-            block.append(grid[: rows - held])
-            held, grid = held + len(block[-1]), grid[rows - held :]
     if block:
         yield block
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import DEFAULT_SIZE_CAP, condition_c
+from .catalysis import condition_c
 from .errors import (
     InfiniteSchmidtNumber,
     InvalidInput,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .majorization import Relation, compare
 from .spectra import (
+    DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
     GeometricTail,
     SchmidtSpectrum,

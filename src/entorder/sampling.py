@@ -39,7 +39,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .catalysis import DEFAULT_SIZE_CAP, _BLOCK_ENTRIES
 from .errors import (
     DimensionTooSmall,
     InternalInconsistency,
@@ -47,7 +46,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .majorization import RELATIONS, Relation, compare_many, near_ties, verdict_code
-from .spectra import DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances, _integer
+from .spectra import DEFAULT_SIZE_CAP, DEFAULT_TOLERANCES, SchmidtSpectrum, Tolerances
+from .spectra import _BLOCK_ENTRIES, _integer
 
 # Normal quantile for a two-sided 95% interval.
 Z95 = 1.959963984540054
@@ -305,7 +305,6 @@ def incomparability_fraction(
         raise InvalidInput("need at least one sample")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
-    # The catalyst scan's block budget bounds the sweep's peak memory too.
     rows = max(1, _BLOCK_ENTRIES // (4 * n * n))
     z = np.empty((min(rows, samples), 4, n, n))
     tallies = np.zeros(6, dtype=np.int64)

@@ -33,6 +33,11 @@ from .errors import (
 # whose residual has not dropped below tolerance after this many entries is
 # treated as an ill-conditioned input rather than ground through.
 MAX_HORIZON = 10**6
+# Default entry cap of products, powers, catalyst grids and sweep samples.
+DEFAULT_SIZE_CAP = 10**7
+# Entries per block of the catalyst scan (products over both spectra of a
+# pair) and of the sweep (Gaussian entries): bounds their peak memory.
+_BLOCK_ENTRIES = 1 << 15
 
 # A total mass this close to 1 counts as already normalized on ingestion.
 _ROUNDING = 4 * np.finfo(float).eps
@@ -111,15 +116,11 @@ class GeometricTail:
     def residual_mass(self, count) -> float:
         return self.first * self.ratio**count / (1.0 - self.ratio)
 
-    def dropped(self, count: int) -> "GeometricTail":
-        """The tail that remains after its first `count` entries are removed."""
-        return GeometricTail(self.first * self.ratio**count, self.ratio)
-
     def count_above(self, level: float) -> int:
-        """Count of entries first * ratio**i above `level`, each formed as
-        :meth:`dropped` forms it, capped at `MAX_HORIZON` + 1: a log estimate
-        corrected a step at a time (entries fall with i; one that underflows
-        to 0 is at or below a level of 0)."""
+        """Count of scalar powers first * ratio**i above `level`, capped at
+        `MAX_HORIZON` + 1, which sizes the peel window of :func:`_merge_tail_boundary`:
+        a log estimate corrected a step at a time (entries fall with i; one
+        that underflows to 0 is at or below a level of 0)."""
         if self.first <= level:
             return 0
         guess = math.log(max(level, math.ulp(0.0)) / self.first) / math.log(self.ratio)
@@ -195,16 +196,24 @@ class SchmidtSpectrum:
 def _merge_tail_boundary(values, tail):
     """Peel exactly the tail entries above the last entry of the non-empty
     head `values` into the head; the rest of the tail starts at or below it.
-    A tail above it for more than `MAX_HORIZON` entries is refused before
-    anything is peeled, as its horizon would be."""
+    The peel is decided on the bits of :meth:`GeometricTail.entries`, in a
+    window two entries past the count of :meth:`GeometricTail.count_above`,
+    and the kept tail starts at the first entry not peeled.  A tail above
+    the head for more than `MAX_HORIZON` entries is refused before anything
+    is peeled, as its horizon would be; a kept first entry that underflows
+    to 0 is refused as invalid input."""
     count = 0 if tail is None else tail.count_above(values[-1])
     if count > MAX_HORIZON:
         raise SizeCapExceeded(MAX_HORIZON + 1, MAX_HORIZON, "tail stays above the "
                               f"head's last entry for more than {MAX_HORIZON} entries")
     if not count:
         return values, tail
-    merged = np.sort(np.concatenate([values, tail.entries(count)]))[::-1]
-    return merged, tail.dropped(count)
+    window = tail.entries(count + 2)
+    peeled = np.count_nonzero(window > values[-1])
+    if not window[peeled] > 0:
+        raise InvalidInput(f"tail entry first*ratio**{peeled} underflows to 0")
+    merged = np.sort(np.concatenate([values, window[:peeled]]))[::-1]
+    return merged, GeometricTail(float(window[peeled]), tail.ratio)
 
 
 def make_spectrum(

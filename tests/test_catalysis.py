@@ -1066,6 +1066,47 @@ def test_grid_cap_is_checked_before_the_grid_is_built(built_grids):
     assert built_grids == []
 
 
+def test_a_hit_in_a_full_dimension_2_block_builds_no_larger_grid(
+    kernel_blocks, built_grids, monkeypatch
+):
+    # the 51 rows of the dimension-2 grid fill the first block, which holds
+    # the worked pair's first catalyst: no grid of dimension 3 to 5 is built
+    a, b = spec(*JP_A), spec(*JP_B)
+    monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 51 * (len(a) + len(b)) * 2)
+    witness = catalyst_search(a, b, 5, 100)
+    assert len(witness.catalyst) == 2
+    assert kernel_blocks == [[(51, 2)]]
+    assert built_grids == [2]
+
+
+def test_a_grid_refusal_comes_after_the_block_before_it_finds_no_hit(monkeypatch):
+    # at a grid cap of 40 entries the grids of dimensions 2 and 3 at 12
+    # steps (14 and 36 entries) fit, in one block; that of dimension 4 (60)
+    # is refused, and raised only once the pending block is decided
+    events = []
+    grid, first_hit = catalysis._catalyst_grid, catalysis._first_hit
+
+    def fetching(dim, steps, cap):
+        events.append(("grid", dim))
+        return grid(dim, steps, cap)
+
+    def deciding(a, b, pieces, tol):
+        hit = first_hit(a, b, pieces, tol)
+        events.append(("block", [piece.shape for piece in pieces], hit))
+        return hit
+
+    monkeypatch.setattr(catalysis, "DEFAULT_SIZE_CAP", 40)
+    monkeypatch.setattr(catalysis, "_catalyst_grid", fetching)
+    monkeypatch.setattr(catalysis, "_first_hit", deciding)
+    long, short = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)  # condition-c pair
+    with pytest.raises(SizeCapExceeded, match="catalyst grid of dimension 4") as info:
+        catalyst_search(long, short, 5, 12, size_cap=40)
+    assert (info.value.required, info.value.cap) == (41, 40)
+    assert events == [
+        ("grid", 2), ("grid", 3), ("grid", 4), ("block", [(7, 2), (12, 3)], None)
+    ]
+
+
 def test_a_raised_size_cap_raises_the_grid_cap(monkeypatch):
     built = []
 

@@ -420,6 +420,12 @@ def test_construct_truncate_of_a_peeled_tail_is_non_increasing():
     assert all(x >= y for x, y in zip(values, values[1:]))
 
 
+def test_a_tail_whose_kept_first_entry_underflows_names_the_underflow():
+    # peeling 0.25 leaves a tail that resumes at 0.25 * 5e-324, which is 0
+    got = invoke("compare", "--a", "0.75,2e-12...geom(0.25,5e-324)", "--b", "0.5,0.5")
+    assert got == (2, "", "error: tail entry first*ratio**1 underflows to 0\n")
+
+
 def test_a_tail_that_shrinks_too_slowly_exits_3_without_peeling_one_by_one():
     # about 9e5 tail entries sit above the head: they are counted in closed
     # form, and the horizon then refuses the spectrum

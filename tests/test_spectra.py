@@ -302,6 +302,36 @@ def test_a_tail_is_refused_exactly_when_entry_max_horizon_is_above_the_head():
         _merge_tail_boundary(np.array([0.5, np.nextafter(level, 0.0)]), tail)
 
 
+def peel_levels(rng, count):
+    """Tails with a level at entry i, formed by `entries` or as the scalar
+    power first * ratio**i.  With some numpy builds the two differ by an
+    ulp for a few per cent of (ratio, i) pairs, so such a level sits just
+    above or just below the entry it names."""
+    for _ in range(count):
+        first, ratio = rng.uniform(0.01, 0.5), rng.uniform(0.05, 0.999)
+        tail = GeometricTail(float(first), float(ratio))
+        i = int(rng.integers(1, 200))
+        if rng.random() < 0.5:
+            yield tail, tail.first * tail.ratio**i
+        else:
+            yield tail, float(tail.entries(1, i)[0])
+
+
+def test_a_peel_takes_the_entries_above_the_level_by_their_own_bits():
+    rng = np.random.default_rng(29)
+    for tail, level in peel_levels(rng, 4000):
+        values, kept = _merge_tail_boundary(np.array([level]), tail)
+        # the peeled entries are the leading `entries`, all above the level
+        peeled = len(values) - 1
+        entries = tail.entries(peeled + 1)
+        assert values[-1] == level
+        assert values[:-1].tobytes() == entries[:-1].tobytes()
+        assert (entries[:-1] > level).all()
+        # and the kept tail resumes at the next one, bit for bit
+        assert np.float64(kept.first).tobytes() == entries[-1].tobytes()
+        assert kept.first <= level and kept.ratio == tail.ratio
+
+
 @st.composite
 def tailed_inputs(draw):
     """Positive head entries and a tail of mass `share`, normalized together;
