@@ -22,7 +22,14 @@ This module provides
   any copy count and any finite catalyst;
 * bounded witness searches over copy counts and catalyst grids, and
   :func:`strong_verdict`, which combines the sound paths and otherwise
-  reports an honest ``inconclusive``.
+  reports an honest ``inconclusive``,
+* :func:`_ends_block`, the end screen that spares :func:`strong_verdict`
+  searches that cannot succeed: along a conversion of equal-length
+  spectra the top entry cannot fall and the smallest cannot rise, so when
+  one spectrum has both the larger top and the larger smallest entry, by a
+  margin that no product's rounding or slack can close, no search within
+  the bounds opens a direction and the verdict is ``inconclusive``
+  without one.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
@@ -514,6 +521,80 @@ def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
         yield block
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> bool:
+    """True when the end entries of an equal-length finite pair block both
+    directions in every search of :func:`strong_verdict` within the bounds.
+
+    Along a conversion x -> y (x majorized by y) of two n-entry spectra the
+    top entry cannot fall (x1 <= y1, the first prefix inequality) and the
+    smallest cannot rise (x_n >= y_n, the (n - 1)-th), and both ends
+    multiply under tensor products: the Renyi entropies of order +inf and
+    -inf.  So when a1 - b1 and a_n - b_n have the same strict sign, one end
+    blocks each direction at every copy count and with every catalyst.  The
+    test asks for that with a margin: in the common sign, each of the gaps
+    (a1 - b1) / min(dim_max, steps) and (a_n - b_n) / steps, and for m = 1
+    .. m_max the gaps of the m-fold left-fold products a1 * ... * a1 and
+    a_n * ... * a_n, exceeds tau_cmp + delta, where
+
+        delta = 4 * (N + 2) * eps + 4 * m_max * E,
+
+    N = max(n * min(dim_max, steps), n**m_max) is the longest product the
+    searches form and E = |sum(a) - 1| + |sum(b) - 1| + 2 * n * eps bounds
+    both masses' distances from 1 (each count is clipped at 2**53, past
+    which delta exceeds every gap).
+
+    Proof that no search then accepts a direction.  Say a1 > b1 and a_n >
+    b_n (otherwise swap the roles) and let u = eps / 2.  The top gap is at
+    most 1 + E and exceeds 4 * m_max * E, so E < 1 / (4 * m_max - 1) and
+    every mass to a power m <= m_max is below e**(1/3) < 1.4.  Rounding is
+    monotone, so the largest and smallest entries of a computed product are
+    the products of the largest and of the smallest factors.
+
+    * Copies.  Power m's top entries are this test's folds, so the search
+      compares at index 1 the very difference tested here.  Its prefix at
+      index n**m - 1 is the total less the smallest entry, within a
+      relative N * u by a sequential cumsum, and the totals are the masses
+      to the power m within a relative m * u, so b's prefix there exceeds
+      a's by at least (a_n**m - b_n**m) - 1.4 m E - 2.8 (N + m) u.
+    * Catalysts.  A grid row c of dimension d <= min(dim_max, steps) has
+      c1 >= sum(c) / d, and its smallest positive part c_r, a multiple of
+      1 / steps, is at least (1 - u) / steps.  A catalysed entry c_j x_k is
+      divided by its row's float sum, so it is c_j x_k / (sum(c) sum(x))
+      within (d n + 2) u, and each row sums to 1 within (d n + 1) u.  At
+      index 1 the difference is at least (a1 - b1) / d - E - 2 (N + 2) u.
+      At index r n - 1, past which only the smallest entry c_r x_n and
+      zeros remain, b's prefix exceeds a's by at least (a_n - b_n) / steps -
+      E - 6 (N + 2) u, cumsum and both row totals counted.
+
+    Each bound, less the few rounding units of this test's own arithmetic,
+    exceeds tau_cmp, so the forward test fails at index 1 and the backward
+    test at the bottom index, in every search.
+    """
+    n = len(a)
+    if n != len(b):
+        return False
+    a1, b1 = float(a.values[0]), float(b.values[0])
+    an, bn = float(a.values[-1]), float(b.values[-1])
+    sign = 1.0 if a1 > b1 else -1.0
+    if sign * (an - bn) <= 0:
+        return False
+    mass = abs(float(a.values.sum()) - 1) + abs(float(b.values.sum()) - 1) + 2 * n * _EPS
+    dim = min(dim_max, steps)
+    longest = min(max(n * dim, _power_size(n, m_max, 1 << 53)), 1 << 53)
+    least = tol.tau_cmp + 4 * (longest + 2) * _EPS + 4 * min(m_max, 1 << 53) * mass
+    if min(sign * (a1 - b1) / dim, sign * (an - bn) / steps) <= least:
+        return False
+    xa, xb, ya, yb = a1, b1, an, bn  # the m-fold products, m = 1, 2, ...
+    for _ in range(m_max):
+        if min(sign * (xa - xb), sign * (ya - yb)) <= least:
+            return False
+        xa, xb, ya, yb = xa * a1, xb * b1, ya * an, yb * bn
+    return True
+
+
 class StrongOutcome(enum.Enum):
     STRONG_BY_C = "strong-by-c"
     CONVERTIBLE = "convertible-witness"
@@ -527,7 +608,10 @@ class StrongVerdict:
     `checked_bounds` records (m_max, catalyst_dim_max, grid_steps), the
     bounds the verdict covers: for `strong-by-c` the requested ones, all of
     which the proof covers, and otherwise those of the witness search, so
-    an `inconclusive` outcome carries the extent of the failed search.
+    an `inconclusive` outcome carries the extent of the failed search.  An
+    `inconclusive` pair decided by the end screen carries the same bounds:
+    the screen shows that every search within them fails, without running
+    it.
     """
 
     outcome: StrongOutcome
@@ -565,6 +649,13 @@ def strong_verdict(
     requested bounds, all of which the proof covers.  Otherwise witnesses
     are searched cheapest conversion first: single copy, then a grid
     catalyst, then collective multi-copy operations.
+
+    Between the single copy and the catalyst scan, :func:`_ends_block`
+    screens equal-length pairs whose top and bottom entries block both
+    directions in every search within the bounds.  Such a pair is
+    `inconclusive` with no product formed: the scan's blocks are still
+    drained and the largest power still sized, so each refusal the
+    searches would raise is raised as they would raise it.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -575,6 +666,12 @@ def strong_verdict(
     if holds:
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
     witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
+    if witness is None and _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+        for _ in _scan_blocks(a, b, catalyst_dim_max, grid_steps, size_cap):
+            pass
+        if m_max > 1:
+            _check_power_size(max(len(a), len(b)), m_max, size_cap)
+        return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
     if witness is None:
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap

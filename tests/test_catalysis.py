@@ -71,9 +71,16 @@ TWO_COPY_B = (
 
 # Incomparable, not a condition-c pair (top entries and Schmidt numbers are
 # ordered the same way), and no witness within the default strong_verdict
-# bounds, nor at catalyst dimension 4 on a 500-step grid.
-NO_WITNESS_A = (0.5, 0.2, 0.2, 0.1)
-NO_WITNESS_B = (0.48, 0.46, 0.03, 0.03)
+# bounds, nor at catalyst dimension 4 on a 500-step grid or dimension 3 on a
+# 711-step one.  Its end gaps have opposite signs, so the end screen of
+# strong_verdict leaves it to the searches.
+NO_WITNESS_A = (0.5, 0.25, 0.2, 0.05)
+NO_WITNESS_B = (0.4, 0.4, 0.1, 0.1)
+# Also incomparable, not a condition-c pair and without a witness within
+# those bounds, but a1 > b1 and a4 > b4 by wide margins: strong_verdict's end
+# screen decides it with no search.
+SCREENED_A = (0.5, 0.2, 0.2, 0.1)
+SCREENED_B = (0.48, 0.46, 0.03, 0.03)
 
 
 # --- tensor products --------------------------------------------------------
@@ -1339,3 +1346,158 @@ def test_strong_verdict_grid_cap_still_raises_before_a_proof():
             a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP
         )
     assert info.value.cap == catalysis.DEFAULT_SIZE_CAP
+
+
+# --- the end screen of strong_verdict ---------------------------------------
+
+
+def unscreened_verdict(a, b, m_max, dim_max, steps, size_cap=catalysis.DEFAULT_SIZE_CAP):
+    """strong_verdict's JSON without its end screen, from public functions."""
+    if condition_c(a, b):
+        outcome, witness = "strong-by-c", None
+    else:
+        witness = (
+            multicopy_convertible(a, b, 1, size_cap=size_cap)
+            or catalyst_search(a, b, dim_max, steps, size_cap=size_cap)
+            or multicopy_convertible(a, b, m_max, size_cap=size_cap)
+        )
+        outcome = "inconclusive" if witness is None else "convertible-witness"
+    return {
+        "outcome": outcome,
+        "witness": None if witness is None else witness.to_json(),
+        "checked_bounds": {
+            "m_max": m_max, "catalyst_dim_max": dim_max, "grid_steps": steps
+        },
+    }
+
+
+def result_or_refusal(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except SizeCapExceeded as refusal:
+        return "refused", refusal.required, refusal.cap, str(refusal)
+
+
+def screened(a, b, m_max, dim_max, steps):
+    return catalysis._ends_block(a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES)
+
+
+def test_a_screened_verdict_does_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a screened verdict searched")
+
+    monkeypatch.setattr(catalysis, "_first_hit", refuse)
+    monkeypatch.setattr(catalysis, "_top_products", refuse)
+    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+    assert not condition_c(a, b)
+    assert compare(a, b).relation is Relation.INCOMPARABLE
+    for pair in ((a, b), (b, a)):
+        for bounds in ((1, 2, 2), (3, 3, 100), (3, 4, 500)):
+            assert screened(*pair, *bounds)
+            verdict = strong_verdict(
+                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
+            )
+            assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+            assert verdict.witness is None
+            assert verdict.checked_bounds == bounds
+
+
+@st.composite
+def end_gap_pairs(draw):
+    """An equal-length pair of 2..6 entries: `b` is `a` with its top and
+    bottom entries moved the same way, by gaps between 10**-12.5 (below the
+    screen's margin) and 0.1, half of them below 10**-9.5 (near the margin),
+    and the mass moved spread over the middle entries before `b` is
+    renormalized.  Small gaps give nearly equal spectra, where the slack
+    of the searches decides."""
+    n = draw(st.integers(2, 6))
+    a = np.sort(np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))))
+    a = a[::-1] / a.sum()
+    exponents = st.one_of(st.floats(-12.5, -9.5), st.floats(-12.5, -1.0))
+    gaps = [10 ** draw(exponents) for _ in range(2)]
+    top, bottom = (min(gap, 0.5 * a[-1]) for gap in gaps)
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    b = a.copy()
+    b[0] -= sign * top
+    b[-1] -= sign * bottom
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    b[1:-1] += sign * (top + bottom) * np.array(weights)
+    b /= b.sum()
+    pair = (make_spectrum(a), make_spectrum(b))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(end_gap_pairs(), st.integers(1, 3), st.sampled_from(((2, 4), (3, 12), (4, 6))))
+def test_the_end_screen_is_sound(pair, m_max, grid):
+    # wherever the screen fires, neither search accepts either direction
+    dim_max, steps = grid
+    if not screened(*pair, m_max, dim_max, steps):
+        return
+    assert multicopy_convertible(*pair, m_max) is None
+    assert catalyst_search(*pair, dim_max, steps) is None
+
+
+def test_a_top_gap_inside_the_margin_is_left_to_the_searches():
+    # both end gaps exceed tau_cmp, and they have the same sign, but the top
+    # gap is below the margin once a catalyst of dimension 2 or 3 divides it:
+    # the searches run and find the slack witnesses they find without the
+    # screen
+    a = spec(0.4 + 1.5e-12, 0.3 - 3e-12, 0.2, 0.1 + 1.5e-12)
+    b = spec(0.4, 0.3, 0.2, 0.1)
+    gaps = a.values - b.values
+    assert gaps[0] > DEFAULT_TOLERANCES.tau_cmp and gaps[-1] > DEFAULT_TOLERANCES.tau_cmp
+    assert not condition_c(a, b)
+    for m_max, dim_max, steps in ((1, 3, 100), (2, 2, 100), (3, 3, 100)):
+        assert not screened(a, b, m_max, dim_max, steps)
+        verdict = strong_verdict(
+            a, b, m_max=m_max, catalyst_dim_max=dim_max, grid_steps=steps
+        )
+        assert verdict.outcome is StrongOutcome.CONVERTIBLE
+        assert verdict.to_json() == unscreened_verdict(a, b, m_max, dim_max, steps)
+
+
+def test_a_screened_pair_refuses_as_the_searches_do():
+    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+    cases = [
+        # the dimension-3 products, 4 * 3 entries, are over the cap
+        ((3, 3, 20, 10), lambda: catalyst_search(a, b, 3, 20, size_cap=10)),
+        # the dimension-4 grid is over the default cap
+        ((1, 4, GRID_STEPS_OVER_CAP, catalysis.DEFAULT_SIZE_CAP),
+         lambda: catalyst_search(a, b, 4, GRID_STEPS_OVER_CAP)),
+        # every catalyst fits, three copies (4**3 entries) do not
+        ((3, 3, 12, 20), lambda: multicopy_convertible(a, b, 3, size_cap=20)),
+    ]
+    assert catalyst_search(a, b, 3, 12, size_cap=20) is None
+    for (m_max, dim_max, steps, cap), search in cases:
+        assert screened(a, b, m_max, dim_max, steps)
+        expected = result_or_refusal(search)
+        assert expected[0] == "refused"
+        assert result_or_refusal(
+            strong_verdict, a, b, m_max=m_max, catalyst_dim_max=dim_max,
+            grid_steps=steps, size_cap=cap,
+        ) == expected
+
+
+def test_strong_verdict_matches_the_unscreened_composition():
+    # the strata of the `strong` benchmark: condition-c pairs and equal-length
+    # random pairs of 3..6 entries, at its bounds, some under small caps
+    rng = np.random.default_rng(18)
+    seen = set()
+    for i in range(2000):
+        if i % 2:
+            a, b = random_condition_c_pair(rng)
+        else:
+            n = 3 + i // 2 % 4
+            a, b = random_sorted_probs(rng, n), random_sorted_probs(rng, n)
+        a, b = make_spectrum(a), make_spectrum(b)
+        cap = (catalysis.DEFAULT_SIZE_CAP, catalysis.DEFAULT_SIZE_CAP, 150, 15)[i % 4]
+        got = result_or_refusal(
+            lambda: strong_verdict(
+                a, b, m_max=3, catalyst_dim_max=3, grid_steps=50, size_cap=cap
+            ).to_json()
+        )
+        assert got == result_or_refusal(unscreened_verdict, a, b, 3, 3, 50, cap)
+        if screened(a, b, 3, 3, 50) and not condition_c(a, b):
+            seen.add("screened, refused" if isinstance(got, tuple) else "screened")
+    assert seen == {"screened", "screened, refused"}
