@@ -12,7 +12,10 @@ This module provides
   powers, top-k power prefixes, the multi-copy search and the catalyst
   scan all form their products with it, a power one copy at a time (power
   m is the product of the sorted power m - 1 with the factor), so every
-  path forms the same floats and agrees bit for bit with every other,
+  path forms the same floats and agrees bit for bit with every other.  A
+  top-k pass gathers only the products that can reach the top k, as
+  ascending runs, by a :func:`_gather_plan` that a power's copy loop builds
+  once, and merges the runs with one stable sort,
 * :func:`condition_c`, a sound sufficient test for strong incomparability:
   the same spectrum has both the strictly larger top entry and the strictly
   larger Schmidt number.  A larger top entry rules that state out as the
@@ -50,6 +53,7 @@ before the first level over the cap is allocated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +78,9 @@ def _require_finite(spec: SchmidtSpectrum, what: str) -> None:
         raise InfiniteSchmidtNumber(f"{what} requires a finite spectrum")
 
 
-def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+def _top_products(
+    x: np.ndarray, y: np.ndarray, k: int, plan: tuple | None = None
+) -> np.ndarray:
     """Largest k products x[..., i] * y[j], sorted non-increasing along the
     last axis: the one place entorder multiplies spectrum entries.
 
@@ -83,11 +89,19 @@ def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     power), one broadcast multiply forms them all.  Otherwise an entry at
     (i, j) is at most every entry of the rectangle i' <= i, j' <= j, so
     when (i + 1) * (j + 1) > k at least k other entries are as large and
-    the top k can be formed without it: column j needs only
-    x[..., : k // (j + 1)], about k * ln(len(y)) products in all, and one
-    partition picks the k largest.  Either way each entry is the float
-    x[..., i] * y[j] and the sorted top-k multiset is unique, so ties
-    cannot change the result.
+    the top k can be formed without it: column j needs only the top
+    min(n, k // (j + 1)) entries of x, about k * ln(len(y)) candidates in
+    all.  One gather by `plan`, the :func:`_gather_plan` of (n, y, k), takes
+    each column's candidates smallest first from x[..., ::-1] (for a sorted
+    prefix that is contiguous ascending memory), and one in-place multiply
+    by their factors turns them into at most len(y) ascending runs.  A
+    stable sort (numpy's timsort, which merges runs it finds) orders them,
+    and the top k is the reversed tail of that array, a view of it.
+
+    The bytes cannot depend on the path: each entry is the float x[..., i]
+    * y[j] (IEEE multiplication commutes), the staircase keeps every
+    product that can reach the top k, and a multiset of floats has exactly
+    one sorted order, so ties are indistinguishable wherever they came from.
 
     Products renormalize and powers do not: :func:`tensor_product_spectrum`
     and the catalyst scan divide each row by its total, while powers keep
@@ -97,11 +111,21 @@ def _top_products(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
         # a 2-D block of catalysts runs the inner loop over the longer spectrum
         products = x[..., None] * y if x.ndim > 1 else y[:, None] * x
         return np.sort(products.reshape(*x.shape[:-1], -1), axis=-1)[..., ::-1]
-    columns = [x[..., : k // (j + 1)] * y[j] for j in range(min(len(y), k))]
-    products = np.concatenate(columns, axis=-1)
-    cut = products.shape[-1] - k
-    top = np.partition(products, cut, axis=-1)[..., cut:]
-    return np.sort(top, axis=-1)[..., ::-1]
+    index, factors = _gather_plan(x.shape[-1], y, k) if plan is None else plan
+    products = x[..., ::-1].take(index, axis=-1)
+    products *= factors
+    products.sort(axis=-1, kind="stable")
+    return products[..., : -k - 1 : -1]
+
+
+def _gather_plan(n: int, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices into an ascending n-entry x, and their factors, for
+    the top k products of :func:`_top_products`: for each j, the indices of
+    the top min(n, k // (j + 1)) entries, smallest first, each paired with
+    y[j]."""
+    counts = [min(n, k // j) for j in range(1, len(y) + 1)]
+    rows = np.arange(n)
+    return np.concatenate([rows[n - count :] for count in counts]), y.repeat(counts)
 
 
 def tensor_product_spectrum(
@@ -165,6 +189,12 @@ def _power_prefix(a: SchmidtSpectrum, m: int, k: int, cap: int) -> np.ndarray:
     its output, so m * len(a) is refused past `cap` first; for len(a) >= 2
     that is at most len(a)**m, so every output size error is raised before
     it.  A power of [1.0] is [1.0] bit for bit and takes no pass at all.
+
+    Once the prefix holds k entries every further pass has the same shape,
+    so its :func:`_gather_plan` is built then, once, and serves every later
+    pass; the pass that first fills the prefix builds its own.  Nothing
+    outlives the call, and a prefix that is a view of a pass's larger
+    candidate array is copied out, so the result holds k entries.
     """
     work = m * len(a)
     if work > cap:
@@ -177,9 +207,12 @@ def _power_prefix(a: SchmidtSpectrum, m: int, k: int, cap: int) -> np.ndarray:
     cur = a.values[:k].copy()
     if len(a) == 1 and a.values[0] == 1.0:
         return cur
+    plan = None
     for _ in range(m - 1):
-        cur = _top_products(cur, a.values, k)
-    return cur
+        if plan is None and len(cur) == k:
+            plan = _gather_plan(k, a.values, k)
+        cur = _top_products(cur, a.values, k, plan)
+    return cur.copy() if cur.base is not None and cur.base.size > k else cur
 
 
 def top_k_tensor_power(a: SchmidtSpectrum, m: int, k: int) -> np.ndarray:
@@ -451,6 +484,34 @@ def _build_catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
     return grid
 
 
+def _grid_rows(dim: int, steps: int, limit: int) -> int:
+    """Row count of the :func:`_build_catalyst_grid` grid of (dim, steps),
+    clipped at `limit`, without building the grid.
+
+    A dimension-2 row is a partition of `steps` into at most 2 parts, and a
+    dimension-d row, d > 2, one into exactly d positive parts, that is (one
+    taken from each part) a partition of steps - d into at most d parts.
+    `counts[s]` counts the partitions of s into parts of at most `part`;
+    adding the part size `part` is the recurrence counts[s] += counts[s -
+    part], one cumulative sum along each residue class mod `part`.  Each
+    sum is clipped at `limit`, which keeps min(count, limit) exact, and
+    overflows no int64 while `limit` times the length of `counts` is below
+    2**63 (Python integers count past that).
+    """
+    free = steps - dim if dim > 2 else steps
+    if free < 0:
+        return 0
+    dtype = np.int64 if limit * (free + 1) < 2**63 else object
+    counts = np.zeros(free + 1, dtype)
+    counts[0] = 1
+    for part in range(1, dim + 1):
+        padded = np.zeros(-(-(free + 1) // part) * part, dtype)
+        padded[: free + 1] = counts
+        sums = padded.reshape(-1, part).cumsum(axis=0).ravel()
+        counts = np.minimum(sums[: free + 1], limit)
+    return int(counts[free])
+
+
 def catalyst_search(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -519,6 +580,28 @@ def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
                 block, held = [], 0
     if block:
         yield block
+
+
+def _check_scan(a, b, dim_max: int, steps: int, size_cap: int) -> None:
+    """Raise the refusal, if any, that draining :func:`_scan_blocks` raises,
+    decided from the product sizes and the grids' row counts with no grid
+    built or fetched: a grid is refused exactly when its rows times its
+    dimension exceed the cap, whether it is built or cached.
+
+    A row is a multiset of parts, so a grid has at most as many rows as
+    there are ordered ways, math.comb(free + dim - 1, dim - 1), to share out
+    the mass `free` its parts hold above their least value; only a grid
+    this bound does not fit is counted by :func:`_grid_rows`.
+    """
+    cap = max(size_cap, DEFAULT_SIZE_CAP)
+    for dim in range(2, min(dim_max, steps) + 1):
+        for spec in (a, b):
+            _check_product_factor(spec, dim, size_cap)
+        free = steps - dim if dim > 2 else steps
+        if math.comb(free + dim - 1, dim - 1) * dim <= cap:
+            continue
+        if _grid_rows(dim, steps, cap) * dim > cap:
+            raise _grid_over_cap(dim, steps, cap)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -653,9 +736,10 @@ def strong_verdict(
     Between the single copy and the catalyst scan, :func:`_ends_block`
     screens equal-length pairs whose top and bottom entries block both
     directions in every search within the bounds.  Such a pair is
-    `inconclusive` with no product formed: the scan's blocks are still
-    drained and the largest power still sized, so each refusal the
-    searches would raise is raised as they would raise it.
+    `inconclusive` with no product formed and no grid built: the scan's
+    refusals are decided by :func:`_check_scan` and the largest power is
+    still sized, so each refusal the searches would raise is raised as they
+    would raise it.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -667,8 +751,7 @@ def strong_verdict(
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
     witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None and _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
-        for _ in _scan_blocks(a, b, catalyst_dim_max, grid_steps, size_cap):
-            pass
+        _check_scan(a, b, catalyst_dim_max, grid_steps, size_cap)
         if m_max > 1:
             _check_power_size(max(len(a), len(b)), m_max, size_cap)
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)

@@ -179,7 +179,7 @@ def test_top_k_matches_full_sort_prefix():
         s = make_spectrum(random_sorted_probs(rng, n))
         full = tensor_power_spectrum(s, m).values
         got = top_k_tensor_power(s, m, k)
-        assert got == pytest.approx(full[: min(k, len(full))], abs=1e-15)
+        assert got.tobytes() == full[:k].tobytes()
 
 
 def test_top_k_beyond_materialization_cap():
@@ -277,16 +277,74 @@ def test_product_kernel_matches_heap_and_full_sort_bitwise():
 
 @pytest.mark.parametrize("k", [1, 5, 11, 12, 13, 100])
 def test_product_kernel_on_stacked_rows(k):
-    # rows of catalysts, as the scan stacks them; 4 * 3 = 12 products a row
+    # rows of catalysts, as the scan stacks them; 4 * 3 = 12 products a row,
+    # with the gather plan built by the kernel and passed in as a power's is
     rng = np.random.default_rng(44)
     x = np.stack([random_sorted_probs(rng, 4) for _ in range(7)])
     y = random_sorted_probs(rng, 3)
-    got = catalysis._top_products(x, y, k)
-    assert got.shape == (7, min(k, 12))
-    for row, expected in zip(got, x):
-        assert row.tobytes() == heap_top_products(expected, y, k).tobytes()
-        full = np.sort(np.multiply.outer(expected, y).ravel())[::-1]
-        assert row.tobytes() == full[:k].tobytes()
+    for plan in (None, catalysis._gather_plan(4, y, k)):
+        got = catalysis._top_products(x, y, k, plan)
+        assert got.shape == (7, min(k, 12))
+        for row, expected in zip(got, x):
+            assert row.tobytes() == heap_top_products(expected, y, k).tobytes()
+            full = np.sort(np.multiply.outer(expected, y).ravel())[::-1]
+            assert row.tobytes() == full[:k].tobytes()
+
+
+@st.composite
+def tied_power_queries(draw):
+    """A dyadic or flat spectrum of 2..6 entries, m <= 12 and k <= 400; for
+    about half the queries k lies strictly between two powers n**j < k <
+    n**(j + 1) with j < m, so pass j fills the prefix in a partial pass."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        values = [1.0 / n] * n
+    else:
+        total = 2 ** draw(st.integers(3, 10))
+        cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 1,
+                             max_size=n - 1, unique=True))
+        values = np.diff([0, *sorted(cuts), total]) / total
+    m = draw(st.integers(1, 12))
+    fills = [j for j in range(1, m) if n**j + 1 < min(401, n ** (j + 1))]
+    if fills and draw(st.booleans()):
+        j = draw(st.sampled_from(fills))
+        k = draw(st.integers(n**j + 1, min(400, n ** (j + 1) - 1)))
+        assert any(n**i < k < n ** (i + 1) for i in range(1, m))
+    else:
+        k = draw(st.integers(1, 400))
+    return make_spectrum(values), m, k
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(tied_power_queries())
+def test_top_k_matches_heap_on_tied_spectra(query):
+    assert_top_k_matches_heap(*query)
+
+
+# Live at the peak of top_k_tensor_power(6 entries, m=8, k=10**5): about
+# four arrays of the k * (1 + 1/2 + ... + 1/6) = 245,000 candidates of a
+# pass (1.96 MB each), 7.4 MB in all.  The column-list kernel it replaced
+# peaked at 7.48 MB; a full 6 * k outer product in a pass would add 4.8 MB.
+TOP_K_PEAK_BYTES = 8_000_000
+
+
+def test_top_k_memory_stays_bounded_and_is_released():
+    a = spec(0.3, 0.25, 0.2, 0.1, 0.1, 0.05)
+    top_k_tensor_power(a, 3, 100)  # first-call allocations of numpy itself
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = top_k_tensor_power(a, 8, 10**5)
+        held, peak = tracemalloc.get_traced_memory()
+        del got
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < TOP_K_PEAK_BYTES
+    # the result holds its k entries, no candidate array behind them, and
+    # nothing else outlives the call
+    assert held - base < 8 * 10**5 + 2**16
+    assert after - base < 2**16
 
 
 @pytest.fixture
@@ -295,9 +353,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = catalysis._top_products
 
-    def counting(x, y, k):
+    def counting(x, y, k, plan=None):
         calls.append(y.tobytes())
-        return kernel(x, y, k)
+        return kernel(x, y, k, plan)
 
     monkeypatch.setattr(catalysis, "_top_products", counting)
     return calls
@@ -1477,6 +1535,67 @@ def test_a_screened_pair_refuses_as_the_searches_do():
             strong_verdict, a, b, m_max=m_max, catalyst_dim_max=dim_max,
             grid_steps=steps, size_cap=cap,
         ) == expected
+
+
+def test_grid_row_counts_match_the_built_grids():
+    for steps in range(2, 61):
+        for dim in range(2, 7):
+            rows = catalysis._grid_rows(dim, steps, 10**9)
+            assert rows == len(catalysis._build_catalyst_grid(dim, steps, 10**9))
+            # the build refuses exactly the grids whose entries exceed its cap
+            catalysis._build_catalyst_grid(dim, steps, rows * dim)
+            if rows:
+                with pytest.raises(SizeCapExceeded):
+                    catalysis._build_catalyst_grid(dim, steps, rows * dim - 1)
+            # clipped counts, and counts taken in Python integers past int64
+            for limit in (1, 7, 100, 2**62):
+                assert catalysis._grid_rows(dim, steps, limit) == min(rows, limit)
+
+
+def drain_scan(a, b, dim_max, steps, size_cap):
+    for _ in catalysis._scan_blocks(a, b, dim_max, steps, size_cap):
+        pass
+
+
+@pytest.mark.parametrize("default_cap", [catalysis.DEFAULT_SIZE_CAP, 600])
+def test_the_scan_check_refuses_as_the_drained_scan_does(monkeypatch, default_cap):
+    # a small default cap puts grid refusals within reach of small grids
+    monkeypatch.setattr(catalysis, "DEFAULT_SIZE_CAP", default_cap)
+    pairs = [
+        (spec(0.6, 0.4), spec(0.5, 0.3, 0.2)),
+        (spec(*SCREENED_A), spec(*SCREENED_B)),
+        (spec(0.3, 0.2, 0.2, 0.1, 0.1, 0.1), spec(0.4, 0.3, 0.1, 0.1, 0.1)),
+    ]
+    kinds = set()
+    for a, b in pairs:
+        for pair in ((a, b), (b, a)):
+            for dim_max, steps, size_cap in itertools.product(
+                (2, 3, 6, 40), (2, 3, 9, 30), (1, 12, 30, 10**7)
+            ):
+                args = (*pair, dim_max, steps, size_cap)
+                expected = result_or_refusal(drain_scan, *args)
+                assert result_or_refusal(catalysis._check_scan, *args) == expected
+                if expected is not None:
+                    kinds.add("grid" if "grid" in expected[3] else "product")
+    assert kinds == ({"grid", "product"} if default_cap == 600 else {"product"})
+
+
+def test_a_screened_verdict_builds_no_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a screened verdict fetched a grid")
+
+    monkeypatch.setattr(catalysis, "_catalyst_grid", refuse)
+    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+    for pair in ((a, b), (b, a)):
+        for bounds in ((3, 4, 500), (2, 3, 2000), (1, 40, 60)):
+            assert screened(*pair, *bounds)
+            verdict = strong_verdict(
+                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
+            )
+            assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+    # the dimension-4 grid is over the default cap, refused from its count
+    with pytest.raises(SizeCapExceeded, match="dimension 4 at 711 steps"):
+        strong_verdict(a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP)
 
 
 def test_strong_verdict_matches_the_unscreened_composition():
