@@ -547,27 +547,38 @@ def catalyst_search(
     return None
 
 
+def _scan_dims(dim_max: int, steps: int) -> range:
+    """Dimensions of the catalyst scan: past `steps` a grid has no rows, so
+    no dimension there is checked or built."""
+    return range(2, min(dim_max, steps) + 1)
+
+
+def _admit_dim(a, b, dim: int, steps: int, size_cap: int, grid):
+    """Admit dimension `dim` of the catalyst scan: the products of `a`, then
+    `b`, with a dim-entry catalyst are checked against `size_cap`, and then
+    `grid(dim, steps, cap)` is returned, the grid cap being max(size_cap,
+    DEFAULT_SIZE_CAP), so a small `size_cap` bounds products without
+    shrinking the default grids."""
+    for spec in (a, b):
+        _check_product_factor(spec, dim, size_cap)
+    return grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
+
+
 def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
-    """The catalyst grid rows of dimensions 2..min(dim_max, steps) in
-    blocks, each a list of grid slices, one per dimension, and at most
-    `_BLOCK_ENTRIES` product entries of the pair counted at its widest
-    dimension (or one row).  A full block is yielded before the next
-    dimension's products are checked against `size_cap` (`a` before `b`) and
-    its grid is fetched, refused past max(size_cap, DEFAULT_SIZE_CAP)
-    entries unbuilt, so a small `size_cap` bounds products without shrinking
-    the default grids.  A refusal is raised after the pending block is
-    yielded.  Past `steps` a grid has no rows, so no dimension there is
-    checked or built."""
+    """The catalyst grid rows of the :func:`_scan_dims` in blocks, each a
+    list of grid slices, one per dimension, and at most `_BLOCK_ENTRIES`
+    product entries of the pair counted at its widest dimension (or one
+    row).  A full block is yielded before the next dimension is admitted by
+    :func:`_admit_dim`, its grid fetched by :func:`_catalyst_grid`.  A
+    refusal is raised after the pending block is yielded."""
     block, held = [], 0
-    for dim in range(2, min(dim_max, steps) + 1):
+    for dim in _scan_dims(dim_max, steps):
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
         if held >= rows:
             yield block
             block, held = [], 0
         try:
-            for spec in (a, b):
-                _check_product_factor(spec, dim, size_cap)
-            grid = _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
+            grid = _admit_dim(a, b, dim, steps, size_cap, _catalyst_grid)
         except SizeCapExceeded:
             if block:
                 yield block
@@ -583,25 +594,41 @@ def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
 
 
 def _check_scan(a, b, dim_max: int, steps: int, size_cap: int) -> None:
-    """Raise the refusal, if any, that draining :func:`_scan_blocks` raises,
-    decided from the product sizes and the grids' row counts with no grid
-    built or fetched: a grid is refused exactly when its rows times its
-    dimension exceed the cap, whether it is built or cached.
+    """Raise the refusal, if any, that draining :func:`_scan_blocks` raises:
+    the same dimensions admitted in the same order, each grid decided by
+    :func:`_check_grid` with none built or fetched."""
+    for dim in _scan_dims(dim_max, steps):
+        _admit_dim(a, b, dim, steps, size_cap, _check_grid)
 
-    A row is a multiset of parts, so a grid has at most as many rows as
-    there are ordered ways, math.comb(free + dim - 1, dim - 1), to share out
-    the mass `free` its parts hold above their least value; only a grid
-    this bound does not fit is counted by :func:`_grid_rows`.
+
+def _check_grid(dim: int, steps: int, cap: int) -> None:
+    """Raise as :func:`_catalyst_grid` does when the grid of (dim, steps)
+    holds more than `cap` entries, without building it.
+
+    At dimension 2 the grid is the builder's single level, steps // 2 + 1
+    rows.  Above it rows are counted only where two bounds leave the answer
+    open.  The upper one: a row is a multiset of parts, so there are at
+    most as many rows as ordered ways, math.comb(free + dim - 1, dim - 1),
+    to share out the mass `free` the parts hold above their least value.
+    The lower ones: each row accounts for at most dim! of those ways, and a
+    grid has at least the rows of the builder's first level, free + 1 -
+    ceil(free / dim).  So a grid the builder refuses at its first level is
+    refused here at once, and :func:`_grid_rows` counts only grids whose
+    first level fits, in arrays of free + 1 entries, at most twice that
+    level's rows: about the memory the builder spends there.
     """
-    cap = max(size_cap, DEFAULT_SIZE_CAP)
-    for dim in range(2, min(dim_max, steps) + 1):
-        for spec in (a, b):
-            _check_product_factor(spec, dim, size_cap)
-        free = steps - dim if dim > 2 else steps
-        if math.comb(free + dim - 1, dim - 1) * dim <= cap:
-            continue
-        if _grid_rows(dim, steps, cap) * dim > cap:
-            raise _grid_over_cap(dim, steps, cap)
+    if dim == 2:
+        least = most = steps // 2 + 1
+    else:
+        free = steps - dim
+        if free < 0:
+            return
+        most = math.comb(free + dim - 1, dim - 1)
+        least = max(free + 1 - -(-free // dim), -(-most // math.factorial(dim)))
+    if least * dim > cap or (
+        most * dim > cap and _grid_rows(dim, steps, cap) * dim > cap
+    ):
+        raise _grid_over_cap(dim, steps, cap)
 
 
 _EPS = float(np.finfo(float).eps)

@@ -1542,11 +1542,13 @@ def test_grid_row_counts_match_the_built_grids():
         for dim in range(2, 7):
             rows = catalysis._grid_rows(dim, steps, 10**9)
             assert rows == len(catalysis._build_catalyst_grid(dim, steps, 10**9))
-            # the build refuses exactly the grids whose entries exceed its cap
-            catalysis._build_catalyst_grid(dim, steps, rows * dim)
-            if rows:
-                with pytest.raises(SizeCapExceeded):
-                    catalysis._build_catalyst_grid(dim, steps, rows * dim - 1)
+            # the build, and the check from bounds and counts, refuse exactly
+            # the grids whose entries exceed the cap
+            for refuse in (catalysis._build_catalyst_grid, catalysis._check_grid):
+                refuse(dim, steps, rows * dim)
+                if rows:
+                    with pytest.raises(SizeCapExceeded):
+                        refuse(dim, steps, rows * dim - 1)
             # clipped counts, and counts taken in Python integers past int64
             for limit in (1, 7, 100, 2**62):
                 assert catalysis._grid_rows(dim, steps, limit) == min(rows, limit)
@@ -1578,6 +1580,41 @@ def test_the_scan_check_refuses_as_the_drained_scan_does(monkeypatch, default_ca
                 if expected is not None:
                     kinds.add("grid" if "grid" in expected[3] else "product")
     assert kinds == ({"grid", "product"} if default_cap == 600 else {"product"})
+
+
+def test_the_scan_check_refuses_huge_grids_without_counting(monkeypatch):
+    # grids far over the cap: the build refuses them at its first or second
+    # level, and the check from its bounds, before any row is counted
+    real = catalysis._catalyst_grid
+
+    def admitted_dim_2(dim, steps, cap):
+        # a dimension-2 grid under a cap of 1.5e9 entries, left empty, so
+        # the drain reaches dimension 3 without building 1e9 entries
+        return np.empty((0, 2)) if dim == 2 else real(dim, steps, cap)
+
+    def count(*args):
+        raise AssertionError("a refusal needed a row count")
+
+    monkeypatch.setattr(catalysis, "_grid_rows", count)
+    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+    for dim_max, steps, size_cap, refused in [
+        (2, 10**9, 100, "dimension 2 at"),
+        (3, 10**9, 100, "dimension 2 at"),
+        (3, 10**9, 15 * 10**8, "dimension 3 at"),
+        (6, 10**5, 100, "dimension 3 at"),
+    ]:
+        with monkeypatch.context() as patch:
+            if size_cap > 10**9:
+                patch.setattr(catalysis, "_catalyst_grid", admitted_dim_2)
+            expected = result_or_refusal(drain_scan, a, b, dim_max, steps, size_cap)
+        assert refused in expected[3]
+        args = (a, b, dim_max, steps, size_cap)
+        assert result_or_refusal(catalysis._check_scan, *args) == expected
+        assert screened(a, b, 1, dim_max, steps)
+        assert result_or_refusal(
+            strong_verdict, a, b, m_max=1, catalyst_dim_max=dim_max,
+            grid_steps=steps, size_cap=size_cap,
+        ) == expected
 
 
 def test_a_screened_verdict_builds_no_grid(monkeypatch):
