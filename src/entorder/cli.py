@@ -18,12 +18,19 @@ when the same value in the file would be.
 
 `run` is also the in-process API.  It builds the argument grammar once per
 process and reuses it on every call; `build_parser` still returns a fresh
-parser, which callers may change freely.  A malformed argv is reported like
-any invalid input: the usage line and the message go to `err` and `run`
-returns 2, so only `--help` leaves through `SystemExit`.  Each subcommand
-declares its spectrum flags once, in `build_parser`; `run` parses them,
-warning on `err` about any that ingestion adjusted, and passes the spectra
-to the subcommand's handler, which never sees `err`.
+parser, which callers may change freely.  An argv in canonical form, that is
+an optional leading `--config PATH`, the command words, then exact
+`--flag value` pairs whose values do not start with `-`, is parsed from a
+table read back once per process from that grammar, into the namespace
+argparse would return.  Every other argv is argparse's: help, `--flag=value`
+and abbreviated spellings, values that start with `-`, and whatever argparse
+refuses (unknown or missing flags, a flag with no value, a bad `type` or
+`choices` value).  A malformed argv is reported like any invalid input: the
+usage line and the message go to `err` and `run` returns 2, so only `--help`
+leaves through `SystemExit`.  Each subcommand declares its spectrum flags
+once, in `build_parser`; `run` parses them, warning on `err` about any that
+ingestion adjusted, and passes the spectra to the subcommand's handler,
+which never sees `err`.
 """
 
 from __future__ import annotations
@@ -404,23 +411,104 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _table():
+    """The grammar of `_parser()`, read back once per process into nodes."""
+    return _node(_parser())
+
+
+def _node(parser):
+    """`(flags, required, commands, defaults)` of one parser: its flags that
+    store one value, by exact option string; the actions argparse requires
+    (so a required positional keeps every argv on argparse's path); the
+    subcommand dest and the child node of each command word, or None; and
+    the namespace entries argparse starts from, where an action's default
+    wins over a `set_defaults` entry of the same name.  These are argparse's
+    private attributes; the parity property in the CLI tests catches drift."""
+    actions = parser._actions
+    sub = next((a for a in actions if isinstance(a, argparse._SubParsersAction)), None)
+    flags = {
+        flag: action
+        for action in actions
+        if isinstance(action, argparse._StoreAction) and action.nargs is None
+        for flag in action.option_strings
+    }
+    required = {action for action in actions if action.required and action is not sub}
+    commands = None if sub is None else (
+        sub.dest, {word: _node(child) for word, child in sub.choices.items()}
+    )
+    defaults = {
+        action.dest: action.default
+        for action in actions
+        if action.dest is not argparse.SUPPRESS
+        and action.default is not argparse.SUPPRESS
+    }
+    return flags, required, commands, {**parser._defaults, **defaults}
+
+
+def _table_values(argv, node, start=0):
+    """The namespace entries argparse gives `argv[start:]` under `node`, when
+    that part is canonical: `--flag value` pairs of the node's own flags, then
+    for a node with subcommands a command word and its part.  None where
+    argparse would decide otherwise or refuse, or where the form is not
+    canonical; argparse then parses the whole argv."""
+    flags, required, commands, defaults = node
+    values, seen, i, end = dict(defaults), set(), start, len(argv)
+    while i < end and (action := flags.get(argv[i])) is not None:
+        if i + 1 == end or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated flag keeps its last value
+        seen.add(action)
+        i += 2
+    if not required <= seen:
+        return None
+    if commands is None:
+        return values if i == end else None
+    dest, children = commands
+    child = children.get(argv[i]) if i < end else None
+    rest = None if child is None else _table_values(argv, child, i + 1)
+    if rest is None:
+        return None
+    values[dest] = argv[i]
+    values.update(rest)  # argparse lays a subparser's namespace over its parent's
+    return values
+
+
+def _table_parse(argv):
+    """`_parser().parse_args(argv)` for a canonical argv, from the table;
+    None for any other argv."""
+    values = _table_values(argv, _table())
+    return None if values is None else argparse.Namespace(**values)
+
+
 def run(argv=None, out=None, err=None) -> int:
     """Parse arguments and dispatch; returns the process exit code.
 
     The grammar is built on the first call and reused by later ones in the
-    process.  A malformed argv writes the usage line and the message to
-    `err` and returns 2; `--help` prints to stdout and raises SystemExit(0).
+    process; a canonical argv is parsed from its table, any other by
+    argparse (see the module docstring).  A malformed argv writes the usage
+    line and the message to `err` and returns 2; `--help` prints to stdout
+    and raises SystemExit(0).
     A handler returns a JSON-able payload and a callable that builds the
     text (or CSV) form.  The format is the flag's, else the config's, else
     the subcommand's default; only that form is rendered, and written once.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    try:
-        args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        err.write(str(exc))
-        return EXIT_INVALID
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_parse(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except _UsageError as exc:
+            err.write(str(exc))
+            return EXIT_INVALID
     path = getattr(args, "out", None)  # only sweep has --out
     try:
         config = _settings(load_config(args.config), vars(args))

@@ -1005,24 +1005,60 @@ def test_golden_table_in_reverse_order_in_one_process(tmp_path, monkeypatch):
 
 
 def test_the_parser_is_built_once_per_process(monkeypatch):
-    built = []
+    built, compiled = [], []
 
     def counting():
         built.append(1)
         return build_parser()
 
-    build_parser = cli.build_parser
+    def compiling(parser):
+        compiled.append(parser.prog)
+        return node(parser)
+
+    build_parser, node = cli.build_parser, cli._node
     monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_node", compiling)
     cli._parser.cache_clear()
+    cli._table.cache_clear()
     try:
         for _ in range(5):
             invoke("compare", "--a", "0.5,0.5", "--b", "0.7,0.3")
             invoke("power", "--a", "0.7,0.3", "--m", "x")
             invoke("construct", "complete", "--base", "1.0", "--m", "1")
+            invoke("compare", "--a=0.5,0.5", "--b=0.7,0.3")
         assert len(built) == 1
+        # the table is read back once, one node per parser of the grammar
+        assert compiled.count("entorder") == 1
+        assert len(compiled) == len(set(compiled))
         assert cli.build_parser() is not cli._parser()  # still a fresh one
     finally:
         cli._parser.cache_clear()
+        cli._table.cache_clear()
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["compare", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2", "--format", "json"], True),
+    (["compare", "--a=0.5,0.25,0.25", "--b=0.4,0.4,0.2", "--format=json"], False),
+])
+def test_run_without_argv_reads_sys_argv_on_both_paths(argv, table, monkeypatch):
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    monkeypatch.setattr(sys, "argv", ["entorder", *argv])
+    table_parse, parsed = cli._table_parse, []
+
+    def spying(argv):
+        parsed.append(table_parse(argv))
+        return parsed[-1]
+
+    def outcome():
+        out, err = io.StringIO(), io.StringIO()
+        return run(None, out=out, err=err), out.getvalue(), err.getvalue()
+
+    monkeypatch.setattr(cli, "_table_parse", spying)
+    got = outcome()
+    assert got[0] == 0 and (parsed[0] is not None) == table
+    assert got == invoke(*argv)
+    monkeypatch.setattr(cli, "_table_parse", lambda argv: None)
+    assert outcome() == got
 
 
 @pytest.mark.parametrize("config", [None, "format = json\n", "format = csv\n"])
@@ -1051,6 +1087,41 @@ def test_catalyze_help_keeps_its_bytes(capsys, monkeypatch):
         "  --c C                 catalyst spectrum\n"
         "  --format {json,text}\n"
     )
+
+
+# Argv the table leaves to argparse (False) or decides itself (True); `$cfg`
+# stands for a config file that sets `format = json`.
+OFF_TABLE = [
+    ("compare --help", False),
+    ("-h", False),
+    ("strong --a 0.5,0.5 --b 0.6,0.4 --catalyst 2", False),
+    ("compare --a=0.5,0.5 --b 0.6,0.4", False),
+    ("compare --a 0.5,0.5 --b 0.6,0.4 --tol -1", False),
+    ("power --a 0.5,0.5 --m 2 --m 3", True),
+    ("--config $cfg compare --a 0.5,0.5 --b 0.6,0.4", True),
+    ("compare --a 0.5,0.5 --b", False),
+]
+
+
+@pytest.mark.parametrize("line, table", OFF_TABLE)
+def test_argparse_alone_gives_the_same_outcome(line, table, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    cfg = tmp_path / "entorder.cfg"
+    cfg.write_text("format = json\n")
+    argv = [str(cfg) if part == "$cfg" else part for part in line.split()]
+
+    def outcome():
+        try:
+            result = invoke(*argv)
+        except SystemExit as exc:
+            result = f"SystemExit({exc.code})"
+        return result, capsys.readouterr().out
+
+    assert (cli._table_parse(argv) is not None) == table
+    got = outcome()
+    monkeypatch.setattr(cli, "_table_parse", lambda argv: None)
+    assert outcome() == got
 
 
 @pytest.mark.parametrize("command", list(GOLDEN_USAGE))
@@ -1163,12 +1234,29 @@ GRAMMAR = {
 }
 
 
+def _command_argv(command, flags, spaced):
+    """`command`, then each flag given a value: `--flag value` when `spaced`,
+    the table's spelling, else `--flag=value`, argparse's alone.  A value
+    that starts with `-` always takes `=`, so it never reads as a flag."""
+    argv = command.split()
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        value = str(value)
+        if spaced and not value.startswith("-"):
+            argv += [f"--{flag}", value]
+        else:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+def _flags(command):
+    """(flags, spaced) drawn for `command`."""
+    return st.tuples(st.fixed_dictionaries(GRAMMAR[command]), st.booleans())
+
+
 def _argv(command):
-    # `--flag=value` keeps values such as "-0.1,1.1" from reading as flags
-    return st.fixed_dictionaries(GRAMMAR[command]).map(
-        lambda flags: command.split()
-        + [f"--{flag}={value}" for flag, value in flags.items() if value is not None]
-    )
+    return _flags(command).map(lambda f: _command_argv(command, *f))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1185,32 +1273,28 @@ _OPTIONAL_FLAGS = {"format", "tol", "m-max", "catalyst-dim", "grid"}
 _COUNT_FLAGS = {"m", "m-max", "catalyst-dim", "grid", "samples", "seed"}
 
 
-def _command_argv(command, flags):
-    return command.split() + [
-        f"--{flag}={value}" for flag, value in flags.items() if value is not None
-    ]
-
-
 def _malformed_argv(command):
-    flags = st.fixed_dictionaries(GRAMMAR[command])
+    flags = _flags(command)
     required = [flag for flag in GRAMMAR[command] if flag not in _OPTIONAL_FLAGS]
     counts = [flag for flag in GRAMMAR[command] if flag in _COUNT_FLAGS]
     kinds = [
         # unknown subcommand
         flags.map(
-            lambda f: ["no-such-command"] + _command_argv(command, f)[len(command.split()):]
+            lambda f: ["no-such-command"] + _command_argv(command, *f)[len(command.split()):]
         ),
         # a required flag left out
         st.tuples(flags, st.sampled_from(required)).map(
-            lambda t: _command_argv(command, {k: v for k, v in t[0].items() if k != t[1]})
+            lambda t: _command_argv(
+                command, {k: v for k, v in t[0][0].items() if k != t[1]}, t[0][1]
+            )
         ),
         # unknown flag
-        flags.map(lambda f: _command_argv(command, f) + ["--no-such-flag=1"]),
+        flags.map(lambda f: _command_argv(command, *f) + ["--no-such-flag=1"]),
     ]
     if counts:  # a count that is not an integer
         kinds.append(
             st.tuples(flags, st.sampled_from(counts), st.sampled_from(["x", "1.5", ""]))
-            .map(lambda t: _command_argv(command, {**t[0], t[1]: t[2]}))
+            .map(lambda t: _command_argv(command, {**t[0][0], t[1]: t[2]}, t[0][1]))
         )
     return st.one_of(kinds)
 
@@ -1243,3 +1327,79 @@ def test_grammar_fuzz_usage_errors_leave_the_parser_as_it_was(invocations):
             assert code in (0, 2, 3)
         assert "Traceback" not in err
     assert [once(argv) for _, argv in invocations] == results
+
+
+# Values that read as flags; argparse alone decides what they mean.
+_FLAG_LIKE = st.sampled_from(["-x", "-1", "-0.5,1.5", "--", "-h", "--format", "--a"])
+# Values that fail a flag's `type` or `choices`, or neither for a spectrum.
+_BAD_VALUE = st.sampled_from(["x", "1.5", "", "yaml"])
+
+
+@st.composite
+def _parity_argv(draw):
+    """(canonical, argv): a grammar draw with its flags in any order and in
+    either spelling, then at most one mutation.  Canonical means spaced, with
+    no value that starts with `-`, and mutated at most by a repeated flag or
+    a leading `--config`."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    values = draw(st.fixed_dictionaries(GRAMMAR[command]))
+    pairs = draw(st.permutations(
+        [(f"--{flag}", str(value)) for flag, value in values.items() if value is not None]
+    ))
+    words, spaced = command.split(), draw(st.booleans())
+    mutation = draw(st.none() | st.sampled_from([
+        "repeat", "leading config", "unknown", "dangling", "late config",
+        "help", "command twice", "empty", "flag-like value", "left out",
+        "bad value",
+    ]))
+    if mutation == "repeat":
+        flag = draw(st.sampled_from(sorted(GRAMMAR[command])))
+        value = draw(GRAMMAR[command][flag].filter(lambda v: v is not None))
+        pairs.append((f"--{flag}", str(value)))
+    elif mutation == "left out" and pairs:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif mutation in ("flag-like value", "bad value") and pairs:
+        index = draw(st.integers(0, len(pairs) - 1))
+        bad = _FLAG_LIKE if mutation == "flag-like value" else _BAD_VALUE
+        pairs[index] = (pairs[index][0], draw(bad))
+    tail = [part for flag, value in pairs
+            for part in ((flag, value) if spaced else (f"{flag}={value}",))]
+    if mutation == "unknown":
+        tail += ["--no-such-flag", "1"]
+    elif mutation == "dangling":
+        tail.append("--" + draw(st.sampled_from(sorted(GRAMMAR[command]))))
+    elif mutation == "late config":
+        tail = ["--config", "entorder.cfg"] + tail
+    elif mutation == "help":
+        tail.insert(draw(st.integers(0, len(tail))), draw(st.sampled_from(["-h", "--help"])))
+    elif mutation == "command twice":
+        words = words + words[-1:]
+    argv = [] if mutation == "empty" else words + tail
+    if mutation == "leading config":
+        argv = ["--config", "entorder.cfg"] + argv
+    canonical = (
+        spaced
+        and mutation in (None, "repeat", "leading config")
+        and not any(value.startswith("-") for _, value in pairs)
+    )
+    return canonical, argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_parity_argv())
+def test_the_table_gives_argparse_namespace_or_leaves_the_argv_to_it(case):
+    canonical, argv = case
+    got = cli._table_parse(argv)
+    if got is None and not canonical:
+        return  # argparse's alone; it is not called, since -h would print
+
+    def entries(namespace):  # by repr, so that a nan value equals itself
+        return {key: repr(value) for key, value in vars(namespace).items()}
+
+    try:
+        expected = entries(cli._parser().parse_args(argv))
+    except (cli._UsageError, SystemExit) as exc:
+        expected = repr(exc)
+    assert got is None or entries(got) == expected
+    # every canonical argv that argparse accepts is decided by the table
+    assert got is not None or not isinstance(expected, dict)
