@@ -27,12 +27,12 @@ This module provides
   :func:`strong_verdict`, which combines the sound paths and otherwise
   reports an honest ``inconclusive``,
 * :func:`_ends_block`, the end screen that spares :func:`strong_verdict`
-  searches that cannot succeed: along a conversion of equal-length
-  spectra the top entry cannot fall and the smallest cannot rise, so when
-  one spectrum has both the larger top and the larger smallest entry, by a
-  margin that no product's rounding or slack can close, no search within
-  the bounds opens a direction and the verdict is ``inconclusive``
-  without one.
+  searches that cannot succeed, the single copy's included: along a
+  conversion of equal-length spectra the top entry cannot fall and the
+  smallest cannot rise, so when one spectrum has both the larger top and
+  the larger smallest entry, by a margin that no product's rounding or
+  slack can close, no search within the bounds opens a direction and the
+  verdict is ``inconclusive`` without one.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
@@ -110,7 +110,9 @@ def _top_products(
     if k >= x.shape[-1] * len(y):
         # a 2-D block of catalysts runs the inner loop over the longer spectrum
         products = x[..., None] * y if x.ndim > 1 else y[:, None] * x
-        return np.sort(products.reshape(*x.shape[:-1], -1), axis=-1)[..., ::-1]
+        products = products.reshape(*x.shape[:-1], -1)
+        products.sort(axis=-1)  # in place: the products are a fresh array
+        return products[..., ::-1]
     index, factors = _gather_plan(x.shape[-1], y, k) if plan is None else plan
     products = x[..., ::-1].take(index, axis=-1)
     products *= factors
@@ -325,7 +327,8 @@ def _multicopy_search(a, b, first, m_max, tol, size_cap):
         if m < first:
             continue
         forward, backward = compare_many(*_prefix_pair(pa, pb, tol))
-        direction = DIRECTIONS[verdict_code(bool(forward.any()), bool(backward.any()))]
+        fails = np.count_nonzero(forward) > 0, np.count_nonzero(backward) > 0
+        direction = DIRECTIONS[verdict_code(*fails)]
         if direction is not None:
             return MultiCopyWitness(direction, m)
     return None
@@ -348,20 +351,25 @@ def _first_hit(
     dimension, widest last.  Each piece's products come from one
     :func:`_top_products` call per spectrum, divided by their own row sums
     as in :func:`tensor_product_spectrum`, so every entry has the same bits;
-    zeros past them in each spectrum's `(width, rows)` buffer keep a row's
-    prefix sums at its total.  One cumsum and one `compare_many` call (slack
-    `tau_cmp`) decide the block, a row's verdict code its direction.
+    zeros past them in the `(width, 2, rows)` buffer keep a row's prefix
+    sums at its total.  The prefix sums are running sums down the buffer,
+    one in-place add per index over both spectra's contiguous rows: the
+    sequential order of a cumsum, so the same bits at a fraction of its
+    per-row calls.  One `compare_many` call (slack `tau_cmp`) decides the
+    block, a row's verdict code its direction.
     """
     width = max(len(a), len(b)) * pieces[-1].shape[1]
-    sums = np.zeros((2, width, sum(len(piece) for piece in pieces)))
-    for out, values in zip(sums, (a.values, b.values)):
+    sums = np.zeros((width, 2, sum(len(piece) for piece in pieces)))
+    for side, values in enumerate((a.values, b.values)):
         start = 0
         for piece in pieces:
             products = _top_products(piece, values, piece.shape[1] * len(values))
-            rows = out[: products.shape[1], start : start + len(piece)]
+            rows = sums[: products.shape[1], side, start : start + len(piece)]
             np.divide(products.T, products.sum(axis=1), out=rows)
             start += len(piece)
-    forward, backward = compare_many(*np.cumsum(sums, axis=1, out=sums), tol.tau_cmp)
+    for k in range(1, width):
+        np.add(sums[k - 1], sums[k], out=sums[k])
+    forward, backward = compare_many(sums[:, 0], sums[:, 1], tol.tau_cmp)
     codes = verdict_code(forward.any(axis=0), backward.any(axis=0))
     hits = np.flatnonzero(codes < 3)  # code 3 opens neither direction
     if not len(hits):
@@ -681,7 +689,8 @@ def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> 
 
     Each bound, less the few rounding units of this test's own arithmetic,
     exceeds tau_cmp, so the forward test fails at index 1 and the backward
-    test at the bottom index, in every search.
+    test at the bottom index, in every search.  The copy count m = 1 is the
+    single-copy compare, so the screen may run before it.
     """
     n = len(a)
     if n != len(b):
@@ -760,13 +769,14 @@ def strong_verdict(
     are searched cheapest conversion first: single copy, then a grid
     catalyst, then collective multi-copy operations.
 
-    Between the single copy and the catalyst scan, :func:`_ends_block`
+    Right after condition_c, before the single copy, :func:`_ends_block`
     screens equal-length pairs whose top and bottom entries block both
-    directions in every search within the bounds.  Such a pair is
-    `inconclusive` with no product formed and no grid built: the scan's
-    refusals are decided by :func:`_check_scan` and the largest power is
-    still sized, so each refusal the searches would raise is raised as they
-    would raise it.
+    directions in every search within the bounds, the single copy
+    included.  Such a pair is `inconclusive` with no product formed and no
+    grid built: the single copy's power is sized, the scan's refusals are
+    decided by :func:`_check_scan` and the largest power is sized, in the
+    order the searches run, so each refusal the searches would raise is
+    raised as they would raise it.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -776,12 +786,13 @@ def strong_verdict(
     bounds = (m_max, catalyst_dim_max, grid_steps)
     if holds:
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
-    witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
-    if witness is None and _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+    if _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+        # the refusals of the single copy, the scan and the largest power
+        _check_power_size(len(a), 1, size_cap)
         _check_scan(a, b, catalyst_dim_max, grid_steps, size_cap)
-        if m_max > 1:
-            _check_power_size(max(len(a), len(b)), m_max, size_cap)
+        _check_power_size(len(a), m_max, size_cap)
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
+    witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None:
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap

@@ -306,10 +306,16 @@ def schmidt_spectrum(
 def schmidt_number(
     spec: SchmidtSpectrum, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> int | float:
-    """Count of entries above `tol.tau_zero`; `math.inf` for tailed spectra."""
+    """Count of entries above `tol.tau_zero`; `math.inf` for tailed spectra.
+
+    The values are sorted non-increasing, so when the last one is above
+    `tau_zero` every one is, and the count is the length."""
     if spec.tail is not None:
         return math.inf
-    return int(np.count_nonzero(spec.values > tol.tau_zero))
+    values = spec.values
+    if len(values) and values[-1] > tol.tau_zero:
+        return len(values)
+    return int(np.count_nonzero(values > tol.tau_zero))
 
 
 def prefix_sums(spec: SchmidtSpectrum, k_max: int) -> np.ndarray:

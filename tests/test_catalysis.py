@@ -800,6 +800,46 @@ def test_a_mixed_block_keeps_every_catalysed_spectrum_bitwise(monkeypatch):
                 assert column.tobytes() == prefix_sums(product, width).tobytes()
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True),
+    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_first_hit_running_sums_match_cumsum_bitwise(lengths, rows, seed):
+    # the kernel's running sums down its (width, 2, rows) buffer against one
+    # cumsum down a (2, width, rows) buffer of the same zero-padded catalysed
+    # spectra, on blocks spanning dimensions 2..4 and pairs of unequal
+    # lengths
+    seen = []
+    kernel = catalysis.compare_many
+
+    def recording(pa, pb, slack):
+        seen.append((pa.copy(), pb.copy()))
+        return kernel(pa, pb, slack)
+
+    rng = np.random.default_rng(seed)
+    a, b = (make_spectrum(random_sorted_probs(rng, n)) for n in lengths)
+    pieces = [
+        catalysis._catalyst_grid(dim, 12, catalysis.DEFAULT_SIZE_CAP)[:count]
+        for dim, count in zip((2, 3, 4), rows)
+    ]
+    catalysts = [row for piece in pieces for row in piece]
+    width = max(lengths) * 4
+    padded = np.zeros((2, width, len(catalysts)))
+    for out, spectrum in zip(padded, (a, b)):
+        for column, c in enumerate(catalysts):
+            product = tensor_product_spectrum(spectrum, SchmidtSpectrum(c)).values
+            out[: len(product), column] = product
+    expected = np.cumsum(padded, axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalysis, "compare_many", recording)
+        catalysis._first_hit(a, b, pieces, DEFAULT_TOLERANCES)
+    [(pa, pb)] = seen
+    assert pa.tobytes() == expected[0].tobytes()
+    assert pb.tobytes() == expected[1].tobytes()
+
+
 @pytest.fixture
 def kernel_blocks(monkeypatch):
     """Per catalyst block the scan kernel is called on, the shape of each of
@@ -1213,10 +1253,20 @@ def test_strong_verdict_sound_path():
     assert verdict.checked_bounds == (3, 3, 100)
 
 
-def test_strong_verdict_single_copy_witness():
-    verdict = strong_verdict(spec(0.5, 0.5), spec(0.7, 0.3))
-    assert verdict.outcome is StrongOutcome.CONVERTIBLE
-    assert verdict.witness == MultiCopyWitness(Relation.FORWARD, 1)
+def test_strong_verdict_single_copy_witness(monkeypatch):
+    # an equal-length pair whose ends differ in opposite ways passes the end
+    # screen, and the single copy finds its witness before any catalyst or
+    # further copy is formed
+    def refuse(*args):
+        raise AssertionError("a single-copy pair searched past one copy")
+
+    monkeypatch.setattr(catalysis, "_first_hit", refuse)
+    monkeypatch.setattr(catalysis, "_top_products", refuse)
+    a, b = spec(0.5, 0.5), spec(0.7, 0.3)
+    for pair, direction in (((a, b), Relation.FORWARD), ((b, a), Relation.BACKWARD)):
+        verdict = strong_verdict(*pair)
+        assert verdict.outcome is StrongOutcome.CONVERTIBLE
+        assert verdict.witness == MultiCopyWitness(direction, 1)
 
 
 def test_strong_verdict_catalyst_witness():
@@ -1444,8 +1494,9 @@ def test_a_screened_verdict_does_no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("a screened verdict searched")
 
-    monkeypatch.setattr(catalysis, "_first_hit", refuse)
-    monkeypatch.setattr(catalysis, "_top_products", refuse)
+    # the screen runs before the single copy, so not even that is compared
+    for stage in ("_first_hit", "_top_products", "_prefix_pair", "compare_many"):
+        monkeypatch.setattr(catalysis, stage, refuse)
     a, b = spec(*SCREENED_A), spec(*SCREENED_B)
     assert not condition_c(a, b)
     assert compare(a, b).relation is Relation.INCOMPARABLE
@@ -1518,6 +1569,10 @@ def test_a_top_gap_inside_the_margin_is_left_to_the_searches():
 def test_a_screened_pair_refuses_as_the_searches_do():
     a, b = spec(*SCREENED_A), spec(*SCREENED_B)
     cases = [
+        # the cap is below the spectra's 4 entries: the single copy is the
+        # first search, so its power check refuses before the scan's and the
+        # largest power's, though the screen runs before the single copy
+        ((3, 3, 20, 3), lambda: multicopy_convertible(a, b, 1, size_cap=3)),
         # the dimension-3 products, 4 * 3 entries, are over the cap
         ((3, 3, 20, 10), lambda: catalyst_search(a, b, 3, 20, size_cap=10)),
         # the dimension-4 grid is over the default cap

@@ -125,6 +125,33 @@ def test_schmidt_number_respects_zero_cutoff():
     assert schmidt_number(spec, tol) == 1
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from((1e-12, 1e-6, 0.25)),
+    st.lists(st.floats(0.3, 1.0), min_size=0, max_size=5),
+    st.lists(st.sampled_from(("zero", "below", "at", "above")), max_size=5),
+    st.booleans(),
+)
+def test_schmidt_number_counts_sorted_ends_at_the_cutoff(tau, head, ends, tailed):
+    # the count stops at the last entry when that entry is above tau_zero:
+    # trailing entries at 0, at tau_zero and one ulp either side of it must
+    # count as the full count does, and a tail still makes it infinite
+    near = {
+        "zero": 0.0,
+        "below": np.nextafter(tau, 0.0),
+        "at": tau,
+        "above": np.nextafter(tau, 1.0),
+    }
+    values = np.sort(np.array(head + [near[end] for end in ends], dtype=float))[::-1]
+    tol = Tolerances(tau_zero=tau)
+    if tailed and len(values) and values[-1] > 0:
+        tail = GeometricTail(float(values[-1]) / 2, 0.5)
+        assert schmidt_number(SchmidtSpectrum(values, tail), tol) == math.inf
+    count = schmidt_number(SchmidtSpectrum(values), tol)
+    assert count == np.count_nonzero(values > tau)
+    assert type(count) is int
+
+
 @pytest.mark.parametrize("key", ["tau_norm", "tau_zero", "tau_cmp"])
 @pytest.mark.parametrize(
     "value, message",
