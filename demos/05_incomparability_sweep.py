@@ -1,7 +1,8 @@
 """How common is incomparability among random states?
 
 Pairs of states are drawn from the rotationally invariant measure (complex
-Ginibre matrix, normalized, squared singular values) and classified.  In
+Ginibre matrix M, normalized; the eigenvalues of M M†, its reduced density
+matrix up to the trace) and classified.  In
 dimension 2 sorted spectra are totally ordered, so incomparability never
 happens; as the dimension grows the incomparable fraction climbs steadily
 toward 1.  Identical seeds give identical estimates regardless of how the

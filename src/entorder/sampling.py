@@ -3,9 +3,10 @@
 How often are two states drawn at random not convertible into each other in
 either direction?  Pairs are sampled from the rotationally invariant measure
 on pure states of two n-dimensional subsystems — realized by normalizing a
-matrix of independent standard complex Gaussians (a Ginibre matrix), whose
-squared singular values then give the Schmidt spectrum — and classified by
-majorization.  Sweeping the dimension shows the fraction climbing toward 1.
+matrix M of independent standard complex Gaussians (a Ginibre matrix), whose
+Schmidt spectrum is the spectrum of the reduced density matrix M M†/tr — and
+classified by majorization.  Sweeping the dimension shows the fraction
+climbing toward 1.
 
 Reproducibility: the randomness of sample i at dimension n is derived from
 (seed, n, i) alone, so estimates are independent of evaluation order, batch
@@ -14,14 +15,14 @@ size, or any parallel schedule.
 The sweep draws blocks of samples: each sample's four n-by-n Gaussian planes
 (real and imaginary parts of the two matrices) come from its own stream,
 the one :func:`pair_stream` defines, in the order
-:func:`sample_random_spectrum` draws them; one stacked SVD call turns the
-block into spectra, and one :func:`~entorder.majorization.compare_many`
-call classifies it (one :func:`~entorder.majorization.near_ties` call flags
-its near ties).  The verdicts are tallied by their
-:func:`~entorder.majorization.verdict_code`, in the order of
-:data:`~entorder.majorization.RELATIONS`, so every spectrum and tally is
-bitwise equal to sampling the pairs one at a time and comparing them with
-:func:`~entorder.majorization.compare`.
+:func:`sample_random_spectrum` draws them; one stacked Gram product M M†
+and one stacked Hermitian eigenvalue call turn the block into spectra, and
+one :func:`~entorder.majorization.compare_many` call classifies it (one
+:func:`~entorder.majorization.near_ties` call flags its near ties).  The
+verdicts are tallied by their :func:`~entorder.majorization.verdict_code`,
+in the order of :data:`~entorder.majorization.RELATIONS`, so every spectrum
+and tally is bitwise equal to sampling the pairs one at a time and comparing
+them with :func:`~entorder.majorization.compare`.
 
 Stream setup is batched too.  :func:`pair_stream` builds numpy's
 ``SeedSequence(seed, spawn_key=(n, i))`` for one sample; the sweep asks
@@ -54,9 +55,28 @@ Z95 = 1.959963984540054
 
 
 def _probabilities(mats: np.ndarray) -> np.ndarray:
-    """Normalized squared singular values of each matrix in a stack."""
+    """Normalized squared singular values of each matrix in a stack.
+
+    The route for user matrices, which may be ill-conditioned: see
+    :func:`_gram_probabilities` for the sampler's.
+    """
     sv = np.linalg.svd(mats, compute_uv=False)
     probs = sv * sv
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _gram_probabilities(mats: np.ndarray) -> np.ndarray:
+    """Normalized eigenvalues of M M† for each matrix M in a stack, largest first.
+
+    They are M's squared singular values, the spectrum of its reduced
+    density matrix, and cost the sampler's Ginibre draws less than an SVD;
+    the entries lie within about n * eps of the SVD's.  Rounding can take an
+    eigenvalue of a rank-deficient M just below 0, so each is clipped at 0
+    before the rows are normalized.
+    """
+    gram = mats @ mats.conj().swapaxes(-1, -2)
+    probs = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
@@ -64,14 +84,15 @@ def _probabilities(mats: np.ndarray) -> np.ndarray:
 def sample_random_spectrum(n: int, rng: np.random.Generator) -> SchmidtSpectrum:
     """Schmidt spectrum of a Haar-random pure state on two n-dim subsystems.
 
-    Draws an n-by-n complex Ginibre matrix from `rng` and returns its
-    normalized squared singular values; the induced distribution is
-    invariant under local unitaries by construction.
+    Draws an n-by-n complex Ginibre matrix M from `rng` and returns the
+    normalized eigenvalues of M M† (its reduced density matrix up to the
+    trace); the induced distribution is invariant under local unitaries by
+    construction.
     """
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
     mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return SchmidtSpectrum(_probabilities(mat))
+    return SchmidtSpectrum(_gram_probabilities(mat))
 
 
 def pair_stream(seed: int, n: int, index: int) -> np.random.Generator:
@@ -265,7 +286,7 @@ def _block_tallies(z: np.ndarray, tol: Tolerances) -> np.ndarray:
     # real + 1j * imag, formed in place: the same bits with one temporary
     mats = 1j * z[:, 1::2]
     mats += z[:, 0::2]
-    probs = _probabilities(mats)
+    probs = _gram_probabilities(mats)
     prefix = np.cumsum(probs, axis=-1)
     totals = probs.sum(axis=-1, keepdims=True)
     pa, pb = prefix[:, 0], prefix[:, 1]

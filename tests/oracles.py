@@ -120,8 +120,9 @@ def count_simplex_grid(dim, steps):
 def gram_spectrum(matrix):
     """Squared singular values via the Gram matrix eigenproblem.
 
-    Independent of the SVD route: eigenvalues of M M^dagger equal the
-    squared singular values of M.
+    Eigenvalues of M M^dagger equal the squared singular values of M.  This
+    is the sampler's own route, rewritten; tests that must not share it
+    redraw by SVD.
     """
     mat = np.asarray(matrix, dtype=complex)
     eigvals = np.linalg.eigvalsh(mat @ mat.conj().T)

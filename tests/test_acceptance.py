@@ -2,9 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 measured runtimes.  The Monte Carlo regression values in criterion 6 were
-frozen from a seeded run cross-checked against an independent sampler
-implementation (Gram-matrix eigenvalues instead of singular values, its own
-random stream) and are pinned at three standard errors.
+frozen from a seeded run of the singular-value sampler, cross-checked
+against a sampler on its own random stream (Gram-matrix eigenvalues), and
+are pinned at three standard errors.  The sampler now takes the Gram route
+itself and reproduces the frozen counts exactly; the check on a route that
+does not share the sampler's is the SVD-redraw test in test_sampling.py,
+with the benchmark's sweep oracle.
 """
 
 import io
@@ -216,7 +219,8 @@ def test_criterion_5_truncation_construction():
 
 
 # Frozen regression: sweep(seed=20240731, samples=10000) per dimension,
-# cross-checked at freeze time against the Gram-eigenvalue sampler.
+# frozen from the singular-value sampler; the Gram-eigenvalue sampler gives
+# the same counts.
 SWEEP_SEED = 20240731
 SWEEP_SAMPLES = 10_000
 FROZEN_COUNTS = {2: 0, 3: 3602, 4: 5178, 6: 6706, 8: 7502, 12: 8251, 16: 8688}
@@ -241,8 +245,9 @@ def test_criterion_6_monte_carlo_trend():
     low = next(r for r in records if r.n == 3)
     high = next(r for r in records if r.n == 16)
     ok &= high.fraction - low.fraction > low.ci95_halfwidth + high.ci95_halfwidth
-    # independent sampler agreement at n=3 (own stream, Gram eigenvalues,
-    # brute-force majorization): three combined standard errors
+    # agreement at n=3 with a sampler on its own stream (Gram eigenvalues,
+    # the sampler's spectral route, with brute-force majorization): three
+    # combined standard errors
     rng = np.random.default_rng(987654321)
     count = 0
     for _ in range(SWEEP_SAMPLES):

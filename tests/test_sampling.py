@@ -23,7 +23,7 @@ from entorder import (
     wilson_halfwidth,
 )
 from entorder.sampling import pair_stream
-from oracles import gram_spectrum
+from oracles import brute_relation, gram_spectrum
 
 
 def test_sample_shape_and_normalization():
@@ -46,8 +46,9 @@ def test_sample_deterministic_for_fixed_stream():
 
 
 def test_mean_top_entry_matches_independent_sampler():
-    # same Haar construction, re-implemented through the Gram eigenproblem
-    # with its own stream; agreement within three standard errors
+    # same Haar construction and spectral route (the Gram eigenproblem),
+    # re-implemented on its own stream; agreement within three standard
+    # errors.  The route itself is checked by the SVD-redraw test below.
     n, samples = 16, 2000
     rng = np.random.default_rng(99)
     tops = np.empty(samples)
@@ -171,16 +172,16 @@ def record_tallies(record):
 def batched_spectra(monkeypatch, n, samples, seed, tol):
     """Run the batched sweep, recording every spectrum its blocks produce."""
     blocks = []
-    probabilities = sampling._probabilities
+    probabilities = sampling._gram_probabilities
 
     def recording(mats):
         probs = probabilities(mats)
         blocks.append(probs.copy())
         return probs
 
-    monkeypatch.setattr(sampling, "_probabilities", recording)
+    monkeypatch.setattr(sampling, "_gram_probabilities", recording)
     record = incomparability_fraction(n, samples, seed, tol)
-    monkeypatch.setattr(sampling, "_probabilities", probabilities)
+    monkeypatch.setattr(sampling, "_gram_probabilities", probabilities)
     return record, np.concatenate(blocks)
 
 
@@ -229,16 +230,103 @@ def test_coarse_tolerances_exercise_every_tally():
 
 
 def test_sample_random_spectrum_is_the_single_matrix_draw():
-    # the pre-batching body of sample_random_spectrum, spelled out
+    # the body of sample_random_spectrum, spelled out: the eigenvalues of
+    # the Gram matrix, largest first, clipped at 0 and normalized
     for n in (2, 3, 8, 24):
         for seed in (0, 9):
             rng = pair_stream(seed, n, 4)
             mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            sv = np.linalg.svd(mat, compute_uv=False)
-            probs = sv * sv
+            eigvals = np.linalg.eigvalsh(mat @ mat.conj().T)
+            probs = np.maximum(eigvals[::-1], 0.0)
             probs /= probs.sum()
             got = sample_random_spectrum(n, pair_stream(seed, n, 4)).values
             assert got.tobytes() == probs.tobytes()
+
+
+# --- the Gram route against an SVD redraw ----------------------------------
+
+
+def svd_redraw(n, samples, seed):
+    """Spectrum pairs of samples 0..samples-1 from their pair_stream draws,
+    taken as normalized squared singular values: not the sampler's route."""
+    pairs = []
+    for i in range(samples):
+        rng = pair_stream(seed, n, i)
+        pair = []
+        for _ in range(2):
+            mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            sv = np.linalg.svd(mat, compute_uv=False)
+            probs = sv * sv
+            pair.append(probs / probs.sum())
+        pairs.append(pair)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24])
+def test_gram_route_matches_an_svd_redraw(n, monkeypatch):
+    # the sweep's spectra against the SVD route, sample by sample, and its
+    # tallies against brute_relation on the SVD spectra
+    samples, slack = 200, 16 * n * np.finfo(float).eps
+    for seed in (1, 20240731):
+        record, spectra = batched_spectra(
+            monkeypatch, n, samples, seed, DEFAULT_TOLERANCES
+        )
+        tally = dict.fromkeys((relation.value for relation in Relation), 0)
+        for got, (a, b) in zip(spectra, svd_redraw(n, samples, seed)):
+            for row, probs in zip(got, (a, b)):
+                assert np.abs(row - probs).max() <= slack
+                assert np.abs(np.cumsum(row) - np.cumsum(probs)).max() <= slack
+            tally[brute_relation(a.tolist(), b.tolist())] += 1
+        assert tally == {
+            Relation.FORWARD.value: record.forward_count,
+            Relation.BACKWARD.value: record.backward_count,
+            Relation.EQUIVALENT.value: record.equivalent_count,
+            Relation.INCOMPARABLE.value: record.incomparable_count,
+        }
+
+
+def assert_probability_rows(probs):
+    assert (probs >= 0.0).all()
+    assert (np.diff(probs, axis=-1) <= 0.0).all()
+    assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def test_gram_route_on_rank_deficient_stacks():
+    rng = np.random.default_rng(5)
+    clipped = 0
+    for n in (2, 3, 4, 6, 8):
+        u, v, z = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in (n, n, (n, n))
+        )
+        z[:, 1] = 0.0
+        # a rank-1 matrix, one with a zero column, and a generic one
+        mats = np.stack([np.outer(u, v.conj()), z, z + np.eye(n)])
+        clipped += np.count_nonzero(
+            np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2)) < 0.0
+        )
+        probs = sampling._gram_probabilities(mats)
+        assert probs.shape == (3, n)
+        assert_probability_rows(probs)
+        assert probs[0, 1:].max() <= 16 * n * np.finfo(float).eps
+        assert probs[1, -1] <= 16 * n * np.finfo(float).eps
+    # rounding took some eigenvalue below 0, so the clip was exercised
+    assert clipped > 0
+
+
+def test_gram_route_at_dimension_two_is_the_closed_form():
+    rng = np.random.default_rng(8)
+    mats = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    mats[0, :, 1] = 0.0
+    mats[1] = np.outer(mats[1, :, 0], [1.0, 2.0 - 1j])
+    gram = mats @ mats.conj().swapaxes(-1, -2)
+    t = np.trace(gram, axis1=-2, axis2=-1).real
+    det = np.linalg.det(gram).real
+    root = np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
+    closed = np.stack([t + root, t - root], axis=-1) / (2.0 * t[:, None])
+    probs = sampling._gram_probabilities(mats)
+    assert_probability_rows(probs)
+    assert np.abs(probs - closed).max() <= 8 * np.finfo(float).eps
 
 
 # --- size cap --------------------------------------------------------------
