@@ -59,9 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteSchmidtNumber, SizeCapExceeded
-from .majorization import (
-    DIRECTIONS, Relation, _prefix_pair, compare_many, verdict_code
-)
+from .majorization import DIRECTIONS, Relation, _pair_code, compare_many, verdict_code
 from .spectra import (
     _BLOCK_ENTRIES,
     DEFAULT_SIZE_CAP,
@@ -326,9 +324,7 @@ def _multicopy_search(a, b, first, m_max, tol, size_cap):
             pb = SchmidtSpectrum(_top_products(pb.values, b.values, size_cap))
         if m < first:
             continue
-        forward, backward = compare_many(*_prefix_pair(pa, pb, tol))
-        fails = np.count_nonzero(forward) > 0, np.count_nonzero(backward) > 0
-        direction = DIRECTIONS[verdict_code(*fails)]
+        direction = DIRECTIONS[_pair_code(pa, pb, tol)]
         if direction is not None:
             return MultiCopyWitness(direction, m)
     return None

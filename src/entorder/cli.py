@@ -49,7 +49,7 @@ from .errors import (
     InvalidInput,
     SizeCapExceeded,
 )
-from .majorization import DIRECTIONS, RELATIONS, compare
+from .majorization import DIRECTIONS, _pair_code, compare
 from .spectra import (
     SchmidtSpectrum,
     Tolerances,
@@ -284,8 +284,7 @@ def _cmd_power(args, config, a):
 def _cmd_catalyze(args, config, a, b, c):
     prod_a = catalysis.tensor_product_spectrum(a, c, size_cap=config.size_cap)
     prod_b = catalysis.tensor_product_spectrum(b, c, size_cap=config.size_cap)
-    relation = compare(prod_a, prod_b, config.tolerances).relation
-    direction = DIRECTIONS[RELATIONS.index(relation)]
+    direction = DIRECTIONS[_pair_code(prod_a, prod_b, config.tolerances)]
     payload = {
         "direction": None if direction is None else direction.value,
         "a_product": spectrum_to_json(prod_a),

@@ -29,7 +29,7 @@ from .errors import (
     SizeCapExceeded,
     TopEntriesTied,
 )
-from .majorization import Relation, compare
+from .majorization import RELATIONS, Relation, _pair_code
 from .spectra import (
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
@@ -90,17 +90,14 @@ class TruncationPair:
 
 
 def _positive_prefix(spec: SchmidtSpectrum, count: int, tol: Tolerances) -> bool:
-    """Whether the first `count` entries all exceed tau_zero, decided before
-    any of them is materialized (`count` may be far beyond memory)."""
-    head = spec.values[:count]
-    if not (head > tol.tau_zero).all():
-        return False
-    extra = count - len(head)
-    if extra == 0:
-        return True
+    """Whether the first `count` >= 1 entries all exceed tau_zero, decided
+    before any is materialized (`count` may be far beyond memory).  Entries
+    never increase, head then tail, so the last one kept decides."""
+    extra = count - len(spec.values)
+    if extra <= 0:
+        return bool(spec.values[count - 1] > tol.tau_zero)
     if spec.tail is None:
         return False  # zero padding past a finite spectrum
-    # Tail entries decrease, so the last kept one decides.
     return bool(spec.tail.entries(1, extra - 1)[0] > tol.tau_zero)
 
 
@@ -210,7 +207,7 @@ def convergence_report(
                 dist_a=spectrum_distance(pair.a_m, a, tol),
                 dist_b=spectrum_distance(pair.b_m, b, tol),
                 condition_c=condition_c(pair.a_m, pair.b_m, tol),
-                incomparable=compare(pair.a_m, pair.b_m, tol).relation
+                incomparable=RELATIONS[_pair_code(pair.a_m, pair.b_m, tol)]
                 is Relation.INCOMPARABLE,
             )
         )

@@ -14,10 +14,11 @@ stacked rows of prefix sums at once; :func:`compare` and
 multi-copy search, the catalyst scan feeds it blocks of catalysed prefix
 sums, and the Monte Carlo sweep whole blocks of sampled pairs.  Relations
 and conversion directions are read from the masks' :func:`verdict_code`
-through `RELATIONS` and `DIRECTIONS`, by every caller that reports one (the
-CLI's `catalyze` included).  The near-tie diagnostic,
-:func:`near_ties`, is separate, called only by :func:`compare` and by the
-sweep's tallies.
+through `RELATIONS` and `DIRECTIONS`; the callers that read nothing else
+(the multi-copy search, the CLI's `catalyze`, the audit's `incomparable`
+column) take the code alone from `_pair_code`.  The near-tie diagnostic,
+:func:`near_ties`, is separate, called by the sweep's tallies and by
+:func:`compare` only when a margin before the last index is close.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ def _prefix_pair(a, b, tol):
     return prefix_sums(a, k), prefix_sums(b, k), slack
 
 
+def _pair_code(a, b, tol) -> int:
+    """Verdict code of a pair from the kernel's masks alone, for callers that
+    read only a relation or a direction: no violation lists, no near ties."""
+    forward, backward = compare_many(*_prefix_pair(a, b, tol))
+    return verdict_code(np.count_nonzero(forward) > 0, np.count_nonzero(backward) > 0)
+
+
 def majorized_by(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -150,12 +158,20 @@ def compare(
 
     Two finite spectra are compared over the longer length with slack
     `tau_cmp`, with no tail horizon to compute; each violation list comes
-    from one `nonzero` of the kernel's mask.
+    from one `nonzero` of the kernel's mask.  The last sums of two
+    normalized spectra always meet, so :func:`near_ties` runs only for a
+    margin within `tau_cmp` before them; else its test is made on them alone.
     """
     pa, pb, slack = _prefix_pair(a, b, tol)
     forward, backward = compare_many(pa, pb, slack)
     forward = tuple((forward.nonzero()[0] + 1).tolist())
     backward = tuple((backward.nonzero()[0] + 1).tolist())
-    near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
+    tau = tol.tau_cmp
+    close = np.abs(pa - pb) <= tau
+    if close[:-1].any():
+        near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
+    else:
+        undecided = pa[-1] < a.total_mass() - tau or pb[-1] < b.total_mass() - tau
+        near = bool(close[-1] and undecided)
     relation = RELATIONS[verdict_code(bool(forward), bool(backward))]
     return ComparisonVerdict(relation, forward, backward, near)

@@ -54,26 +54,14 @@ from .spectra import _BLOCK_ENTRIES, _integer
 Z95 = 1.959963984540054
 
 
-def _probabilities(mats: np.ndarray) -> np.ndarray:
-    """Normalized squared singular values of each matrix in a stack.
-
-    The route for user matrices, which may be ill-conditioned: see
-    :func:`_gram_probabilities` for the sampler's.
-    """
-    sv = np.linalg.svd(mats, compute_uv=False)
-    probs = sv * sv
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
 def _gram_probabilities(mats: np.ndarray) -> np.ndarray:
     """Normalized eigenvalues of M M† for each matrix M in a stack, largest first.
 
     They are M's squared singular values, the spectrum of its reduced
-    density matrix, and cost the sampler's Ginibre draws less than an SVD;
-    the entries lie within about n * eps of the SVD's.  Rounding can take an
-    eigenvalue of a rank-deficient M just below 0, so each is clipped at 0
-    before the rows are normalized.
+    density matrix, and cost the sampler's Ginibre draws less than the SVD
+    of :func:`~entorder.spectra._probabilities`, within about n * eps of it.
+    Rounding can take an eigenvalue of a rank-deficient M just below 0, so
+    each is clipped at 0 before the rows are normalized.
     """
     gram = mats @ mats.conj().swapaxes(-1, -2)
     probs = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)

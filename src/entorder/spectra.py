@@ -230,9 +230,9 @@ def make_spectrum(
     `tau_norm` from 1 and negative, non-finite or non-numeric entries (ragged
     nested lists included) are errors.
 
-    The input is copied once and checked for finiteness once; it is sorted
-    only when some entry exceeds the one before it, and the head's sum is
-    taken once, for both the mass check and the rescaling.
+    The input is copied once, and its finiteness and least entry are read
+    once each; it is sorted only when some entry exceeds the one before it,
+    and the head's sum is taken once, for the mass check and the rescaling.
     """
     try:
         arr = np.array(values, dtype=float).ravel()
@@ -240,16 +240,16 @@ def make_spectrum(
         raise InvalidInput(f"spectrum entries must be numbers: {exc}") from exc
     if arr.size == 0:
         raise InvalidInput("a spectrum needs at least one entry")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise InvalidInput("spectrum entries must be finite numbers")
     adjusted = False
-    negative = arr < 0
-    if negative.any():
-        if arr.min() < -tol.tau_zero:
-            raise InvalidInput(f"negative entry {arr.min()!r} in spectrum")
-        arr[negative] = 0.0
+    low = np.minimum.reduce(arr)
+    if low < 0:
+        if low < -tol.tau_zero:
+            raise InvalidInput(f"negative entry {low!r} in spectrum")
+        arr[arr < 0] = 0.0
         adjusted = True
-    if (arr[1:] > arr[:-1]).any():
+    if np.count_nonzero(arr[1:] > arr[:-1]):
         adjusted = True
         arr = np.sort(arr)[::-1]
     if tail is not None:
@@ -273,6 +273,18 @@ def make_spectrum(
     arr *= head_target / head
     arr, tail = _merge_tail_boundary(arr, tail)
     return SchmidtSpectrum(arr, tail, adjusted)
+
+
+def _probabilities(mats: np.ndarray) -> np.ndarray:
+    """Normalized squared singular values of each matrix in a stack.
+
+    The route for user matrices, which may be ill-conditioned: see
+    :func:`~entorder.sampling._gram_probabilities` for the sampler's.
+    """
+    sv = np.linalg.svd(mats, compute_uv=False)
+    probs = sv * sv
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def schmidt_spectrum(
@@ -299,7 +311,6 @@ def schmidt_spectrum(
     norm = float(np.linalg.norm(mat))
     if not abs(norm - 1.0) <= tol.tau_norm:  # a NaN entry fails here too
         raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1")
-    from .sampling import _probabilities  # sampling imports this module
     return SchmidtSpectrum(_probabilities(mat))
 
 

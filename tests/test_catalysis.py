@@ -595,13 +595,13 @@ def test_multicopy_matches_the_two_sided_reference():
 @pytest.mark.parametrize("m_max", [1, 2, 3])
 def test_strong_verdict_decides_each_copy_count_once(monkeypatch, m_max):
     decided = []
-    prefix_pair = catalysis._prefix_pair
+    pair_code = catalysis._pair_code
 
     def counting(pa, pb, tol):
         decided.append((len(pa), len(pb)))
-        return prefix_pair(pa, pb, tol)
+        return pair_code(pa, pb, tol)
 
-    monkeypatch.setattr(catalysis, "_prefix_pair", counting)
+    monkeypatch.setattr(catalysis, "_pair_code", counting)
     a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
     verdict = strong_verdict(a, b, m_max=m_max, catalyst_dim_max=2, grid_steps=5)
     assert verdict.outcome is StrongOutcome.INCONCLUSIVE
@@ -1495,7 +1495,7 @@ def test_a_screened_verdict_does_no_search(monkeypatch):
         raise AssertionError("a screened verdict searched")
 
     # the screen runs before the single copy, so not even that is compared
-    for stage in ("_first_hit", "_top_products", "_prefix_pair", "compare_many"):
+    for stage in ("_first_hit", "_top_products", "_pair_code", "compare_many"):
         monkeypatch.setattr(catalysis, stage, refuse)
     a, b = spec(*SCREENED_A), spec(*SCREENED_B)
     assert not condition_c(a, b)

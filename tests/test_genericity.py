@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from entorder import (
+    DEFAULT_TOLERANCES,
+    EntOrderError,
     GeometricTail,
     InfiniteSchmidtNumber,
     InvalidInput,
@@ -15,6 +17,7 @@ from entorder import (
     NotFoundWithin,
     PermanenceWarning,
     Relation,
+    SchmidtSpectrum,
     SizeCapExceeded,
     TopEntriesTied,
     catalyst_convertible,
@@ -36,6 +39,7 @@ from entorder import (
     top_k_tensor_power,
     truncation_pair,
 )
+from entorder.genericity import _positive_prefix
 from oracles import random_complete_pair, random_sorted_probs
 
 
@@ -296,6 +300,127 @@ def test_report_rows_above_minimal_index_certify_incomparability():
         assert row.condition_c
         assert row.incomparable
         assert compare(a, b).relation in Relation
+
+
+# --- the audit path against its per-index composition ------------------------
+#
+# The report reads its `incomparable` column from the verdict code alone.
+# Each row must still be what the public functions give at its index, bit
+# for bit, and an invalid m-list must fail as they fail, index by index.
+
+
+def composed_rows(a, b, m_list):
+    rows = []
+    for m in sorted(set(m_list)):
+        pair = truncation_pair(a, b, m)
+        rows.append((
+            m,
+            spectrum_distance(pair.a_m, a).hex(),
+            spectrum_distance(pair.b_m, b).hex(),
+            condition_c(pair.a_m, pair.b_m),
+            compare(pair.a_m, pair.b_m).relation is Relation.INCOMPARABLE,
+        ))
+    return rows
+
+
+def reported_rows(a, b, m_list):
+    rows = convergence_report(a, b, m_list)
+    assert all(type(row.incomparable) is bool for row in rows)
+    return [
+        (row.m, row.dist_a.hex(), row.dist_b.hex(), row.condition_c, row.incomparable)
+        for row in rows
+    ]
+
+
+def outcome(report, a, b, m_list):
+    try:
+        return report(a, b, m_list)
+    except EntOrderError as exc:
+        return type(exc), str(exc)
+
+
+def tailed_spectrum(rng):
+    tail = GeometricTail(float(rng.uniform(0.001, 0.02)), float(rng.uniform(0.5, 0.9)))
+    head = np.maximum(random_sorted_probs(rng, int(rng.integers(2, 6))), 0.05)
+    return make_spectrum(head / head.sum() * (1.0 - tail.mass()), tail)
+
+
+def test_report_rows_are_the_per_index_composition():
+    rng = np.random.default_rng(47)
+    cases = [(spec(*WORKED_A), spec(*WORKED_B), [2, 3, 4, 5])]
+    for _ in range(6):
+        a, b = map(make_spectrum, random_complete_pair(rng))
+        cases.append((a, b, [2, 3, 5, 8, 13, 21]))
+        cases.append((tailed_spectrum(rng), tailed_spectrum(rng), [2, 3, 5, 8, 13, 21]))
+    seen = set()
+    for a, b, m_list in cases:
+        for pair in ((a, b), (b, a)):
+            rows = reported_rows(*pair, m_list[::-1])
+            assert rows == composed_rows(*pair, m_list)
+            seen.update(row[3:] for row in rows)
+    # rows of each kind: comparable, and strongly incomparable
+    assert {(False, False), (True, True)} <= seen
+
+
+LONG_TAIL = 0.99999999
+
+
+@pytest.mark.parametrize(
+    "a, b, m_list, error, message",
+    [
+        (spec(*WORKED_A), spec(*WORKED_B), [3, 1, 4], InvalidInput,
+         "truncation index must be at least 2"),
+        (spec(0.5, 0.3, 0.2), spec(0.5, 0.25, 0.25), [3], TopEntriesTied,
+         "top entries differ by 0.0, within tau_cmp"),
+        # at m = 5 both are short; `a`, checked first, is the one named
+        (spec(0.6, 0.2, 0.1, 0.1), spec(0.4, 0.3, 0.3), [2, 4, 5], NotComplete,
+         "spectrum has fewer than 5 positive entries"),
+        (make_spectrum([0.5000000025123796], GeometricTail(5e-09, LONG_TAIL)),
+         make_spectrum([0.4], GeometricTail(0.6 * (1 - LONG_TAIL), LONG_TAIL)),
+         [10**7 + 1], SizeCapExceeded, "operation needs 10000001 entries; cap is 10000000"),
+    ],
+)
+def test_report_refuses_an_m_list_as_its_composition_does(a, b, m_list, error, message):
+    got = outcome(reported_rows, a, b, m_list)
+    assert got == outcome(composed_rows, a, b, m_list)
+    assert got[0] is error and got[1].startswith(message)
+
+
+# The body `_positive_prefix` had before it read only the last entry: a full
+# scan of the head, then the last kept tail entry.
+def full_scan_positive_prefix(spec, count, tol):
+    head = spec.values[:count]
+    if not (head > tol.tau_zero).all():
+        return False
+    extra = count - len(head)
+    if extra == 0:
+        return True
+    if spec.tail is None:
+        return False
+    return bool(spec.tail.entries(1, extra - 1)[0] > tol.tau_zero)
+
+
+TAU_ZERO = DEFAULT_TOLERANCES.tau_zero
+
+
+@pytest.mark.parametrize(
+    "last", [0.0, TAU_ZERO, np.nextafter(TAU_ZERO, 0.0), np.nextafter(TAU_ZERO, 1.0)]
+)
+def test_positive_prefix_matches_a_full_scan(last):
+    # no tail, or one that starts at the head's last entry, at half of it, or
+    # far below tau_zero, as long as that keeps the spectrum sorted
+    firsts = [first for first in (last, last / 2, TAU_ZERO / 8) if 0 < first <= last]
+    tails = [None] + [GeometricTail(first, 0.5) for first in firsts]
+    answers = set()
+    for trailing in (1, 2):
+        values = np.array([0.5, 0.3] + [last] * trailing)
+        for tail in tails:
+            spec = SchmidtSpectrum(values, tail)
+            for count in range(1, len(values) + 4):
+                got = _positive_prefix(spec, count, DEFAULT_TOLERANCES)
+                assert got is full_scan_positive_prefix(spec, count, DEFAULT_TOLERANCES)
+                answers.add(got)
+    assert answers == {False, True}
 
 
 # --- count arguments ---------------------------------------------------------

@@ -11,6 +11,8 @@ from entorder import (
     GeometricTail,
     ComparisonVerdict,
     Relation,
+    SchmidtSpectrum,
+    Tolerances,
     catalysis,
     cli,
     compare,
@@ -24,6 +26,7 @@ from entorder import (
     schmidt_number,
     tensor_product_spectrum,
 )
+from entorder.majorization import RELATIONS, _pair_code
 from entorder.spectra import comparison_horizon
 from oracles import brute_relation, brute_violations, random_sorted_probs
 
@@ -374,8 +377,8 @@ def reference_compare(a, b, tol=DEFAULT_TOLERANCES):
     )
 
 
-def assert_compares_like_the_reference(a, b):
-    got, expected = compare(a, b), reference_compare(a, b)
+def assert_compares_like_the_reference(a, b, tol=DEFAULT_TOLERANCES):
+    got, expected = compare(a, b, tol), reference_compare(a, b, tol)
     assert got == expected
     assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
     for k in got.forward_violations + got.backward_violations:
@@ -411,6 +414,95 @@ def test_compare_matches_its_reference_on_seeded_pairs():
 @given(ANY, ANY)
 def test_compare_matches_its_reference_on_generated_pairs(a, b):
     assert_compares_like_the_reference(a, b)
+
+
+# --- the near-tie gate and the verdict-code helper ---------------------------
+#
+# `compare` runs `near_ties` only for a close margin before the last index
+# and reads the last index alone as scalars; `_pair_code` gives the verdict
+# code with neither violation lists nor near ties.  Spectra built directly
+# from exact floats put a prefix margin exactly where the test wants it.
+
+# A tolerance that is a whole number of ulps of the prefix sums in [0.5, 1),
+# so a margin can sit exactly at it or one ulp either side.
+EXACT_TAU = Tolerances(tau_cmp=2.0**-40)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_compare_gates_near_ties_like_the_reference(step):
+    tau = EXACT_TAU.tau_cmp
+    top = np.nextafter(0.75 + tau, step * np.inf) if step else 0.75 + tau
+    margin = top - 0.75
+    assert margin == tau + step * 2.0**-53
+    b = SchmidtSpectrum(np.array([0.75, 0.25]))
+    # the margin at k = 1, with both masses still to come
+    a = SchmidtSpectrum(np.array([top, 1.0 - top]))
+    assert_compares_like_the_reference(a, b, EXACT_TAU)
+    assert compare(a, b, EXACT_TAU).near_tie is bool(margin <= tau)
+    # the margin at k = 2, where both masses are spent to within tau_cmp:
+    # a tie forced by normalization, never flagged
+    spent = SchmidtSpectrum(np.array([0.5, 0.5 - margin, margin]))
+    assert prefix_sums(spent, 2)[1] == 1.0 - margin
+    assert_compares_like_the_reference(b, spent, EXACT_TAU)
+    assert compare(b, spent, EXACT_TAU).near_tie is False
+    for pair in ((a, b), (b, spent)):
+        assert_compares_like_the_reference(*pair)
+        assert_compares_like_the_reference(*pair[::-1], EXACT_TAU)
+
+
+def test_compare_reads_a_lone_last_tie_like_near_ties():
+    # With tau_cmp far below rounding, only an exact tie is close.  Random
+    # pairs tie at the last index alone when their running sums end on the
+    # same double, and that index is undecided when the running sum falls
+    # short of numpy's pairwise `total_mass`.
+    tol = Tolerances(tau_cmp=1e-300)
+    rng = np.random.default_rng(64)
+    flags = set()
+    for _ in range(300):
+        a, b = (SchmidtSpectrum(random_sorted_probs(rng, 12)) for _ in range(2))
+        assert_compares_like_the_reference(a, b, tol)
+        flags.add(compare(a, b, tol).near_tie)
+    assert flags == {False, True}
+
+
+def seeded_pairs(rng, count):
+    """Finite pairs, dyadic (exact ties) or random, some with zero padding,
+    and pairs in which one or both spectra carry a geometric tail."""
+    tails = [GeometricTail(0.01, 0.5), GeometricTail(0.002, 0.9)]
+    for _ in range(count):
+        specs = []
+        for _ in range(2):
+            n = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                values = random_sorted_probs(rng, n)
+            else:
+                values = np.sort(rng.multinomial(64, np.full(n, 1.0 / n)))[::-1] / 64
+            tail = tails[int(rng.integers(0, 2))] if rng.random() < 0.3 else None
+            if tail is None:
+                values = np.concatenate([values, np.zeros(int(rng.integers(0, 3)))])
+            else:
+                values = normalized(np.maximum(values, 0.05), 1.0 - tail.mass())
+            specs.append(make_spectrum(values, tail))
+        yield specs
+
+
+def test_pair_code_reads_the_relation_compare_gives_on_seeded_pairs():
+    rng = np.random.default_rng(65)
+    seen = set()
+    for a, b in seeded_pairs(rng, 1500):
+        for pair in ((a, b), (b, a), (a, a)):
+            relation = compare(*pair).relation
+            assert RELATIONS[_pair_code(*pair, DEFAULT_TOLERANCES)] is relation
+            seen.add((relation, pair[0].tail is not None or pair[1].tail is not None))
+    assert {relation for relation, _ in seen} == set(Relation)
+    assert {tailed for _, tailed in seen} == {False, True}
+
+
+@PROPERTY
+@given(ANY, ANY)
+def test_pair_code_reads_the_relation_compare_gives(a, b):
+    for tol in (DEFAULT_TOLERANCES, EXACT_TAU):
+        assert RELATIONS[_pair_code(a, b, tol)] is compare(a, b, tol).relation
 
 
 # --- one verdict code, read by every path ------------------------------------

@@ -23,7 +23,6 @@ from entorder import (
     make_spectrum,
     parse_spectrum,
     prefix_sums,
-    sampling,
     schmidt_number,
     schmidt_spectrum,
     spectrum_distance,
@@ -32,7 +31,7 @@ from entorder import (
     TopEntriesTied,
     truncation_pair,
 )
-from entorder.spectra import MAX_HORIZON, _merge_tail_boundary
+from entorder.spectra import MAX_HORIZON, _merge_tail_boundary, _probabilities
 from oracles import check_sorted_spectrum, gram_spectrum, random_sorted_probs
 
 
@@ -76,13 +75,13 @@ def test_random_matrices_match_gram_oracle():
         assert abs(spec.values.sum() - 1.0) < 1e-12
         assert (np.diff(spec.values) <= 1e-15).all()
         assert spec.values == pytest.approx(gram_spectrum(mat), abs=1e-10)
-        # the sweep's SVD helper, bit for bit the squared singular values
-        # renormalized by their sum
+        # the SVD helper for user matrices, bit for bit the squared
+        # singular values renormalized by their sum
         sv = np.linalg.svd(mat, compute_uv=False)
         probs = sv * sv
         probs /= probs.sum()
         assert spec.values.tobytes() == probs.tobytes()
-        assert sampling._probabilities(mat).tobytes() == probs.tobytes()
+        assert _probabilities(mat).tobytes() == probs.tobytes()
 
 
 def test_unitary_invariance():
