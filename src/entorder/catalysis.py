@@ -32,7 +32,7 @@ This module provides
   smallest cannot rise, so when one spectrum has both the larger top and
   the larger smallest entry, by a margin that no product's rounding or
   slack can close, no search within the bounds opens a direction and the
-  verdict is ``inconclusive`` without one.
+  verdict is ``inconclusive`` without one, whatever the caps.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
@@ -53,7 +53,6 @@ before the first level over the cap is allocated.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,9 +445,6 @@ def _catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
     return grid
 
 
-_catalyst_grid.cache_clear = _grid_cache.clear
-
-
 def _build_catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
     """Sorted probability vectors c1 >= ... >= c_dim on a 1/steps grid, as
     the rows of a read-only (G, dim) array in the canonical scan order.
@@ -488,34 +484,6 @@ def _build_catalyst_grid(dim: int, steps: int, cap: int) -> np.ndarray:
     return grid
 
 
-def _grid_rows(dim: int, steps: int, limit: int) -> int:
-    """Row count of the :func:`_build_catalyst_grid` grid of (dim, steps),
-    clipped at `limit`, without building the grid.
-
-    A dimension-2 row is a partition of `steps` into at most 2 parts, and a
-    dimension-d row, d > 2, one into exactly d positive parts, that is (one
-    taken from each part) a partition of steps - d into at most d parts.
-    `counts[s]` counts the partitions of s into parts of at most `part`;
-    adding the part size `part` is the recurrence counts[s] += counts[s -
-    part], one cumulative sum along each residue class mod `part`.  Each
-    sum is clipped at `limit`, which keeps min(count, limit) exact, and
-    overflows no int64 while `limit` times the length of `counts` is below
-    2**63 (Python integers count past that).
-    """
-    free = steps - dim if dim > 2 else steps
-    if free < 0:
-        return 0
-    dtype = np.int64 if limit * (free + 1) < 2**63 else object
-    counts = np.zeros(free + 1, dtype)
-    counts[0] = 1
-    for part in range(1, dim + 1):
-        padded = np.zeros(-(-(free + 1) // part) * part, dtype)
-        padded[: free + 1] = counts
-        sums = padded.reshape(-1, part).cumsum(axis=0).ravel()
-        counts = np.minimum(sums[: free + 1], limit)
-    return int(counts[free])
-
-
 def catalyst_search(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -551,38 +519,30 @@ def catalyst_search(
     return None
 
 
-def _scan_dims(dim_max: int, steps: int) -> range:
-    """Dimensions of the catalyst scan: past `steps` a grid has no rows, so
-    no dimension there is checked or built."""
-    return range(2, min(dim_max, steps) + 1)
-
-
-def _admit_dim(a, b, dim: int, steps: int, size_cap: int, grid):
-    """Admit dimension `dim` of the catalyst scan: the products of `a`, then
-    `b`, with a dim-entry catalyst are checked against `size_cap`, and then
-    `grid(dim, steps, cap)` is returned, the grid cap being max(size_cap,
-    DEFAULT_SIZE_CAP), so a small `size_cap` bounds products without
-    shrinking the default grids."""
-    for spec in (a, b):
-        _check_product_factor(spec, dim, size_cap)
-    return grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
-
-
 def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
-    """The catalyst grid rows of the :func:`_scan_dims` in blocks, each a
-    list of grid slices, one per dimension, and at most `_BLOCK_ENTRIES`
-    product entries of the pair counted at its widest dimension (or one
-    row).  A full block is yielded before the next dimension is admitted by
-    :func:`_admit_dim`, its grid fetched by :func:`_catalyst_grid`.  A
-    refusal is raised after the pending block is yielded."""
+    """The catalyst grid rows of dimensions 2..min(dim_max, steps) in
+    blocks, each a list of grid slices, one per dimension, and at most
+    `_BLOCK_ENTRIES` product entries of the pair counted at its widest
+    dimension (or one row).  Past `steps` a grid has no rows, so no
+    dimension there is checked or built.
+
+    A full block is yielded before the next dimension is admitted: the
+    products of `a`, then `b`, with a dim-entry catalyst are checked
+    against `size_cap`, and then the grid is fetched by
+    :func:`_catalyst_grid` under the grid cap max(size_cap,
+    DEFAULT_SIZE_CAP), so a small `size_cap` bounds products without
+    shrinking the default grids.  A refusal is raised after the pending
+    block is yielded."""
     block, held = [], 0
-    for dim in _scan_dims(dim_max, steps):
+    for dim in range(2, min(dim_max, steps) + 1):
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
         if held >= rows:
             yield block
             block, held = [], 0
         try:
-            grid = _admit_dim(a, b, dim, steps, size_cap, _catalyst_grid)
+            for spec in (a, b):
+                _check_product_factor(spec, dim, size_cap)
+            grid = _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
         except SizeCapExceeded:
             if block:
                 yield block
@@ -595,44 +555,6 @@ def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
                 block, held = [], 0
     if block:
         yield block
-
-
-def _check_scan(a, b, dim_max: int, steps: int, size_cap: int) -> None:
-    """Raise the refusal, if any, that draining :func:`_scan_blocks` raises:
-    the same dimensions admitted in the same order, each grid decided by
-    :func:`_check_grid` with none built or fetched."""
-    for dim in _scan_dims(dim_max, steps):
-        _admit_dim(a, b, dim, steps, size_cap, _check_grid)
-
-
-def _check_grid(dim: int, steps: int, cap: int) -> None:
-    """Raise as :func:`_catalyst_grid` does when the grid of (dim, steps)
-    holds more than `cap` entries, without building it.
-
-    At dimension 2 the grid is the builder's single level, steps // 2 + 1
-    rows.  Above it rows are counted only where two bounds leave the answer
-    open.  The upper one: a row is a multiset of parts, so there are at
-    most as many rows as ordered ways, math.comb(free + dim - 1, dim - 1),
-    to share out the mass `free` the parts hold above their least value.
-    The lower ones: each row accounts for at most dim! of those ways, and a
-    grid has at least the rows of the builder's first level, free + 1 -
-    ceil(free / dim).  So a grid the builder refuses at its first level is
-    refused here at once, and :func:`_grid_rows` counts only grids whose
-    first level fits, in arrays of free + 1 entries, at most twice that
-    level's rows: about the memory the builder spends there.
-    """
-    if dim == 2:
-        least = most = steps // 2 + 1
-    else:
-        free = steps - dim
-        if free < 0:
-            return
-        most = math.comb(free + dim - 1, dim - 1)
-        least = max(free + 1 - -(-free // dim), -(-most // math.factorial(dim)))
-    if least * dim > cap or (
-        most * dim > cap and _grid_rows(dim, steps, cap) * dim > cap
-    ):
-        raise _grid_over_cap(dim, steps, cap)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -724,9 +646,10 @@ class StrongVerdict:
     bounds the verdict covers: for `strong-by-c` the requested ones, all of
     which the proof covers, and otherwise those of the witness search, so
     an `inconclusive` outcome carries the extent of the failed search.  An
-    `inconclusive` pair decided by the end screen carries the same bounds:
-    the screen shows that every search within them fails, without running
-    it.
+    `inconclusive` pair decided by the end screen carries the requested
+    bounds too, whatever the caps: the screen shows that every search
+    within them fails, without running it, so no cap can turn it into a
+    refusal.
     """
 
     outcome: StrongOutcome
@@ -768,11 +691,10 @@ def strong_verdict(
     Right after condition_c, before the single copy, :func:`_ends_block`
     screens equal-length pairs whose top and bottom entries block both
     directions in every search within the bounds, the single copy
-    included.  Such a pair is `inconclusive` with no product formed and no
-    grid built: the single copy's power is sized, the scan's refusals are
-    decided by :func:`_check_scan` and the largest power is sized, in the
-    order the searches run, so each refusal the searches would raise is
-    raised as they would raise it.
+    included.  Such a pair is `inconclusive` over the requested bounds, as
+    a condition-c pair is proven over them: no product is formed, no grid
+    is built and nothing is sized, since caps bound allocations and this
+    path allocates nothing, so no cap can turn the verdict into a refusal.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -783,10 +705,6 @@ def strong_verdict(
     if holds:
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
     if _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
-        # the refusals of the single copy, the scan and the largest power
-        _check_power_size(len(a), 1, size_cap)
-        _check_scan(a, b, catalyst_dim_max, grid_steps, size_cap)
-        _check_power_size(len(a), m_max, size_cap)
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
     witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None:

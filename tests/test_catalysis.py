@@ -1006,7 +1006,7 @@ def test_no_grid_past_grid_steps_is_built_whatever_the_catalyst_dimension():
     # past grid_steps a dimension has no rows, so the scan neither builds
     # its grid nor checks its products against the cap
     a, b = spec(*NO_WITNESS_A), spec(*NO_WITNESS_B)
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     verdict = strong_verdict(a, b, catalyst_dim_max=40, grid_steps=2)
     assert verdict.outcome is StrongOutcome.INCONCLUSIVE
     assert verdict.checked_bounds == (3, 40, 2)
@@ -1045,7 +1045,7 @@ def test_catalyst_grid_counts_and_refuses_over_the_cap():
 
 
 def test_catalyst_grid_builds_fast_and_small():
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     tracemalloc.start()
     try:
         start = time.process_time()
@@ -1061,7 +1061,7 @@ def test_catalyst_grid_builds_fast_and_small():
 
 def test_catalyst_grid_cache_does_not_keep_every_grid():
     # four dimension-4 grids of about 6 MB each, built one after another
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     cap = catalysis.DEFAULT_SIZE_CAP
     tracemalloc.start()
     try:
@@ -1069,14 +1069,14 @@ def test_catalyst_grid_cache_does_not_keep_every_grid():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-        catalysis._catalyst_grid.cache_clear()
+        catalysis._grid_cache.clear()
     assert held <= 8 * catalysis._GRID_CACHE_ENTRIES + max(sizes) < sum(sizes)
 
 
 def test_strong_verdict_audit_and_scan_build_each_grid_once(monkeypatch):
     # the dimension-4 grid alone holds more than the cache's bound; a proven
     # verdict builds no grid, and a scan builds each grid once
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     builds = []
     build = catalysis._build_catalyst_grid
 
@@ -1097,11 +1097,11 @@ def test_strong_verdict_audit_and_scan_build_each_grid_once(monkeypatch):
     assert verdict.checked_bounds == (3, 4, 500)
     assert builds == [(2, 500), (3, 500), (4, 500)]
     assert 4 * count_simplex_grid(4, 500) > catalysis._GRID_CACHE_ENTRIES
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
 
 
 def test_catalyst_grid_serves_every_cap_from_one_build(monkeypatch):
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     builds = []
     build = catalysis._build_catalyst_grid
 
@@ -1344,7 +1344,7 @@ def test_a_proven_verdict_does_no_search(monkeypatch):
 
     monkeypatch.setattr(catalysis, "_top_products", refuse)
     monkeypatch.setattr(catalysis, "_build_catalyst_grid", refuse)
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     rng = np.random.default_rng(16)
     pairs = [(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5))] + [
         tuple(map(make_spectrum, random_condition_c_pair(rng))) for _ in range(4)
@@ -1405,7 +1405,7 @@ def test_strong_verdict_cap_still_raises_before_a_proof():
 
 def test_strong_verdict_audit_skips_grids_over_the_cap_once_proven():
     # the dimension-4 grid is over the cap; a proven verdict builds no grid
-    catalysis._catalyst_grid.cache_clear()
+    catalysis._grid_cache.clear()
     a, b = spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5)
     verdict = strong_verdict(a, b, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
@@ -1494,17 +1494,36 @@ def test_a_screened_verdict_does_no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("a screened verdict searched")
 
-    # the screen runs before the single copy, so not even that is compared
-    for stage in ("_first_hit", "_top_products", "_pair_code", "compare_many"):
+    # the screen runs before the single copy, so not even that is compared,
+    # and nothing is sized or fetched, so no cap can refuse what it decides
+    for stage in (
+        "_first_hit", "_top_products", "_pair_code", "compare_many",
+        "_check_power_size", "_catalyst_grid", "_build_catalyst_grid",
+    ):
         monkeypatch.setattr(catalysis, stage, refuse)
     a, b = spec(*SCREENED_A), spec(*SCREENED_B)
     assert not condition_c(a, b)
     assert compare(a, b).relation is Relation.INCOMPARABLE
+    default = catalysis.DEFAULT_SIZE_CAP
+    cases = [
+        ((1, 2, 2), default),
+        ((3, 3, 100), default),
+        ((3, 4, 500), default),
+        # bounds the searches would refuse: the cap is below the spectra's 4
+        # entries; the dimension-3 products, 4 * 3 entries, are over the cap;
+        # the dimension-4 grid is over the default cap; three copies, 4**3
+        # entries, are over the cap
+        ((3, 3, 20), 3),
+        ((3, 3, 20), 10),
+        ((1, 4, GRID_STEPS_OVER_CAP), default),
+        ((3, 3, 12), 20),
+    ]
     for pair in ((a, b), (b, a)):
-        for bounds in ((1, 2, 2), (3, 3, 100), (3, 4, 500)):
+        for bounds, cap in cases:
             assert screened(*pair, *bounds)
             verdict = strong_verdict(
-                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
+                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1],
+                grid_steps=bounds[2], size_cap=cap,
             )
             assert verdict.outcome is StrongOutcome.INCONCLUSIVE
             assert verdict.witness is None
@@ -1566,110 +1585,16 @@ def test_a_top_gap_inside_the_margin_is_left_to_the_searches():
         assert verdict.to_json() == unscreened_verdict(a, b, m_max, dim_max, steps)
 
 
-def test_a_screened_pair_refuses_as_the_searches_do():
-    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
-    cases = [
-        # the cap is below the spectra's 4 entries: the single copy is the
-        # first search, so its power check refuses before the scan's and the
-        # largest power's, though the screen runs before the single copy
-        ((3, 3, 20, 3), lambda: multicopy_convertible(a, b, 1, size_cap=3)),
-        # the dimension-3 products, 4 * 3 entries, are over the cap
-        ((3, 3, 20, 10), lambda: catalyst_search(a, b, 3, 20, size_cap=10)),
-        # the dimension-4 grid is over the default cap
-        ((1, 4, GRID_STEPS_OVER_CAP, catalysis.DEFAULT_SIZE_CAP),
-         lambda: catalyst_search(a, b, 4, GRID_STEPS_OVER_CAP)),
-        # every catalyst fits, three copies (4**3 entries) do not
-        ((3, 3, 12, 20), lambda: multicopy_convertible(a, b, 3, size_cap=20)),
-    ]
-    assert catalyst_search(a, b, 3, 12, size_cap=20) is None
-    for (m_max, dim_max, steps, cap), search in cases:
-        assert screened(a, b, m_max, dim_max, steps)
-        expected = result_or_refusal(search)
-        assert expected[0] == "refused"
-        assert result_or_refusal(
-            strong_verdict, a, b, m_max=m_max, catalyst_dim_max=dim_max,
-            grid_steps=steps, size_cap=cap,
-        ) == expected
-
-
 def test_grid_row_counts_match_the_built_grids():
+    # the build refuses exactly the grids whose entries exceed the cap
+    build = catalysis._build_catalyst_grid
     for steps in range(2, 61):
         for dim in range(2, 7):
-            rows = catalysis._grid_rows(dim, steps, 10**9)
-            assert rows == len(catalysis._build_catalyst_grid(dim, steps, 10**9))
-            # the build, and the check from bounds and counts, refuse exactly
-            # the grids whose entries exceed the cap
-            for refuse in (catalysis._build_catalyst_grid, catalysis._check_grid):
-                refuse(dim, steps, rows * dim)
-                if rows:
-                    with pytest.raises(SizeCapExceeded):
-                        refuse(dim, steps, rows * dim - 1)
-            # clipped counts, and counts taken in Python integers past int64
-            for limit in (1, 7, 100, 2**62):
-                assert catalysis._grid_rows(dim, steps, limit) == min(rows, limit)
-
-
-def drain_scan(a, b, dim_max, steps, size_cap):
-    for _ in catalysis._scan_blocks(a, b, dim_max, steps, size_cap):
-        pass
-
-
-@pytest.mark.parametrize("default_cap", [catalysis.DEFAULT_SIZE_CAP, 600])
-def test_the_scan_check_refuses_as_the_drained_scan_does(monkeypatch, default_cap):
-    # a small default cap puts grid refusals within reach of small grids
-    monkeypatch.setattr(catalysis, "DEFAULT_SIZE_CAP", default_cap)
-    pairs = [
-        (spec(0.6, 0.4), spec(0.5, 0.3, 0.2)),
-        (spec(*SCREENED_A), spec(*SCREENED_B)),
-        (spec(0.3, 0.2, 0.2, 0.1, 0.1, 0.1), spec(0.4, 0.3, 0.1, 0.1, 0.1)),
-    ]
-    kinds = set()
-    for a, b in pairs:
-        for pair in ((a, b), (b, a)):
-            for dim_max, steps, size_cap in itertools.product(
-                (2, 3, 6, 40), (2, 3, 9, 30), (1, 12, 30, 10**7)
-            ):
-                args = (*pair, dim_max, steps, size_cap)
-                expected = result_or_refusal(drain_scan, *args)
-                assert result_or_refusal(catalysis._check_scan, *args) == expected
-                if expected is not None:
-                    kinds.add("grid" if "grid" in expected[3] else "product")
-    assert kinds == ({"grid", "product"} if default_cap == 600 else {"product"})
-
-
-def test_the_scan_check_refuses_huge_grids_without_counting(monkeypatch):
-    # grids far over the cap: the build refuses them at its first or second
-    # level, and the check from its bounds, before any row is counted
-    real = catalysis._catalyst_grid
-
-    def admitted_dim_2(dim, steps, cap):
-        # a dimension-2 grid under a cap of 1.5e9 entries, left empty, so
-        # the drain reaches dimension 3 without building 1e9 entries
-        return np.empty((0, 2)) if dim == 2 else real(dim, steps, cap)
-
-    def count(*args):
-        raise AssertionError("a refusal needed a row count")
-
-    monkeypatch.setattr(catalysis, "_grid_rows", count)
-    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
-    for dim_max, steps, size_cap, refused in [
-        (2, 10**9, 100, "dimension 2 at"),
-        (3, 10**9, 100, "dimension 2 at"),
-        (3, 10**9, 15 * 10**8, "dimension 3 at"),
-        (6, 10**5, 100, "dimension 3 at"),
-    ]:
-        with monkeypatch.context() as patch:
-            if size_cap > 10**9:
-                patch.setattr(catalysis, "_catalyst_grid", admitted_dim_2)
-            expected = result_or_refusal(drain_scan, a, b, dim_max, steps, size_cap)
-        assert refused in expected[3]
-        args = (a, b, dim_max, steps, size_cap)
-        assert result_or_refusal(catalysis._check_scan, *args) == expected
-        assert screened(a, b, 1, dim_max, steps)
-        assert result_or_refusal(
-            strong_verdict, a, b, m_max=1, catalyst_dim_max=dim_max,
-            grid_steps=steps, size_cap=size_cap,
-        ) == expected
+            rows = len(build(dim, steps, 10**9))
+            build(dim, steps, rows * dim)
+            if rows:
+                with pytest.raises(SizeCapExceeded):
+                    build(dim, steps, rows * dim - 1)
 
 
 def test_a_screened_verdict_builds_no_grid(monkeypatch):
@@ -1685,15 +1610,20 @@ def test_a_screened_verdict_builds_no_grid(monkeypatch):
                 *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
             )
             assert verdict.outcome is StrongOutcome.INCONCLUSIVE
-    # the dimension-4 grid is over the default cap, refused from its count
-    with pytest.raises(SizeCapExceeded, match="dimension 4 at 711 steps"):
-        strong_verdict(a, b, m_max=1, catalyst_dim_max=4, grid_steps=GRID_STEPS_OVER_CAP)
 
 
 def test_strong_verdict_matches_the_unscreened_composition():
     # the strata of the `strong` benchmark: condition-c pairs and equal-length
-    # random pairs of 3..6 entries, at its bounds, some under small caps
+    # random pairs of 3..6 entries, at its bounds, some under small caps.  A
+    # screened pair is inconclusive over the requested bounds at every cap,
+    # and no search accepts it, though a cap may refuse the searches; every
+    # other pair gets the composition's verdict or refusal
     rng = np.random.default_rng(18)
+    proven = {
+        "outcome": "inconclusive",
+        "witness": None,
+        "checked_bounds": {"m_max": 3, "catalyst_dim_max": 3, "grid_steps": 50},
+    }
     seen = set()
     for i in range(2000):
         if i % 2:
@@ -1708,7 +1638,11 @@ def test_strong_verdict_matches_the_unscreened_composition():
                 a, b, m_max=3, catalyst_dim_max=3, grid_steps=50, size_cap=cap
             ).to_json()
         )
-        assert got == result_or_refusal(unscreened_verdict, a, b, 3, 3, 50, cap)
+        expected = result_or_refusal(unscreened_verdict, a, b, 3, 3, 50, cap)
         if screened(a, b, 3, 3, 50) and not condition_c(a, b):
-            seen.add("screened, refused" if isinstance(got, tuple) else "screened")
-    assert seen == {"screened", "screened, refused"}
+            assert expected == proven or expected[0] == "refused"
+            seen.add("default cap" if cap == catalysis.DEFAULT_SIZE_CAP else "small cap")
+            seen.add("searches refused" if expected != proven else "searches failed")
+            expected = proven
+        assert got == expected
+    assert seen == {"default cap", "small cap", "searches refused", "searches failed"}

@@ -258,18 +258,32 @@ def test_strong_audit_cap_does_not_overturn_condition_c():
     "size_cap, cap", [(None, 10**7), (20, 10**7), (10**8, 10**8)]
 )
 def test_strong_grid_over_the_cap_exits_3(size_cap, cap, tmp_path):
-    # a small size_cap leaves the grid bound at its default; a larger one raises it
+    # a small size_cap leaves the grid bound at its default; a larger one
+    # raises it.  The pair is one the end screen leaves to the searches
     cfg = tmp_path / "entorder.cfg"
     cfg.write_text("" if size_cap is None else f"size_cap = {size_cap}\n")
     code, out, err = invoke(
         "--config", str(cfg),
-        "strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
+        "strong", "--a", "0.5,0.25,0.2,0.05", "--b", "0.4,0.4,0.1,0.1",
         "--m-max", "1", "--catalyst-dim", "4", "--grid", "2000",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the catalyst grid of dimension 4 at 2000 steps needs more "
         f"than {cap} entries\n"
+    )
+
+
+def test_a_screened_strong_pair_is_not_refused_by_the_grid_cap():
+    # the end screen covers the requested bounds without building a grid
+    code, out, err = invoke(
+        "strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
+        "--m-max", "1", "--catalyst-dim", "4", "--grid", "2000",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "outcome: inconclusive\n"
+        "checked bounds: m_max=1 catalyst_dim=4 grid_steps=2000\n"
     )
 
 
