@@ -32,7 +32,12 @@ This module provides
   smallest cannot rise, so when one spectrum has both the larger top and
   the larger smallest entry, by a margin that no product's rounding or
   slack can close, no search within the bounds opens a direction and the
-  verdict is ``inconclusive`` without one, whatever the caps.
+  verdict is ``inconclusive`` without one, whatever the caps,
+* :func:`_alphas_block`, the alpha screen that spares it the catalyst scan
+  and the copies past the single one when, for each direction, an end or
+  one Renyi power sum sum(x**alpha) of :func:`_power_sums` (alpha in (0,
+  1) or above 1) blocks it by such a margin: those sums multiply under
+  tensor products and are monotone under majorization.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
@@ -53,6 +58,7 @@ before the first level over the cap is allocated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -558,6 +564,55 @@ def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
 
 
 _EPS = float(np.finfo(float).eps)
+# Orders of the Renyi power sums the alpha screen of strong_verdict tests:
+# six Schur-concave orders in (0, 1) and six Schur-convex ones above 1,
+# spread so that with the two ends they block what a dense grid blocks.
+_ALPHAS = np.array([0.03, 0.1, 0.25, 0.45, 0.7, 0.9, 1.1, 1.4, 1.8, 2.8, 4.4, 8.0])
+# sign in which an order's power sums, a's less b's, block the forward direction
+_FORWARD = np.where(_ALPHAS > 1, 1.0, -1.0)
+
+
+def _power_sums(rows: np.ndarray) -> np.ndarray:
+    """sum(x**alpha) of each row x of `rows` at each order alpha of
+    `_ALPHAS`, with shape rows.shape[:-1] + (len(_ALPHAS),): the Renyi
+    power sums, which multiply under tensor products and are monotone
+    under majorization."""
+    return (rows[..., None, :] ** _ALPHAS[:, None]).sum(axis=-1)
+
+
+def _screen_least(a, b, m_max: int, dim: int, tol: Tolerances) -> float:
+    """The least gap, tau_cmp + delta, that the screens of
+    :func:`strong_verdict` ask of an equal-length n-entry pair, for copy
+    counts up to m_max and catalysts of dimension up to `dim`:
+
+        delta = 4 * (N + 2) * eps + 4 * m_max * E,
+
+    where N = max(n * dim, n**m_max) is the longest product the searches
+    form and E = |sum(a) - 1| + |sum(b) - 1| + 2 * n * eps bounds both
+    masses' distances from 1 (each count is clipped at 2**53, past which
+    delta exceeds every gap).  With u = eps / 2, delta >= 8 (N + 2) u + 4
+    m_max E: the rounding both screens' proofs count.
+    """
+    n = len(a)
+    mass = abs(float(a.values.sum()) - 1) + abs(float(b.values.sum()) - 1) + 2 * n * _EPS
+    longest = min(max(n * dim, _power_size(n, m_max, 1 << 53)), 1 << 53)
+    return tol.tau_cmp + 4 * (longest + 2) * _EPS + 4 * min(m_max, 1 << 53) * mass
+
+
+def _fold_gap(x: float, y: float, m_max: int, least: float, scale=1, relative=0.0):
+    """1 when x exceeds y, and -1 when y exceeds x, by more than `least`
+    once the gap is divided by `scale`, and for m = 1..m_max x**m - y**m,
+    the left folds x * ... * x less y * ... * y, by more than least +
+    relative * (x**m + y**m); 0 otherwise."""
+    sign = 1.0 if x > y else -1.0
+    if sign * (x - y) / scale <= least:
+        return 0
+    fx, fy = x, y
+    for _ in range(m_max):
+        if sign * (fx - fy) <= least + relative * (fx + fy):
+            return 0
+        fx, fy = fx * x, fy * y
+    return int(sign)
 
 
 def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> bool:
@@ -570,17 +625,11 @@ def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> 
     multiply under tensor products: the Renyi entropies of order +inf and
     -inf.  So when a1 - b1 and a_n - b_n have the same strict sign, one end
     blocks each direction at every copy count and with every catalyst.  The
-    test asks for that with a margin: in the common sign, each of the gaps
-    (a1 - b1) / min(dim_max, steps) and (a_n - b_n) / steps, and for m = 1
-    .. m_max the gaps of the m-fold left-fold products a1 * ... * a1 and
-    a_n * ... * a_n, exceeds tau_cmp + delta, where
-
-        delta = 4 * (N + 2) * eps + 4 * m_max * E,
-
-    N = max(n * min(dim_max, steps), n**m_max) is the longest product the
-    searches form and E = |sum(a) - 1| + |sum(b) - 1| + 2 * n * eps bounds
-    both masses' distances from 1 (each count is clipped at 2**53, past
-    which delta exceeds every gap).
+    test asks for that with a margin (:func:`_fold_gap`): in the common sign,
+    each of the gaps (a1 - b1) / min(dim_max, steps) and (a_n - b_n) /
+    steps, and for m = 1 .. m_max the gaps of the m-fold left-fold products
+    a1 * ... * a1 and a_n * ... * a_n, exceeds least = tau_cmp + delta of
+    :func:`_screen_least`, with its N and E.
 
     Proof that no search then accepts a direction.  Say a1 > b1 and a_n >
     b_n (otherwise swap the roles) and let u = eps / 2.  The top gap is at
@@ -610,26 +659,132 @@ def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> 
     test at the bottom index, in every search.  The copy count m = 1 is the
     single-copy compare, so the screen may run before it.
     """
-    n = len(a)
-    if n != len(b):
+    if len(a) != len(b):
         return False
     a1, b1 = float(a.values[0]), float(b.values[0])
     an, bn = float(a.values[-1]), float(b.values[-1])
-    sign = 1.0 if a1 > b1 else -1.0
-    if sign * (an - bn) <= 0:
+    if (a1 > b1) != (an > bn):
         return False
-    mass = abs(float(a.values.sum()) - 1) + abs(float(b.values.sum()) - 1) + 2 * n * _EPS
     dim = min(dim_max, steps)
-    longest = min(max(n * dim, _power_size(n, m_max, 1 << 53)), 1 << 53)
-    least = tol.tau_cmp + 4 * (longest + 2) * _EPS + 4 * min(m_max, 1 << 53) * mass
-    if min(sign * (a1 - b1) / dim, sign * (an - bn) / steps) <= least:
+    least = _screen_least(a, b, m_max, dim, tol)
+    top = _fold_gap(a1, b1, m_max, least, dim)
+    return top != 0 and top == _fold_gap(an, bn, m_max, least, steps)
+
+
+def _alphas_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> bool:
+    """True when, for an equal-length finite pair, each direction is
+    blocked in every catalyst search and at every copy count up to m_max of
+    :func:`strong_verdict` within the bounds, by an end as in
+    :func:`_ends_block` or by one order alpha of `_ALPHAS`.
+
+    The power sums P(x) = sum(x**alpha) multiply under tensor products, and
+    x majorized by y gives P(x) <= P(y) for alpha > 1 (Schur-convex) and
+    P(x) >= P(y) for 0 < alpha < 1 (Schur-concave).  So in exact arithmetic
+    an alpha > 1 with P(a) > P(b), or an alpha < 1 with P(a) < P(b), rules
+    out a (x) c majorized by b (x) c, the forward direction, for every
+    catalyst c and copy count, and the reverse inequality rules out the
+    backward one.  The test asks for that with a margin.  Let least =
+    tau_cmp + delta of :func:`_screen_least` (with its N and E), A and B
+    the sums of :func:`_power_sums` for a and b, D = min(dim_max, steps),
+    x_n = min(a_n, b_n) and x_low = min(x_n / steps, x_n**m_max).  An order
+    blocks forward when, for every m = 1..m_max (m = 1 stands for the
+    catalysts), the gap A**m - B**m, taken with the sign of alpha - 1,
+    exceeds
+
+        least * (2 max(1, alpha) (A**m + B**m) + s),
+        s = alpha * (1.01 D)**(alpha - 1)       for alpha > 1,
+        s = alpha * (0.99 x_low)**(alpha - 1)   for alpha < 1,
+
+    and backward when the opposite gap does.  An end blocks forward when
+    a1 - b1 or b_n - a_n clears the test of :func:`_fold_gap` that
+    :func:`_ends_block` asks of it, and backward when b1 - a1 or a_n - b_n
+    does.  The screen runs only when least <= 2**-20 (tau_cmp is 1e-12 by
+    default), and it holds when both directions are blocked.  It first
+    asks for the blocks without margins (A - B in the sign of alpha - 1,
+    a1 - b1 and b_n - a_n, and the opposites): a direction none of them
+    blocks is open, and the pairs the screen leaves to the searches, whose
+    witnesses obey every order, return there before any margin is formed.
+
+    Proof that no search then accepts a direction an order blocks.  Let u
+    = eps / 2.  As least <= 2**-20, (N + 2) u and m_max E are below 2**-22,
+    so every mass to a power m <= m_max is 1 within 2**-21 and no entry of
+    a searched spectrum exceeds 1.01.  Take a search that compares sorted
+    computed spectra x (from a) and y (from b) of N' <= N entries, with
+    exact prefix sums X_k and Y_k, and say alpha blocks forward (backward
+    is the mirror).
+
+    * Acceptance.  A computed prefix sum is a sequential cumsum within
+      1.03 N u of X_k, and the float difference of two is within 2.1 u of
+      theirs, so an accepted direction has X_k - Y_k <= tau_cmp + delta / 2
+      at every k.  The totals differ by at most delta / 2: a catalysed row
+      sums to 1 within 1.01 (N + 1) u, a power to its factor's mass to the
+      m-th within 1.01 m u, and those masses differ by 1.01 m E at most.
+    * Abel summation.  For alpha > 1, t**alpha is convex and increasing, so
+      the chord slopes w_i of t**alpha between x_i and y_i are
+      non-negative, non-increasing in i and at most alpha 1.01**(alpha -
+      1), and P(x) - P(y) = sum(w_i (x_i - y_i)), which is the sum over k <
+      N' of (w_k - w_k+1)(X_k - Y_k) plus w_N' (X_N' - Y_N'), is at most
+      w_1 least.  For alpha < 1 the slopes of -t**alpha, over the L indices
+      where x and y are positive (the zeros, from a catalyst's zero parts,
+      sit at the same places in both), are non-positive and non-increasing,
+      and the same sum gives P(y) - P(x) <= |w_L| least <= alpha
+      x_min**(alpha - 1) least, x_min the least positive entry: at least
+      0.99 x_n / steps with a catalyst, whose least positive part is the
+      float of k / steps for some k >= 1, and 0.99 x_n**m in copy m.
+    * Products.  A catalysed entry is c_j x_k / (sum(c) sum(x)) within a
+      relative 1.02 (N + 2) u, and an entry of a power its factors' product
+      within 1.01 m u.  This screen's sums are within a relative (n + 4)
+      eps of exact (tested against a 50-digit oracle), their m-th powers
+      within m (n + 6) eps, and sum(a)**alpha is 1 within 1.01 alpha E.  So
+      a catalyst search has P(x) = C A (1 + eta), with C = P(c) /
+      sum(c)**alpha, and copy m has P(x) = A**m (1 + eta), where |eta| <=
+      max(1, alpha) delta, as m (n + 6) <= 3.4 (N + 2).  C >= D**(1 -
+      alpha) for alpha > 1, since a grid row has at most D parts, and C >=
+      1 for alpha < 1.  A power that underflows moves a sum by less than a
+      unit of it.
+
+    So an accepted forward search needs C (A (1 - eta) - B (1 + eta)) <=
+    alpha 1.01**(alpha - 1) least for alpha > 1, that is A - B <= least
+    (max(1, alpha) (A + B) + s) as C >= D**(1 - alpha), and likewise in
+    copy m, and, for alpha < 1, B**m - A**m within the same bound at every
+    m: the margin, twice the relative part, forbids it.  Where x_low is
+    below 2**-1000 (products there may round to subnormals) or s would pass
+    e**700 (it is cut there to stay finite), s least exceeds 3 N, more than
+    any gap, so no order blocks anything where a bound above fails.
+    Negative orders are left to the ends, which they tend to.
+    """
+    if len(a) != len(b) or len(a) < 2:
         return False
-    xa, xb, ya, yb = a1, b1, an, bn  # the m-fold products, m = 1, 2, ...
-    for _ in range(m_max):
-        if min(sign * (xa - xb), sign * (ya - yb)) <= least:
-            return False
-        xa, xb, ya, yb = xa * a1, xb * b1, ya * an, yb * bn
-    return True
+    a1, b1 = float(a.values[0]), float(b.values[0])
+    an, bn = float(a.values[-1]), float(b.values[-1])
+    sums = _power_sums(np.array((a.values, b.values)))
+    lead = _FORWARD * (sums[0] - sums[1])  # > 0 where an order blocks forward
+    # a direction that no end and no order blocks even without a margin is open
+    if not (a1 > b1 or an < bn or (lead > 0).any()) or not (
+        a1 < b1 or an > bn or (lead < 0).any()
+    ):
+        return False
+    dim = min(dim_max, steps)
+    least = _screen_least(a, b, m_max, dim, tol)
+    if least > 2**-20:  # so n**m_max <= N < 2**30
+        return False
+    xn = min(an, bn)
+    low = -1e6  # log(0.99 x_low), or below the log of every float when x_n is 0
+    if xn > 0:
+        low = math.log(0.99 * xn) + min(-math.log(steps), (m_max - 1) * math.log(xn))
+    high = math.log(1.01 * dim)
+
+    def clears(alpha, x, y):
+        s = alpha * math.exp(min((alpha - 1) * (high if alpha > 1 else low), 700.0))
+        return _fold_gap(x, y, m_max, least * s, relative=least * 2 * max(alpha, 1.0))
+
+    orders = list(zip(_ALPHAS.tolist(), *sums.tolist(), lead.tolist()))
+    top = _fold_gap(a1, b1, m_max, least, dim)  # 1 blocks forward
+    bottom = _fold_gap(an, bn, m_max, least, steps)  # 1 blocks backward
+    return all(  # for each direction no end blocks, 1 forward and -1 backward
+        any(sign * blocks > 0 and clears(alpha, x, y) for alpha, x, y, blocks in orders)
+        for sign in {1, -1} - {top, -bottom}
+    )
 
 
 class StrongOutcome(enum.Enum):
@@ -646,10 +801,10 @@ class StrongVerdict:
     bounds the verdict covers: for `strong-by-c` the requested ones, all of
     which the proof covers, and otherwise those of the witness search, so
     an `inconclusive` outcome carries the extent of the failed search.  An
-    `inconclusive` pair decided by the end screen carries the requested
-    bounds too, whatever the caps: the screen shows that every search
-    within them fails, without running it, so no cap can turn it into a
-    refusal.
+    `inconclusive` pair decided by the end screen or the alpha screen
+    carries the requested bounds too, whatever the caps: the screen shows
+    that every search within them fails, without running it, so no cap can
+    turn it into a refusal.
     """
 
     outcome: StrongOutcome
@@ -688,13 +843,22 @@ def strong_verdict(
     are searched cheapest conversion first: single copy, then a grid
     catalyst, then collective multi-copy operations.
 
-    Right after condition_c, before the single copy, :func:`_ends_block`
-    screens equal-length pairs whose top and bottom entries block both
-    directions in every search within the bounds, the single copy
-    included.  Such a pair is `inconclusive` over the requested bounds, as
-    a condition-c pair is proven over them: no product is formed, no grid
-    is built and nothing is sized, since caps bound allocations and this
-    path allocates nothing, so no cap can turn the verdict into a refusal.
+    The stages run in this order: condition_c, the end screen, the single
+    copy, the alpha screen, the catalyst scan, and copies 2..m_max.  The
+    end screen, :func:`_ends_block`, takes equal-length pairs whose top and
+    bottom entries block both directions in every search within the
+    bounds, the single copy included.  The alpha screen,
+    :func:`_alphas_block`, takes the equal-length pairs the single copy
+    leaves incomparable whose ends and Renyi power sums block both
+    directions in every catalyst search and copy count 2..m_max within the
+    bounds.  A screened pair is `inconclusive` over the requested bounds,
+    as a condition-c pair is proven over them, whatever the caps: no
+    product is formed past the single copy, no grid is built and nothing
+    is sized past it, since caps bound allocations and these paths
+    allocate nothing, so no cap can turn the verdict into a refusal.  Both
+    screens are certificates of strong incomparability within the bounds,
+    meant to become a proven `strong-by-monotones` outcome once consumers
+    accept one.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -708,6 +872,8 @@ def strong_verdict(
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
     witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None:
+        if _alphas_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+            return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
         )

@@ -164,3 +164,23 @@ def random_complete_pair(rng, length_range=(30, 60), top_gap=0.01):
         b = random_sorted_probs(rng, nb, alpha=1.5)
         if abs(a[0] - b[0]) > top_gap and a.min() > 1e-9 and b.min() > 1e-9:
             return a, b
+
+
+def decimal_power_sums(values, alphas, digits=50):
+    """sum(x**alpha) over the entries x of `values`, for each order alpha in
+    `alphas`, as a `decimal.Decimal` computed from the floats' exact values
+    at `digits` significant digits.  Zero entries add nothing (the orders
+    are positive).  `decimal` is imported here, so that loading this
+    module for the benchmark's output checks does not load it."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return [
+            sum(
+                (decimal.Decimal(float(x)) ** decimal.Decimal(float(alpha))
+                 for x in values if x > 0),
+                decimal.Decimal(0),
+            )
+            for alpha in alphas
+        ]

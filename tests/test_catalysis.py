@@ -2,6 +2,7 @@ import heapq
 import itertools
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     brute_majorized,
     brute_relation,
     count_simplex_grid,
+    decimal_power_sums,
     enumerate_power,
     enumerate_product,
     enumerate_simplex_grid,
@@ -81,6 +83,12 @@ NO_WITNESS_B = (0.4, 0.4, 0.1, 0.1)
 # screen decides it with no search.
 SCREENED_A = (0.5, 0.2, 0.2, 0.1)
 SCREENED_B = (0.48, 0.46, 0.03, 0.03)
+# Incomparable, not a condition-c pair, and its smallest entries tie, so the
+# end screen leaves it; b1 > a1 blocks the backward direction and the Renyi
+# power sums block the forward one, so the alpha screen decides it after the
+# single copy.
+ALPHA_SCREENED_A = (0.5, 0.4, 0.05, 0.05)
+ALPHA_SCREENED_B = (0.55, 0.3, 0.1, 0.05)
 
 
 # --- tensor products --------------------------------------------------------
@@ -1509,6 +1517,8 @@ def test_a_screened_verdict_does_no_search(monkeypatch):
         ((1, 2, 2), default),
         ((3, 3, 100), default),
         ((3, 4, 500), default),
+        ((2, 3, 2000), default),
+        ((1, 40, 60), default),
         # bounds the searches would refuse: the cap is below the spectra's 4
         # entries; the dimension-3 products, 4 * 3 entries, are over the cap;
         # the dimension-4 grid is over the default cap; three copies, 4**3
@@ -1597,27 +1607,133 @@ def test_grid_row_counts_match_the_built_grids():
                     build(dim, steps, rows * dim - 1)
 
 
-def test_a_screened_verdict_builds_no_grid(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a screened verdict fetched a grid")
+# --- the alpha screen of strong_verdict -------------------------------------
 
-    monkeypatch.setattr(catalysis, "_catalyst_grid", refuse)
-    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+
+def alpha_screened(a, b, m_max, dim_max, steps):
+    return catalysis._alphas_block(a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES)
+
+
+def test_power_sums_match_the_decimal_oracle():
+    # the kernel's sums are within a relative (n + 4) eps of the exact sums
+    # of its float entries, as the alpha screen's proof takes them to be;
+    # tiny and zero entries included
+    rng = np.random.default_rng(25)
+    eps = Decimal(float(np.finfo(float).eps))
+    alphas = catalysis._ALPHAS
+    for i in range(12):
+        n = 2 + i % 10
+        concentration = (0.2, 1.0, 5.0)[i % 3]
+        rows = np.array([random_sorted_probs(rng, n, concentration) for _ in range(2)])
+        if i % 4 == 1:
+            rows[:, -1] = 1e-300
+        if i % 4 == 2:
+            rows[1, -1] = 0.0
+        got = catalysis._power_sums(rows)
+        assert got.shape == (2, len(alphas))
+        assert np.array_equal(catalysis._power_sums(rows[0]), got[0])
+        for row, sums in zip(rows, got):
+            for value, exact in zip(sums, decimal_power_sums(row, alphas)):
+                assert abs(Decimal(float(value)) - exact) <= (n + 4) * eps * exact
+
+
+def test_an_alpha_screened_verdict_does_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an alpha-screened verdict searched")
+
+    def single_copy_only(length, m, size_cap):
+        # the single copy is sized and compared before the alpha screen
+        if m != 1:
+            refuse()
+
+    a, b = spec(*ALPHA_SCREENED_A), spec(*ALPHA_SCREENED_B)
+    assert not condition_c(a, b)
+    assert compare(a, b).relation is Relation.INCOMPARABLE
+    default = catalysis.DEFAULT_SIZE_CAP
+    cases = [
+        ((1, 2, 2), default),
+        ((3, 3, 50), default),
+        ((3, 3, 100), default),
+        ((3, 4, 500), default),
+        ((2, 3, 2000), default),
+        ((1, 40, 60), default),
+        # bounds the searches would refuse: the dimension-2 products, 4 * 2
+        # entries, and the dimension-3 ones, 4 * 3, are over the cap; the
+        # dimension-4 grid is over the default cap; three copies, 4**3
+        # entries, are over the cap
+        ((3, 3, 20), 4),
+        ((3, 3, 20), 10),
+        ((1, 4, GRID_STEPS_OVER_CAP), default),
+        ((3, 3, 12), 20),
+    ]
     for pair in ((a, b), (b, a)):
-        for bounds in ((3, 4, 500), (2, 3, 2000), (1, 40, 60)):
-            assert screened(*pair, *bounds)
+        for bounds, cap in cases:
+            assert alpha_screened(*pair, *bounds)
+            assert not screened(*pair, *bounds)
+        # the searches, where they can run, find nothing either
+        for bounds in ((3, 3, 50), (3, 3, 100)):
+            assert unscreened_verdict(*pair, *bounds)["outcome"] == "inconclusive"
+    # past 2**30 entries in the longest power the screen's bounds are not
+    # formed, and the searches decide
+    assert not alpha_screened(a, b, 16, 3, 50)
+    for stage in (
+        "_first_hit", "_top_products", "_catalyst_grid", "_build_catalyst_grid",
+    ):
+        monkeypatch.setattr(catalysis, stage, refuse)
+    monkeypatch.setattr(catalysis, "_check_power_size", single_copy_only)
+    for pair in ((a, b), (b, a)):
+        for bounds, cap in cases:
             verdict = strong_verdict(
-                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
+                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1],
+                grid_steps=bounds[2], size_cap=cap,
             )
             assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+            assert verdict.witness is None
+            assert verdict.checked_bounds == bounds
+
+
+@st.composite
+def alpha_gap_pairs(draw):
+    """An equal-length pair of 4..6 entries on the segment from a random
+    spectrum `a` to a random `b` that the alpha screen decides at the bench
+    bounds (3, 3, 50) and the end screen does not: `a` and (1 - t) a + t b,
+    sorted and normalized, for t between 10**-12 and 1, half of them
+    between 10**-10.5 and 10**-8.5.  The end and power-sum gaps shrink
+    with t and meet the screen's margins there; below them the slack of
+    the searches decides."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 6))
+    while True:
+        a, b = (make_spectrum(random_sorted_probs(rng, n)) for _ in range(2))
+        if alpha_screened(a, b, 3, 3, 50) and not screened(a, b, 3, 3, 50):
+            break
+    t = 10 ** draw(st.one_of(st.floats(-10.5, -8.5), st.floats(-12.0, 0.0)))
+    pair = (a, make_spectrum((1 - t) * a.values + t * b.values))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    alpha_gap_pairs(),
+    st.integers(1, 3),
+    st.sampled_from(((2, 4), (3, 12), (4, 6), (3, 50))),
+)
+def test_the_alpha_screen_is_sound(pair, m_max, grid):
+    # wherever the alpha screen fires, neither search accepts either
+    # direction, the single copy included
+    dim_max, steps = grid
+    if not alpha_screened(*pair, m_max, dim_max, steps):
+        return
+    assert multicopy_convertible(*pair, m_max) is None
+    assert catalyst_search(*pair, dim_max, steps) is None
 
 
 def test_strong_verdict_matches_the_unscreened_composition():
     # the strata of the `strong` benchmark: condition-c pairs and equal-length
     # random pairs of 3..6 entries, at its bounds, some under small caps.  A
-    # screened pair is inconclusive over the requested bounds at every cap,
-    # and no search accepts it, though a cap may refuse the searches; every
-    # other pair gets the composition's verdict or refusal
+    # pair either screen decides is inconclusive over the requested bounds at
+    # every cap, and no search accepts it, though a cap may refuse the
+    # searches; every other pair gets the composition's verdict or refusal
     rng = np.random.default_rng(18)
     proven = {
         "outcome": "inconclusive",
@@ -1639,10 +1755,19 @@ def test_strong_verdict_matches_the_unscreened_composition():
             ).to_json()
         )
         expected = result_or_refusal(unscreened_verdict, a, b, 3, 3, 50, cap)
-        if screened(a, b, 3, 3, 50) and not condition_c(a, b):
+        if condition_c(a, b):
+            pass
+        elif screened(a, b, 3, 3, 50) or alpha_screened(a, b, 3, 3, 50):
             assert expected == proven or expected[0] == "refused"
-            seen.add("default cap" if cap == catalysis.DEFAULT_SIZE_CAP else "small cap")
-            seen.add("searches refused" if expected != proven else "searches failed")
+            screen = "end screen" if screened(a, b, 3, 3, 50) else "alpha screen"
+            small = "small cap" if cap < catalysis.DEFAULT_SIZE_CAP else "default cap"
+            seen.add((screen, small))
+            searches = "searches refused" if expected != proven else "searches failed"
+            seen.add((screen, searches))
             expected = proven
         assert got == expected
-    assert seen == {"default cap", "small cap", "searches refused", "searches failed"}
+    assert seen == {
+        (screen, case)
+        for screen in ("end screen", "alpha screen")
+        for case in ("default cap", "small cap", "searches refused", "searches failed")
+    }
