@@ -1607,6 +1607,21 @@ def test_grid_row_counts_match_the_built_grids():
                     build(dim, steps, rows * dim - 1)
 
 
+def test_a_screened_verdict_builds_no_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a screened verdict fetched a grid")
+
+    monkeypatch.setattr(catalysis, "_catalyst_grid", refuse)
+    a, b = spec(*SCREENED_A), spec(*SCREENED_B)
+    for pair in ((a, b), (b, a)):
+        for bounds in ((3, 4, 500), (2, 3, 2000), (1, 40, 60)):
+            assert screened(*pair, *bounds)
+            verdict = strong_verdict(
+                *pair, m_max=bounds[0], catalyst_dim_max=bounds[1], grid_steps=bounds[2]
+            )
+            assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+
+
 # --- the alpha screen of strong_verdict -------------------------------------
 
 
