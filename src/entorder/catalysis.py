@@ -41,18 +41,18 @@ This module provides
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
-and kept in a size-bounded cache.  The rows of dimensions 2, 3, ... form
-one sequence, cut into blocks that may span dimensions, and a block is
-decided together: products ``a (x) c`` and ``b (x) c`` for every row,
-one prefix-sum buffer, and both prefix inequalities, decided by
+and kept in a size-bounded cache.  The dimensions 2, 3, ... are scanned
+one at a time, each grid cut into blocks of rows, and a block is decided
+together: products ``a (x) c`` and ``b (x) c`` for every row, one
+prefix-sum buffer, and both prefix inequalities, decided by
 :func:`~entorder.majorization.compare_many` like every other majorization
 verdict.  So each row's verdict is the one
 :func:`~entorder.majorization.compare` gives on that pair of
 :func:`tensor_product_spectrum` spectra.  Blocks hold a bounded number of
-product entries, which bounds peak memory and stops the scan, and the
-building of grids, at the block holding the first hit.  A grid is built
-in numpy one part per column, and one over its entry cap is refused
-before the first level over the cap is allocated.
+product entries, which bounds peak memory and stops the scan at the block
+holding the first hit, before any grid of a larger dimension is built.  A
+grid is built in numpy one part per column, and one over its entry cap is
+refused before the first level over the cap is allocated.
 """
 
 from __future__ import annotations
@@ -344,30 +344,26 @@ def _check_product_factor(spec: SchmidtSpectrum, dim: int, size_cap: int) -> Non
 
 
 def _first_hit(
-    a: SchmidtSpectrum, b: SchmidtSpectrum, pieces: list[np.ndarray], tol: Tolerances
+    a: SchmidtSpectrum, b: SchmidtSpectrum, catalysts: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, Relation] | None:
-    """First catalyst of a block that opens a direction, with that direction.
+    """First row of a `(rows, dim)` catalyst block that opens a direction,
+    with that direction.
 
-    The block is the rows of `pieces`, one `(rows, dim)` catalyst array per
-    dimension, widest last.  Each piece's products come from one
-    :func:`_top_products` call per spectrum, divided by their own row sums
-    as in :func:`tensor_product_spectrum`, so every entry has the same bits;
-    zeros past them in the `(width, 2, rows)` buffer keep a row's prefix
-    sums at its total.  The prefix sums are running sums down the buffer,
-    one in-place add per index over both spectra's contiguous rows: the
-    sequential order of a cumsum, so the same bits at a fraction of its
-    per-row calls.  One `compare_many` call (slack `tau_cmp`) decides the
-    block, a row's verdict code its direction.
+    The products of each spectrum come from one :func:`_top_products` call,
+    divided by their own row sums as in :func:`tensor_product_spectrum`, so
+    every entry has the same bits; zeros past the shorter spectrum's
+    products in the `(width, 2, rows)` buffer keep its prefix sums at its
+    total.  The prefix sums are running sums down the buffer, one in-place
+    add per index over both spectra's contiguous rows: the sequential order
+    of a cumsum, so the same bits at a fraction of its per-row calls.  One
+    `compare_many` call (slack `tau_cmp`) decides the block, a row's verdict
+    code its direction.
     """
-    width = max(len(a), len(b)) * pieces[-1].shape[1]
-    sums = np.zeros((width, 2, sum(len(piece) for piece in pieces)))
+    width = max(len(a), len(b)) * catalysts.shape[1]
+    sums = np.zeros((width, 2, len(catalysts)))
     for side, values in enumerate((a.values, b.values)):
-        start = 0
-        for piece in pieces:
-            products = _top_products(piece, values, piece.shape[1] * len(values))
-            rows = sums[: products.shape[1], side, start : start + len(piece)]
-            np.divide(products.T, products.sum(axis=1), out=rows)
-            start += len(piece)
+        products = _top_products(catalysts, values, catalysts.shape[1] * len(values))
+        np.divide(products.T, products.sum(axis=1), out=sums[: products.shape[1], side])
     for k in range(1, width):
         np.add(sums[k - 1], sums[k], out=sums[k])
     forward, backward = compare_many(sums[:, 0], sums[:, 1], tol.tau_cmp)
@@ -375,11 +371,7 @@ def _first_hit(
     hits = np.flatnonzero(codes < 3)  # code 3 opens neither direction
     if not len(hits):
         return None
-    row = hits[0]
-    for piece in pieces:
-        if row < len(piece):
-            return piece[row], DIRECTIONS[codes[hits[0]]]
-        row -= len(piece)
+    return catalysts[hits[0]], DIRECTIONS[codes[hits[0]]]
 
 
 def catalyst_convertible(
@@ -404,7 +396,7 @@ def catalyst_convertible(
     size_cap = _integer("size_cap", size_cap, 1)
     for spec in (a, b):
         _check_product_factor(spec, len(c), size_cap)
-    hit = _first_hit(a, b, [c.values[None, :]], tol)
+    hit = _first_hit(a, b, c.values[None, :], tol)
     return None if hit is None else hit[1]
 
 
@@ -503,12 +495,18 @@ def catalyst_search(
 
     Returns the first working catalyst in the canonical grid order (see
     :func:`_build_catalyst_grid`), with the direction
-    :func:`catalyst_convertible` gives for it.  The grid rows of
-    :func:`_scan_blocks`, dimension by dimension, are scanned in blocks
-    that may span dimensions, each decided by one batched kernel, and the
-    scan stops at the block holding the first hit, so no grid past that
-    block is built.  A refused dimension is raised only after the smaller
-    ones have been scanned.
+    :func:`catalyst_convertible` gives for it.  The dimensions 2..min(dim_max,
+    grid_steps) are scanned one at a time (past `grid_steps` a grid has no
+    rows, so no dimension there is checked or built).  For each, the
+    products of `a`, then `b`, with a dim-entry catalyst are checked against
+    `size_cap`, and then the grid is fetched by :func:`_catalyst_grid` under
+    the grid cap max(size_cap, DEFAULT_SIZE_CAP), so a small `size_cap`
+    bounds products without shrinking the default grids.  The grid is cut
+    into blocks of at most `_BLOCK_ENTRIES` product entries of the pair (or
+    one row), each decided by one :func:`_first_hit` call, and the scan
+    stops at the block holding the first hit, so no grid of a larger
+    dimension is built and a refused dimension is raised only after the
+    smaller ones have been scanned.
 
     Absence is NOT a proof of impossibility: the grid is finite and coarse,
     so None only means the bounded search failed.
@@ -518,49 +516,16 @@ def catalyst_search(
     dim_max = _integer("dim_max", dim_max, 2)
     grid_steps = _integer("grid_steps", grid_steps, 2, "grid needs at least 2 steps")
     size_cap = _integer("size_cap", size_cap, 1)
-    for block in _scan_blocks(a, b, dim_max, grid_steps, size_cap):
-        hit = _first_hit(a, b, block, tol)
-        if hit is not None:
-            return CatalystWitness(hit[1], SchmidtSpectrum(hit[0].copy()))
-    return None
-
-
-def _scan_blocks(a, b, dim_max: int, steps: int, size_cap: int):
-    """The catalyst grid rows of dimensions 2..min(dim_max, steps) in
-    blocks, each a list of grid slices, one per dimension, and at most
-    `_BLOCK_ENTRIES` product entries of the pair counted at its widest
-    dimension (or one row).  Past `steps` a grid has no rows, so no
-    dimension there is checked or built.
-
-    A full block is yielded before the next dimension is admitted: the
-    products of `a`, then `b`, with a dim-entry catalyst are checked
-    against `size_cap`, and then the grid is fetched by
-    :func:`_catalyst_grid` under the grid cap max(size_cap,
-    DEFAULT_SIZE_CAP), so a small `size_cap` bounds products without
-    shrinking the default grids.  A refusal is raised after the pending
-    block is yielded."""
-    block, held = [], 0
-    for dim in range(2, min(dim_max, steps) + 1):
+    for dim in range(2, min(dim_max, grid_steps) + 1):
+        for spec in (a, b):
+            _check_product_factor(spec, dim, size_cap)
+        grid = _catalyst_grid(dim, grid_steps, max(size_cap, DEFAULT_SIZE_CAP))
         rows = max(1, _BLOCK_ENTRIES // ((len(a) + len(b)) * dim))
-        if held >= rows:
-            yield block
-            block, held = [], 0
-        try:
-            for spec in (a, b):
-                _check_product_factor(spec, dim, size_cap)
-            grid = _catalyst_grid(dim, steps, max(size_cap, DEFAULT_SIZE_CAP))
-        except SizeCapExceeded:
-            if block:
-                yield block
-            raise
-        while len(grid):
-            block.append(grid[: rows - held])
-            held, grid = held + len(block[-1]), grid[rows - held :]
-            if held >= rows:
-                yield block
-                block, held = [], 0
-    if block:
-        yield block
+        for start in range(0, len(grid), rows):
+            hit = _first_hit(a, b, grid[start : start + rows], tol)
+            if hit is not None:
+                return CatalystWitness(hit[1], SchmidtSpectrum(hit[0].copy()))
+    return None
 
 
 _EPS = float(np.finfo(float).eps)
@@ -603,9 +568,13 @@ def _fold_gap(x: float, y: float, m_max: int, least: float, scale=1, relative=0.
     """1 when x exceeds y, and -1 when y exceeds x, by more than `least`
     once the gap is divided by `scale`, and for m = 1..m_max x**m - y**m,
     the left folds x * ... * x less y * ... * y, by more than least +
-    relative * (x**m + y**m); 0 otherwise."""
+    relative * (x**m + y**m); 0 otherwise.
+
+    The integer `scale` is clipped at 2**53 before it meets a float, which
+    decides nothing differently: least >= 2**-49 + 4 * m_max * E and the gap
+    is at most 1 + E, so a gap divided by 2**53 or more never clears it."""
     sign = 1.0 if x > y else -1.0
-    if sign * (x - y) / scale <= least:
+    if sign * (x - y) / min(scale, 1 << 53) <= least:
         return 0
     fx, fy = x, y
     for _ in range(m_max):

@@ -66,11 +66,14 @@ def complete_extension(
     head = base.values[base.values > tol.tau_zero]
     if head.size == 0:
         raise InvalidInput("base has no positive entries")
-    scaled = head * (m / (m + 1.0))
-    tail = GeometricTail(1.0 / (2.0 * (m + 1.0)), 0.5)
+    m = float(min(m, 1 << 1023))  # clipped before it meets a float: 2**1024 overflows
+    first = 1.0 / (2.0 * (m + 1.0))  # 0.0 from about m = 2**1023 on
+    if first == 0.0:
+        raise InvalidInput("approximation index too large: its tail starts at 0.0")
     # Small m can make the tail start above the scaled head's minimum; the
     # boundary merge keeps the stored head sorted against the tail.
-    values, tail = _merge_tail_boundary(scaled, tail)
+    scaled = head * (m / (m + 1.0))
+    values, tail = _merge_tail_boundary(scaled, GeometricTail(first, 0.5))
     return SchmidtSpectrum(values, tail)
 
 

@@ -107,7 +107,11 @@ class GeometricTail:
         return self.first / (1.0 - self.ratio)
 
     def entries(self, count: int, offset: int = 0) -> np.ndarray:
-        return self.first * self.ratio ** np.arange(offset, offset + count)
+        """Tail entries offset..offset + count - 1.  The integer offset is
+        clipped at 2**63 before it meets a float: every ratio below 1 to
+        that power underflows, so past it every entry is 0.0."""
+        exponents = np.arange(count, dtype=float) + min(offset, 2.0**63)
+        return self.first * self.ratio**exponents
 
     def prefix_mass(self, count) -> float:
         """Sum of the first `count` tail entries (vectorizes over `count`)."""

@@ -718,7 +718,8 @@ def scalar_catalyst_search(a, b, dim_max, grid_steps):
     return None
 
 
-SCAN_SETTINGS = ((3, 50), (2, 100), (4, 12))
+# (5, 5) scans grids of a few rows at every dimension up to grid_steps
+SCAN_SETTINGS = ((3, 50), (2, 100), (4, 12), (5, 5))
 
 
 @pytest.fixture(scope="module")
@@ -744,22 +745,26 @@ def test_batched_scan_matches_scalar_reference(
 ):
     # block_entries=1 scans one grid row per block, so every hit after a
     # dimension's first row lies past the first block of that dimension; 150
-    # and 400 cut a dimension's grid into several blocks, and some block
-    # holds the last rows of one dimension and the first of the next
+    # and 400 cut a dimension's grid into several blocks, which the default
+    # budget never does at these bounds
     if block_entries is not None:
         monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", block_entries)
-    spans = set()
+    dims = []
     first_hit = catalysis._first_hit
 
-    def recording(a, b, pieces, tol):
-        dims = [piece.shape[1] for piece in pieces]
-        spans.update(zip(dims, dims[1:]))
-        return first_hit(a, b, pieces, tol)
+    def recording(a, b, catalysts, tol):
+        dims.append(catalysts.shape[1])
+        return first_hit(a, b, catalysts, tol)
 
     monkeypatch.setattr(catalysis, "_first_hit", recording)
     outcomes = set()
+    split = False
     for a, b, dim_max, grid_steps, expected in scalar_scan_cases:
+        dims.clear()
         witness = catalyst_search(a, b, dim_max, grid_steps)
+        # one dimension at a time, smallest first
+        assert dims == sorted(dims)
+        split |= len(dims) > len(set(dims))
         if expected is None:
             assert witness is None
             outcomes.add(None)
@@ -773,12 +778,12 @@ def test_batched_scan_matches_scalar_reference(
     assert outcomes == {
         None, Relation.FORWARD, Relation.BACKWARD, "first row", "past first row"
     }
-    assert spans == (set() if block_entries == 1 else {(2, 3), (3, 4)})
+    assert split == (block_entries is not None)
 
 
-def test_a_mixed_block_keeps_every_catalysed_spectrum_bitwise(monkeypatch):
-    # each column of the prefix sums that decide a block spanning dimensions
-    # 2..4 is those of the product spectrum with that column's catalyst, bit
+def test_every_block_keeps_every_catalysed_spectrum_bitwise(monkeypatch):
+    # each column of the prefix sums that decide a block of dimension 2, 3
+    # or 4 is those of the product spectrum with that column's catalyst, bit
     # for bit; spectra of 3+ entries make rows of 8+ products, whose sums
     # numpy regroups
     seen = []
@@ -792,33 +797,33 @@ def test_a_mixed_block_keeps_every_catalysed_spectrum_bitwise(monkeypatch):
     rng = np.random.default_rng(46)
     grids = [catalysis._catalyst_grid(dim, 9, catalysis.DEFAULT_SIZE_CAP)
              for dim in (2, 3, 4)]
-    pieces = [grids[0][3:], grids[1], grids[2][:4]]
-    catalysts = [SchmidtSpectrum(row) for piece in pieces for row in piece]
+    blocks = [grids[0][3:], grids[1], grids[2][:4]]
     for na, nb in itertools.product(range(1, 8), (1, 3, 6)):
         a = make_spectrum(random_sorted_probs(rng, na))
         b = make_spectrum(random_sorted_probs(rng, nb))
-        seen.clear()
-        catalysis._first_hit(a, b, pieces, DEFAULT_TOLERANCES)
-        [(pa, pb)] = seen
-        width = max(na, nb) * 4
-        assert pa.shape == pb.shape == (width, len(catalysts))
-        for spectrum, sums in ((a, pa), (b, pb)):
-            for column, c in zip(sums.T, catalysts):
-                product = tensor_product_spectrum(spectrum, c)
-                assert column.tobytes() == prefix_sums(product, width).tobytes()
+        for block in blocks:
+            seen.clear()
+            catalysis._first_hit(a, b, block, DEFAULT_TOLERANCES)
+            [(pa, pb)] = seen
+            width = max(na, nb) * block.shape[1]
+            assert pa.shape == pb.shape == (width, len(block))
+            for spectrum, sums in ((a, pa), (b, pb)):
+                for column, row in zip(sums.T, block):
+                    product = tensor_product_spectrum(spectrum, SchmidtSpectrum(row))
+                    assert column.tobytes() == prefix_sums(product, width).tobytes()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
     st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True),
-    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.integers(2, 4),
+    st.integers(1, 12),
     st.integers(0, 2**32 - 1),
 )
-def test_first_hit_running_sums_match_cumsum_bitwise(lengths, rows, seed):
+def test_first_hit_running_sums_match_cumsum_bitwise(lengths, dim, rows, seed):
     # the kernel's running sums down its (width, 2, rows) buffer against one
     # cumsum down a (2, width, rows) buffer of the same zero-padded catalysed
-    # spectra, on blocks spanning dimensions 2..4 and pairs of unequal
-    # lengths
+    # spectra, on blocks of dimensions 2..4 and pairs of unequal lengths
     seen = []
     kernel = catalysis.compare_many
 
@@ -828,12 +833,8 @@ def test_first_hit_running_sums_match_cumsum_bitwise(lengths, rows, seed):
 
     rng = np.random.default_rng(seed)
     a, b = (make_spectrum(random_sorted_probs(rng, n)) for n in lengths)
-    pieces = [
-        catalysis._catalyst_grid(dim, 12, catalysis.DEFAULT_SIZE_CAP)[:count]
-        for dim, count in zip((2, 3, 4), rows)
-    ]
-    catalysts = [row for piece in pieces for row in piece]
-    width = max(lengths) * 4
+    catalysts = catalysis._catalyst_grid(dim, 12, catalysis.DEFAULT_SIZE_CAP)[:rows]
+    width = max(lengths) * dim
     padded = np.zeros((2, width, len(catalysts)))
     for out, spectrum in zip(padded, (a, b)):
         for column, c in enumerate(catalysts):
@@ -842,7 +843,7 @@ def test_first_hit_running_sums_match_cumsum_bitwise(lengths, rows, seed):
     expected = np.cumsum(padded, axis=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(catalysis, "compare_many", recording)
-        catalysis._first_hit(a, b, pieces, DEFAULT_TOLERANCES)
+        catalysis._first_hit(a, b, catalysts, DEFAULT_TOLERANCES)
     [(pa, pb)] = seen
     assert pa.tobytes() == expected[0].tobytes()
     assert pb.tobytes() == expected[1].tobytes()
@@ -850,14 +851,14 @@ def test_first_hit_running_sums_match_cumsum_bitwise(lengths, rows, seed):
 
 @pytest.fixture
 def kernel_blocks(monkeypatch):
-    """Per catalyst block the scan kernel is called on, the shape of each of
-    its pieces (one per dimension)."""
+    """The `(rows, dim)` shape of each catalyst block the scan kernel is
+    called on."""
     blocks = []
     first_hit = catalysis._first_hit
 
-    def recording(a, b, pieces, tol):
-        blocks.append([piece.shape for piece in pieces])
-        return first_hit(a, b, pieces, tol)
+    def recording(a, b, catalysts, tol):
+        blocks.append(catalysts.shape)
+        return first_hit(a, b, catalysts, tol)
 
     monkeypatch.setattr(catalysis, "_first_hit", recording)
     return blocks
@@ -872,12 +873,12 @@ def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
     monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
     witness = catalyst_search(a, b, 3, 100)
     assert witness.catalyst.values.tobytes() == expected[1].tobytes()
-    assert kernel_blocks == [[(2, 2)]] * (expected[2] // 2 + 1)
+    assert kernel_blocks == [(2, 2)] * (expected[2] // 2 + 1)
 
     # at 10 steps and four rows a block at dimension 2, three at dimension
-    # 3, the 6 + 8 grid rows fall into blocks [0, 4), [4, 7) (two dim-2 rows
-    # and one dim-3 row), [7, 10), [10, 13) and [13, 14); a first hit at
-    # row 7 ends the scan after the block that spans the boundary
+    # 3, the 6 + 8 grid rows fall into blocks [0, 4), [4, 6) of dimension 2
+    # and [6, 9), [9, 12), [12, 14) of dimension 3; a first hit at row 7
+    # ends the scan after the first dimension-3 block
     rng = np.random.default_rng(84)
     for _ in range(21):
         a, b = (make_spectrum(random_sorted_probs(rng, n)) for n in (3, 5))
@@ -887,16 +888,18 @@ def test_catalyst_search_stops_at_first_hit_block(kernel_blocks, monkeypatch):
     kernel_blocks.clear()
     witness = catalyst_search(a, b, 3, 10)
     assert witness.catalyst.values.tobytes() == expected[1].tobytes()
-    assert kernel_blocks == [[(4, 2)], [(2, 2), (1, 3)], [(3, 3)]]
+    assert kernel_blocks == [(4, 2), (2, 2), (3, 3)]
 
 
-def test_a_dimension_2_hit_in_a_block_with_dimension_3_rows(kernel_blocks):
-    # the default budget holds both grids of the worked pair in one block:
-    # the hit is its first working row, a dim-2 catalyst, not a later one
+def test_a_dimension_2_hit_decides_only_dimension_2_rows(kernel_blocks, built_grids):
+    # the default budget holds both grids of the worked pair in one block,
+    # but a block holds one dimension: the dim-2 hit ends the scan before
+    # the dimension-3 grid is fetched or any of its rows decided
     a, b = spec(*JP_A), spec(*JP_B)
     direction, vec, position = scalar_catalyst_search(a, b, 3, 100)
     witness = catalyst_search(a, b, 3, 100)
-    assert kernel_blocks == [[(51, 2), (833, 3)]]
+    assert kernel_blocks == [(51, 2)]
+    assert built_grids == [2]
     assert position < 51 and len(witness.catalyst) == 2
     assert witness.direction is direction
     assert witness.catalyst.values.tobytes() == vec.tobytes()
@@ -913,16 +916,16 @@ def test_catalyst_search_decides_every_block_by_the_kernel(
         return kernel(pa, pb, slack)
 
     monkeypatch.setattr(catalysis, "compare_many", counting)
-    # the default budget holds the three grids of a condition-c pair in
-    # one block, decided by one call
+    # the default budget holds each grid of a condition-c pair in one
+    # block, decided by one call per dimension
     assert catalyst_search(spec(0.6, 0.2, 0.1, 0.1), spec(0.5, 0.5), 4, 12) is None
-    assert kernel_blocks == [[(7, 2), (12, 3), (15, 4)]] and calls == [34]
+    assert kernel_blocks == [(7, 2), (12, 3), (15, 4)] and calls == [7, 12, 15]
     calls.clear()
     kernel_blocks.clear()
     a, b = spec(*JP_A), spec(*JP_B)
     monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 2 * (len(a) + len(b)) * 2)
     witness = catalyst_search(a, b, 3, 100)
-    assert calls == [sum(shape[0] for shape in block) for block in kernel_blocks]
+    assert calls == [rows for rows, _ in kernel_blocks]
     assert len(calls) > 1
 
     # a kernel that reports no violation makes the first grid row a hit
@@ -937,7 +940,7 @@ def test_catalyst_search_decides_every_block_by_the_kernel(
     assert hit.direction is Relation.FORWARD
     assert hit.catalyst.values.tolist() == [0.5, 0.5]
     assert witness.catalyst.values.tolist() != [0.5, 0.5]
-    assert calls == [2] and kernel_blocks == [[(2, 2)]]
+    assert calls == [2] and kernel_blocks == [(2, 2)]
 
 
 def test_catalyst_grid_is_cached_and_read_only():
@@ -970,7 +973,7 @@ def test_catalyst_size_cap_checked_before_products(kernel_blocks):
     with pytest.raises(SizeCapExceeded) as info:
         catalyst_search(long, short, 3, 20, size_cap=8)
     assert (info.value.required, info.value.cap) == (12, 8)
-    assert kernel_blocks == [[(11, 2)]]
+    assert kernel_blocks == [(11, 2)]
 
     # `a` is checked before `b`
     kernel_blocks.clear()
@@ -1188,14 +1191,14 @@ def test_a_hit_in_a_full_dimension_2_block_builds_no_larger_grid(
     monkeypatch.setattr(catalysis, "_BLOCK_ENTRIES", 51 * (len(a) + len(b)) * 2)
     witness = catalyst_search(a, b, 5, 100)
     assert len(witness.catalyst) == 2
-    assert kernel_blocks == [[(51, 2)]]
+    assert kernel_blocks == [(51, 2)]
     assert built_grids == [2]
 
 
 def test_a_grid_refusal_comes_after_the_block_before_it_finds_no_hit(monkeypatch):
     # at a grid cap of 40 entries the grids of dimensions 2 and 3 at 12
-    # steps (14 and 36 entries) fit, in one block; that of dimension 4 (60)
-    # is refused, and raised only once the pending block is decided
+    # steps (14 and 36 entries) fit, one block each; that of dimension 4
+    # (60) is refused, and raised only once both blocks are decided
     events = []
     grid, first_hit = catalysis._catalyst_grid, catalysis._first_hit
 
@@ -1203,9 +1206,9 @@ def test_a_grid_refusal_comes_after_the_block_before_it_finds_no_hit(monkeypatch
         events.append(("grid", dim))
         return grid(dim, steps, cap)
 
-    def deciding(a, b, pieces, tol):
-        hit = first_hit(a, b, pieces, tol)
-        events.append(("block", [piece.shape for piece in pieces], hit))
+    def deciding(a, b, catalysts, tol):
+        hit = first_hit(a, b, catalysts, tol)
+        events.append(("block", catalysts.shape, hit))
         return hit
 
     monkeypatch.setattr(catalysis, "DEFAULT_SIZE_CAP", 40)
@@ -1216,7 +1219,9 @@ def test_a_grid_refusal_comes_after_the_block_before_it_finds_no_hit(monkeypatch
         catalyst_search(long, short, 5, 12, size_cap=40)
     assert (info.value.required, info.value.cap) == (41, 40)
     assert events == [
-        ("grid", 2), ("grid", 3), ("grid", 4), ("block", [(7, 2), (12, 3)], None)
+        ("grid", 2), ("block", (7, 2), None),
+        ("grid", 3), ("block", (12, 3), None),
+        ("grid", 4),
     ]
 
 
@@ -1344,6 +1349,19 @@ def test_strong_verdict_keeps_a_huge_copy_count_once_proven():
     verdict = strong_verdict(a, b, m_max=10**10, size_cap=100)
     assert verdict.outcome is StrongOutcome.STRONG_BY_C
     assert verdict.checked_bounds == (10**10, 3, 100)
+
+
+def test_a_huge_grid_is_clipped_before_it_meets_a_float():
+    # the end screen divides a gap by the grid's step count, clipped at
+    # 2**53: no gap of at most 1 + E clears the least margin past that, so
+    # a larger count decides the same
+    a, b = spec(0.5, 0.2, 0.2, 0.1), spec(0.48, 0.46, 0.03, 0.03)
+    for steps in (2**53, 10**400, 2**1024):
+        verdict = strong_verdict(a, b, grid_steps=steps)
+        assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+        assert verdict.checked_bounds == (3, 3, steps)
+        assert catalysis._fold_gap(1.0, 0.0, 3, 2**-49, steps) == 0
+    assert catalysis._fold_gap(1.0, 0.0, 3, 2**-49, 2**48) == 1
 
 
 def test_a_proven_verdict_does_no_search(monkeypatch):

@@ -304,6 +304,36 @@ def test_huge_copy_counts_exit_3_with_a_message(argv, size):
     assert err == f"error: operation needs {size} entries; cap is 10000000\n"
 
 
+HUGE = str(10**400)
+TAILED_A, TAILED_B = "0.45,0.45...geom(0.05,0.5)", "0.6,0.3...geom(0.05,0.5)"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["strong", "--a", "0.5,0.2,0.2,0.1", "--b", "0.48,0.46,0.03,0.03",
+          "--grid", steps], 0,
+         "outcome: inconclusive\n"
+         f"checked bounds: m_max=3 catalyst_dim=3 grid_steps={steps}\n", "")
+        for steps in (HUGE, str(2**1024))
+    ] + [
+        (["construct", "truncate", "--a", TAILED_A, "--b", TAILED_B, "--m", HUGE],
+         2, "", f"error: spectrum has fewer than {10**400 - 1} positive entries; "
+         "the construction needs a complete input\n"),
+        (["construct", "audit", "--a", TAILED_A, "--b", TAILED_B, "--m-list",
+          f"2,{HUGE}"],
+         2, "", f"error: spectrum has fewer than {10**400 - 1} positive entries; "
+         "the construction needs a complete input\n"),
+        (["construct", "complete", "--base", "0.5,0.5", "--m", HUGE], 2, "",
+         "error: approximation index too large: its tail starts at 0.0\n"),
+    ],
+    ids=["strong-10**400", "strong-2**1024", "truncate", "audit", "complete"],
+)
+def test_huge_integer_bounds_exit_with_a_message(argv, code, out, err):
+    # each integer is clipped before it meets a float, so none overflows
+    assert invoke(*argv) == (code, out, err)
+
+
 def test_one_entry_power_with_a_huge_copy_count_exits_3_at_once():
     # the copy loop used to run m - 1 passes on a one-entry spectrum, whose
     # power always fits the size cap; the timeout turns a hang into a failure

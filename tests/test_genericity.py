@@ -547,3 +547,26 @@ def test_complete_extension_refuses_a_tailed_base_as_an_infinite_schmidt_number(
     assert (out.getvalue(), err.getvalue()) == (
         "", "error: base must have a finite Schmidt number\n"
     )
+
+
+def test_huge_indices_are_clipped_before_they_meet_a_float():
+    # a tail entry past offset 2**63 is 0.0 for every ratio below 1
+    huge = 10**400
+    for ratio in (0.5, 1 - 2**-53):
+        for offset in (2**63, 2**1024, huge):
+            assert GeometricTail(0.5, ratio).entries(2, offset).tolist() == [0.0, 0.0]
+    # so the truncations of two tailed spectra run out of positive entries
+    a = make_spectrum([0.45, 0.45], GeometricTail(0.05, 0.5))
+    b = make_spectrum([0.6, 0.3], GeometricTail(0.05, 0.5))
+    message = f"^spectrum has fewer than {huge - 1} positive entries"
+    with pytest.raises(NotComplete, match=message):
+        truncation_pair(a, b, huge)
+    with pytest.raises(NotComplete, match=message):
+        convergence_report(a, b, [2, huge])
+    # an index whose tail has no positive float first term is an input error
+    base = spec(0.5, 0.5)
+    for m in (2**1023, 2**1024, huge):
+        with pytest.raises(InvalidInput, match="^approximation index too large"):
+            complete_extension(base, m)
+    tail = complete_extension(base, 2**1022).tail
+    assert tail.first == 2.0**-1023 and tail.ratio == 0.5

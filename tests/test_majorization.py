@@ -531,7 +531,7 @@ def test_every_verdict_path_agrees_on_relation_and_direction(a, b, relation, dir
     tallies = sampling._block_tallies(planes, DEFAULT_TOLERANCES)[:4]
     assert tallies.tolist() == [int(r is relation) for r in TALLY_ORDER]
     # the catalyst scan with the trivial catalyst, and one copy
-    hit = catalysis._first_hit(sa, sb, [np.array([[1.0]])], DEFAULT_TOLERANCES)
+    hit = catalysis._first_hit(sa, sb, np.array([[1.0]]), DEFAULT_TOLERANCES)
     assert (hit and hit[1]) is direction
     witness = catalysis._multicopy_search(
         sa, sb, 1, 1, DEFAULT_TOLERANCES, catalysis.DEFAULT_SIZE_CAP
