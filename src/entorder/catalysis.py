@@ -26,18 +26,14 @@ This module provides
 * bounded witness searches over copy counts and catalyst grids, and
   :func:`strong_verdict`, which combines the sound paths and otherwise
   reports an honest ``inconclusive``,
-* :func:`_ends_block`, the end screen that spares :func:`strong_verdict`
-  searches that cannot succeed, the single copy's included: along a
-  conversion of equal-length spectra the top entry cannot fall and the
-  smallest cannot rise, so when one spectrum has both the larger top and
-  the larger smallest entry, by a margin that no product's rounding or
+* :func:`_monotones_block`, the screen that spares :func:`strong_verdict`
+  searches that cannot succeed: the top and smallest entries of
+  equal-length spectra (the ends) and their Renyi power sums sum(x**alpha)
+  of :func:`_power_sums` (alpha in (0, 1) or above 1) multiply under
+  tensor products and are monotone under majorization, so when an end or
+  an order blocks each direction by a margin that no product's rounding or
   slack can close, no search within the bounds opens a direction and the
-  verdict is ``inconclusive`` without one, whatever the caps,
-* :func:`_alphas_block`, the alpha screen that spares it the catalyst scan
-  and the copies past the single one when, for each direction, an end or
-  one Renyi power sum sum(x**alpha) of :func:`_power_sums` (alpha in (0,
-  1) or above 1) blocks it by such a margin: those sums multiply under
-  tensor products and are monotone under majorization.
+  verdict is ``inconclusive`` without one, whatever the caps.
 
 The catalyst scan is batched.  Each ``(dim, steps)`` grid of
 :func:`_build_catalyst_grid` is built as a read-only ``(G, dim)`` array
@@ -529,26 +525,24 @@ def catalyst_search(
 
 
 _EPS = float(np.finfo(float).eps)
-# Orders of the Renyi power sums the alpha screen of strong_verdict tests:
+# Orders of the Renyi power sums the second screen of strong_verdict tests:
 # six Schur-concave orders in (0, 1) and six Schur-convex ones above 1,
 # spread so that with the two ends they block what a dense grid blocks.
 _ALPHAS = np.array([0.03, 0.1, 0.25, 0.45, 0.7, 0.9, 1.1, 1.4, 1.8, 2.8, 4.4, 8.0])
-# sign in which an order's power sums, a's less b's, block the forward direction
-_FORWARD = np.where(_ALPHAS > 1, 1.0, -1.0)
 
 
-def _power_sums(rows: np.ndarray) -> np.ndarray:
+def _power_sums(rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """sum(x**alpha) of each row x of `rows` at each order alpha of
-    `_ALPHAS`, with shape rows.shape[:-1] + (len(_ALPHAS),): the Renyi
-    power sums, which multiply under tensor products and are monotone
-    under majorization."""
-    return (rows[..., None, :] ** _ALPHAS[:, None]).sum(axis=-1)
+    `alphas`, with shape rows.shape[:-1] + (len(alphas),): the Renyi power
+    sums, which multiply under tensor products and are monotone under
+    majorization."""
+    return (rows[..., None, :] ** alphas[:, None]).sum(axis=-1)
 
 
 def _screen_least(a, b, m_max: int, dim: int, tol: Tolerances) -> float:
-    """The least gap, tau_cmp + delta, that the screens of
-    :func:`strong_verdict` ask of an equal-length n-entry pair, for copy
-    counts up to m_max and catalysts of dimension up to `dim`:
+    """The least gap, tau_cmp + delta, that :func:`_monotones_block` asks of
+    an equal-length n-entry pair, for copy counts up to m_max and catalysts
+    of dimension up to `dim`:
 
         delta = 4 * (N + 2) * eps + 4 * m_max * E,
 
@@ -556,7 +550,7 @@ def _screen_least(a, b, m_max: int, dim: int, tol: Tolerances) -> float:
     form and E = |sum(a) - 1| + |sum(b) - 1| + 2 * n * eps bounds both
     masses' distances from 1 (each count is clipped at 2**53, past which
     delta exceeds every gap).  With u = eps / 2, delta >= 8 (N + 2) u + 4
-    m_max E: the rounding both screens' proofs count.
+    m_max E: the rounding the screen's proof counts.
     """
     n = len(a)
     mass = abs(float(a.values.sum()) - 1) + abs(float(b.values.sum()) - 1) + 2 * n * _EPS
@@ -584,28 +578,60 @@ def _fold_gap(x: float, y: float, m_max: int, least: float, scale=1, relative=0.
     return int(sign)
 
 
-def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> bool:
-    """True when the end entries of an equal-length finite pair block both
-    directions in every search of :func:`strong_verdict` within the bounds.
+def _monotones_block(
+    a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances, alphas
+) -> bool:
+    """True when, for an equal-length finite pair, each direction is
+    blocked in every search of :func:`strong_verdict` within the bounds, the
+    single copy included, by an end or by one order alpha of `alphas` (a
+    float array, or empty for the ends alone).
 
     Along a conversion x -> y (x majorized by y) of two n-entry spectra the
     top entry cannot fall (x1 <= y1, the first prefix inequality) and the
     smallest cannot rise (x_n >= y_n, the (n - 1)-th), and both ends
     multiply under tensor products: the Renyi entropies of order +inf and
-    -inf.  So when a1 - b1 and a_n - b_n have the same strict sign, one end
-    blocks each direction at every copy count and with every catalyst.  The
-    test asks for that with a margin (:func:`_fold_gap`): in the common sign,
-    each of the gaps (a1 - b1) / min(dim_max, steps) and (a_n - b_n) /
-    steps, and for m = 1 .. m_max the gaps of the m-fold left-fold products
-    a1 * ... * a1 and a_n * ... * a_n, exceeds least = tau_cmp + delta of
-    :func:`_screen_least`, with its N and E.
+    -inf.  The power sums P(x) = sum(x**alpha) multiply under tensor
+    products too, and x majorized by y gives P(x) <= P(y) for alpha > 1
+    (Schur-convex) and P(x) >= P(y) for 0 < alpha < 1 (Schur-concave).  So
+    in exact arithmetic a1 > b1, a_n < b_n, an alpha > 1 with P(a) > P(b),
+    or an alpha < 1 with P(a) < P(b) rules out a (x) c majorized by b (x) c,
+    the forward direction, for every catalyst c and copy count, and the
+    reverse inequality rules out the backward one.  The test asks for that
+    with a margin.  Let least = tau_cmp + delta of :func:`_screen_least`, A
+    and B the sums of :func:`_power_sums` for a and b, D = min(dim_max,
+    steps), x_n = min(a_n, b_n) and x_low = min(x_n / steps, x_n**m_max).
 
-    Proof that no search then accepts a direction.  Say a1 > b1 and a_n >
-    b_n (otherwise swap the roles) and let u = eps / 2.  The top gap is at
-    most 1 + E and exceeds 4 * m_max * E, so E < 1 / (4 * m_max - 1) and
-    every mass to a power m <= m_max is below e**(1/3) < 1.4.  Rounding is
-    monotone, so the largest and smallest entries of a computed product are
-    the products of the largest and of the smallest factors.
+    An end blocks forward when a1 - b1 or b_n - a_n, and backward when b1 -
+    a1 or a_n - b_n, clears :func:`_fold_gap`: the top gap divided by D and
+    the bottom gap divided by steps, and for m = 1 .. m_max the gaps of the
+    m-fold left-fold products a1 * ... * a1 and a_n * ... * a_n, exceed
+    least.  An order blocks forward when, for every m = 1..m_max (m = 1
+    stands for the catalysts), the gap A**m - B**m, taken with the sign of
+    alpha - 1, exceeds
+
+        least * (2 max(1, alpha) (A**m + B**m) + s),
+        s = alpha * (1.01 D)**(alpha - 1)       for alpha > 1,
+        s = alpha * (0.99 x_low)**(alpha - 1)   for alpha < 1,
+
+    and backward when the opposite gap does.  The screen holds when both
+    directions are blocked.  With no orders the ends must block both, so a
+    pair for which just one of a1 > b1 and a_n > b_n holds returns at once,
+    before any margin is formed.  With orders it first asks for the
+    blocks without margins (A - B in the sign of alpha - 1, a1 - b1 and b_n
+    - a_n, and the opposites): a direction none of them blocks is open, and
+    the pairs the screen leaves to the searches, whose witnesses obey every
+    order, return there before any margin is formed.  The orders are tried
+    only where the ends leave a direction open and least <= 2**-20 (tau_cmp
+    is 1e-12 by default).
+
+    Proof that no search accepts a direction an end blocks.  Say a1 > b1
+    blocks forward and a_n > b_n backward (b_n > a_n, which blocks forward,
+    and b1 > a1, which blocks backward, swap the roles) and let u = eps / 2.
+    A gap that clears the test is at most 1 + E and exceeds 4 * m_max * E,
+    so E < 1 / (4 * m_max - 1) and every mass to a power m <= m_max is below
+    e**(1/3) < 1.4.  Rounding is monotone, so the largest and smallest
+    entries of a computed product are the products of the largest and of
+    the smallest factors.
 
     * Copies.  Power m's top entries are this test's folds, so the search
       compares at index 1 the very difference tested here.  Its prefix at
@@ -613,74 +639,27 @@ def _ends_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> 
       relative N * u by a sequential cumsum, and the totals are the masses
       to the power m within a relative m * u, so b's prefix there exceeds
       a's by at least (a_n**m - b_n**m) - 1.4 m E - 2.8 (N + m) u.
-    * Catalysts.  A grid row c of dimension d <= min(dim_max, steps) has
-      c1 >= sum(c) / d, and its smallest positive part c_r, a multiple of
-      1 / steps, is at least (1 - u) / steps.  A catalysed entry c_j x_k is
-      divided by its row's float sum, so it is c_j x_k / (sum(c) sum(x))
-      within (d n + 2) u, and each row sums to 1 within (d n + 1) u.  At
-      index 1 the difference is at least (a1 - b1) / d - E - 2 (N + 2) u.
-      At index r n - 1, past which only the smallest entry c_r x_n and
-      zeros remain, b's prefix exceeds a's by at least (a_n - b_n) / steps -
-      E - 6 (N + 2) u, cumsum and both row totals counted.
+    * Catalysts.  A grid row c of dimension d <= D has c1 >= sum(c) / d,
+      and its smallest positive part c_r, a multiple of 1 / steps, is at
+      least (1 - u) / steps.  A catalysed entry c_j x_k is divided by its
+      row's float sum, so it is c_j x_k / (sum(c) sum(x)) within (d n + 2)
+      u, and each row sums to 1 within (d n + 1) u.  At index 1 the
+      difference is at least (a1 - b1) / d - E - 2 (N + 2) u.  At index r n
+      - 1, past which only the smallest entry c_r x_n and zeros remain, b's
+      prefix exceeds a's by at least (a_n - b_n) / steps - E - 6 (N + 2) u,
+      cumsum and both row totals counted.
 
     Each bound, less the few rounding units of this test's own arithmetic,
     exceeds tau_cmp, so the forward test fails at index 1 and the backward
     test at the bottom index, in every search.  The copy count m = 1 is the
-    single-copy compare, so the screen may run before it.
-    """
-    if len(a) != len(b):
-        return False
-    a1, b1 = float(a.values[0]), float(b.values[0])
-    an, bn = float(a.values[-1]), float(b.values[-1])
-    if (a1 > b1) != (an > bn):
-        return False
-    dim = min(dim_max, steps)
-    least = _screen_least(a, b, m_max, dim, tol)
-    top = _fold_gap(a1, b1, m_max, least, dim)
-    return top != 0 and top == _fold_gap(an, bn, m_max, least, steps)
+    single-copy compare, so the ends alone may screen before it.
 
-
-def _alphas_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -> bool:
-    """True when, for an equal-length finite pair, each direction is
-    blocked in every catalyst search and at every copy count up to m_max of
-    :func:`strong_verdict` within the bounds, by an end as in
-    :func:`_ends_block` or by one order alpha of `_ALPHAS`.
-
-    The power sums P(x) = sum(x**alpha) multiply under tensor products, and
-    x majorized by y gives P(x) <= P(y) for alpha > 1 (Schur-convex) and
-    P(x) >= P(y) for 0 < alpha < 1 (Schur-concave).  So in exact arithmetic
-    an alpha > 1 with P(a) > P(b), or an alpha < 1 with P(a) < P(b), rules
-    out a (x) c majorized by b (x) c, the forward direction, for every
-    catalyst c and copy count, and the reverse inequality rules out the
-    backward one.  The test asks for that with a margin.  Let least =
-    tau_cmp + delta of :func:`_screen_least` (with its N and E), A and B
-    the sums of :func:`_power_sums` for a and b, D = min(dim_max, steps),
-    x_n = min(a_n, b_n) and x_low = min(x_n / steps, x_n**m_max).  An order
-    blocks forward when, for every m = 1..m_max (m = 1 stands for the
-    catalysts), the gap A**m - B**m, taken with the sign of alpha - 1,
-    exceeds
-
-        least * (2 max(1, alpha) (A**m + B**m) + s),
-        s = alpha * (1.01 D)**(alpha - 1)       for alpha > 1,
-        s = alpha * (0.99 x_low)**(alpha - 1)   for alpha < 1,
-
-    and backward when the opposite gap does.  An end blocks forward when
-    a1 - b1 or b_n - a_n clears the test of :func:`_fold_gap` that
-    :func:`_ends_block` asks of it, and backward when b1 - a1 or a_n - b_n
-    does.  The screen runs only when least <= 2**-20 (tau_cmp is 1e-12 by
-    default), and it holds when both directions are blocked.  It first
-    asks for the blocks without margins (A - B in the sign of alpha - 1,
-    a1 - b1 and b_n - a_n, and the opposites): a direction none of them
-    blocks is open, and the pairs the screen leaves to the searches, whose
-    witnesses obey every order, return there before any margin is formed.
-
-    Proof that no search then accepts a direction an order blocks.  Let u
-    = eps / 2.  As least <= 2**-20, (N + 2) u and m_max E are below 2**-22,
-    so every mass to a power m <= m_max is 1 within 2**-21 and no entry of
-    a searched spectrum exceeds 1.01.  Take a search that compares sorted
-    computed spectra x (from a) and y (from b) of N' <= N entries, with
-    exact prefix sums X_k and Y_k, and say alpha blocks forward (backward
-    is the mirror).
+    Proof that no search accepts a direction an order blocks.  As least <=
+    2**-20, (N + 2) u and m_max E are below 2**-22, so every mass to a
+    power m <= m_max is 1 within 2**-21 and no entry of a searched spectrum
+    exceeds 1.01.  Take a search that compares sorted computed spectra x
+    (from a) and y (from b) of N' <= N entries, with exact prefix sums X_k
+    and Y_k, and say alpha blocks forward (backward is the mirror).
 
     * Acceptance.  A computed prefix sum is a sequential cumsum within
       1.03 N u of X_k, and the float difference of two is within 2.1 u of
@@ -722,38 +701,46 @@ def _alphas_block(a, b, m_max: int, dim_max: int, steps: int, tol: Tolerances) -
     any gap, so no order blocks anything where a bound above fails.
     Negative orders are left to the ends, which they tend to.
     """
-    if len(a) != len(b) or len(a) < 2:
+    if len(a) != len(b):
         return False
     a1, b1 = float(a.values[0]), float(b.values[0])
     an, bn = float(a.values[-1]), float(b.values[-1])
-    sums = _power_sums(np.array((a.values, b.values)))
-    lead = _FORWARD * (sums[0] - sums[1])  # > 0 where an order blocks forward
-    # a direction that no end and no order blocks even without a margin is open
-    if not (a1 > b1 or an < bn or (lead > 0).any()) or not (
-        a1 < b1 or an > bn or (lead < 0).any()
-    ):
+    if len(alphas):
+        sums = _power_sums(np.array((a.values, b.values)), alphas)
+        # > 0 where an order blocks forward: a's sums less b's in the sign of alpha - 1
+        lead = np.sign(alphas - 1) * (sums[0] - sums[1])
+        # a direction that no end and no order blocks even without a margin is open
+        if not (a1 > b1 or an < bn or (lead > 0).any()) or not (
+            a1 < b1 or an > bn or (lead < 0).any()
+        ):
+            return False
+    elif (a1 > b1) != (an > bn):  # the ends alone block one direction at most
         return False
     dim = min(dim_max, steps)
     least = _screen_least(a, b, m_max, dim, tol)
-    if least > 2**-20:  # so n**m_max <= N < 2**30
+    top = _fold_gap(a1, b1, m_max, least, dim)  # 1 blocks forward
+    bottom = _fold_gap(an, bn, m_max, least, steps)  # 1 blocks backward
+    if top != 0 and top == bottom:
+        return True
+    if not len(alphas) or least > 2**-20:  # so n**m_max <= N < 2**30
         return False
     xn = min(an, bn)
     low = -1e6  # log(0.99 x_low), or below the log of every float when x_n is 0
     if xn > 0:
         low = math.log(0.99 * xn) + min(-math.log(steps), (m_max - 1) * math.log(xn))
     high = math.log(1.01 * dim)
-
-    def clears(alpha, x, y):
-        s = alpha * math.exp(min((alpha - 1) * (high if alpha > 1 else low), 700.0))
-        return _fold_gap(x, y, m_max, least * s, relative=least * 2 * max(alpha, 1.0))
-
-    orders = list(zip(_ALPHAS.tolist(), *sums.tolist(), lead.tolist()))
-    top = _fold_gap(a1, b1, m_max, least, dim)  # 1 blocks forward
-    bottom = _fold_gap(an, bn, m_max, least, steps)  # 1 blocks backward
-    return all(  # for each direction no end blocks, 1 forward and -1 backward
-        any(sign * blocks > 0 and clears(alpha, x, y) for alpha, x, y, blocks in orders)
-        for sign in {1, -1} - {top, -bottom}
-    )
+    # plain loops, not a closure, whose cells would slow the ends-only calls too
+    for sign in {1, -1} - {top, -bottom}:  # a direction no end blocks, 1 forward
+        for alpha, x, y, blocks in zip(alphas.tolist(), *sums.tolist(), lead.tolist()):
+            if sign * blocks <= 0:
+                continue
+            log_slope = (alpha - 1) * (high if alpha > 1 else low)
+            s = alpha * math.exp(min(log_slope, 700.0))
+            if _fold_gap(x, y, m_max, least * s, relative=least * 2 * max(alpha, 1.0)):
+                break
+        else:
+            return False
+    return True
 
 
 class StrongOutcome(enum.Enum):
@@ -767,13 +754,11 @@ class StrongVerdict:
     """Tri-state strong-incomparability verdict with its evidence.
 
     `checked_bounds` records (m_max, catalyst_dim_max, grid_steps), the
-    bounds the verdict covers: for `strong-by-c` the requested ones, all of
-    which the proof covers, and otherwise those of the witness search, so
-    an `inconclusive` outcome carries the extent of the failed search.  An
-    `inconclusive` pair decided by the end screen or the alpha screen
-    carries the requested bounds too, whatever the caps: the screen shows
-    that every search within them fails, without running it, so no cap can
-    turn it into a refusal.
+    requested bounds, which the verdict covers: a `strong-by-c` proof
+    covers all of them, and an `inconclusive` outcome carries the extent of
+    the failed search.  A pair decided by the monotone screen carries them
+    whatever the caps: the screen shows that every search within them
+    fails, without running it, so no cap can turn it into a refusal.
     """
 
     outcome: StrongOutcome
@@ -807,27 +792,22 @@ def strong_verdict(
     entries and Schmidt numbers both multiply under tensor products, so a
     conversion forces the non-strict reversal of one of the orderings that
     condition_c requires strictly.  So a pair that passes condition_c is
-    returned as proven with no search, and `checked_bounds` is the
-    requested bounds, all of which the proof covers.  Otherwise witnesses
-    are searched cheapest conversion first: single copy, then a grid
-    catalyst, then collective multi-copy operations.
+    returned as proven with no search.
 
-    The stages run in this order: condition_c, the end screen, the single
-    copy, the alpha screen, the catalyst scan, and copies 2..m_max.  The
-    end screen, :func:`_ends_block`, takes equal-length pairs whose top and
-    bottom entries block both directions in every search within the
-    bounds, the single copy included.  The alpha screen,
-    :func:`_alphas_block`, takes the equal-length pairs the single copy
-    leaves incomparable whose ends and Renyi power sums block both
-    directions in every catalyst search and copy count 2..m_max within the
-    bounds.  A screened pair is `inconclusive` over the requested bounds,
-    as a condition-c pair is proven over them, whatever the caps: no
-    product is formed past the single copy, no grid is built and nothing
-    is sized past it, since caps bound allocations and these paths
-    allocate nothing, so no cap can turn the verdict into a refusal.  Both
-    screens are certificates of strong incomparability within the bounds,
-    meant to become a proven `strong-by-monotones` outcome once consumers
-    accept one.
+    The stages run in this order, cheapest first: condition_c, the
+    monotone screen :func:`_monotones_block` on the ends alone, the single
+    copy, the same screen with the orders of `_ALPHAS`, the catalyst scan,
+    and copies 2..m_max.  The first screen takes equal-length pairs whose
+    ends block both directions in every search within the bounds, the
+    single copy included; the second, the pairs the single copy leaves
+    incomparable whose ends and Renyi power sums do.  A screened pair is
+    `inconclusive` over the requested bounds, as a condition-c pair is
+    proven over them, whatever the caps: no product is formed past the
+    single copy, no grid is built and nothing is sized past it, since caps
+    bound allocations and these paths allocate nothing, so no cap can turn
+    the verdict into a refusal.  The screen is a certificate of strong
+    incomparability within the bounds, meant to become a proven
+    `strong-by-monotones` outcome once consumers accept one.
     """
     m_max = _integer("m_max", m_max, 1)
     catalyst_dim_max = _integer("catalyst_dim_max", catalyst_dim_max, 2)
@@ -837,11 +817,11 @@ def strong_verdict(
     bounds = (m_max, catalyst_dim_max, grid_steps)
     if holds:
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
-    if _ends_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+    if _monotones_block(a, b, m_max, catalyst_dim_max, grid_steps, tol, ()):
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
     witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
     if witness is None:
-        if _alphas_block(a, b, m_max, catalyst_dim_max, grid_steps, tol):
+        if _monotones_block(a, b, m_max, catalyst_dim_max, grid_steps, tol, _ALPHAS):
             return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
         witness = catalyst_search(
             a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap

@@ -264,6 +264,18 @@ def _check_dimension(n: int) -> None:
         )
 
 
+def _check_samples(samples: int) -> None:
+    """Refuse a sample count before any stream is built."""
+    if samples < 1:
+        raise InvalidInput("need at least one sample")
+    if samples > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(
+            samples,
+            DEFAULT_SIZE_CAP,
+            f"too many samples per dimension; cap is {DEFAULT_SIZE_CAP}",
+        )
+
+
 def _block_tallies(z: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Tallies of a `(rows, 4, n, n)` block of Gaussian planes.
 
@@ -303,15 +315,15 @@ def incomparability_fraction(
     sample each); sample i still draws the stream `pair_stream(seed, n, i)`
     defines, so the record is the one a sample-by-sample loop gives.  A
     dimension whose single sample would draw more than `DEFAULT_SIZE_CAP`
-    entries raises SizeCapExceeded before anything is drawn.  `n`,
-    `samples` and `seed` must be integers (numpy ones included); the record
-    holds them as plain ints.
+    entries, and a count of more than `DEFAULT_SIZE_CAP` samples, raise
+    SizeCapExceeded before anything is drawn.  `n`, `samples` and `seed`
+    must be integers (numpy ones included); the record holds them as plain
+    ints.
     """
     n = _integer("n", n)
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     _check_dimension(n)
-    if samples < 1:
-        raise InvalidInput("need at least one sample")
+    _check_samples(samples)
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     rows = max(1, _BLOCK_ENTRIES // (4 * n * n))
@@ -352,7 +364,10 @@ def sweep(
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[SweepRecord]:
-    """One incomparability estimate per dimension in ascending `n_list`."""
+    """One incomparability estimate per dimension in ascending `n_list`.
+
+    Every dimension, and then the sample count, is checked before the first
+    dimension runs."""
     dims = [_integer("n", n) for n in n_list]
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if not dims:
@@ -361,4 +376,5 @@ def sweep(
         raise InvalidInput("n_list must be ascending")
     for n in dims:
         _check_dimension(n)
+    _check_samples(samples)
     return [incomparability_fraction(n, samples, seed, tol) for n in dims]

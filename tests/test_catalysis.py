@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import time
@@ -1513,7 +1514,9 @@ def result_or_refusal(call, *args, **kwargs):
 
 
 def screened(a, b, m_max, dim_max, steps):
-    return catalysis._ends_block(a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES)
+    return catalysis._monotones_block(
+        a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES, ()
+    )
 
 
 def test_a_screened_verdict_does_no_search(monkeypatch):
@@ -1640,11 +1643,34 @@ def test_a_screened_verdict_builds_no_grid(monkeypatch):
             assert verdict.outcome is StrongOutcome.INCONCLUSIVE
 
 
+def test_the_ends_screen_a_pair_at_a_coarse_tolerance(monkeypatch):
+    # at tau_cmp = 1e-3 the margin is past 2**-20, where the power-sum orders
+    # are not tried, but the ends alone still block both directions
+    def refuse(*args):
+        raise AssertionError("an end-screened verdict searched")
+
+    for stage in (
+        "_first_hit", "_top_products", "_pair_code", "compare_many",
+        "_check_power_size", "_catalyst_grid", "_build_catalyst_grid",
+    ):
+        monkeypatch.setattr(catalysis, stage, refuse)
+    coarse = dataclasses.replace(DEFAULT_TOLERANCES, tau_cmp=1e-3)
+    a, b = spec(0.6, 0.25, 0.15), spec(0.5, 0.4, 0.1)
+    for pair in ((a, b), (b, a)):
+        assert not condition_c(*pair, coarse)
+        verdict = strong_verdict(*pair, grid_steps=10, tol=coarse)
+        assert verdict.outcome is StrongOutcome.INCONCLUSIVE
+        assert verdict.witness is None
+        assert verdict.checked_bounds == (3, 3, 10)
+
+
 # --- the alpha screen of strong_verdict -------------------------------------
 
 
 def alpha_screened(a, b, m_max, dim_max, steps):
-    return catalysis._alphas_block(a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES)
+    return catalysis._monotones_block(
+        a, b, m_max, dim_max, steps, DEFAULT_TOLERANCES, catalysis._ALPHAS
+    )
 
 
 def test_power_sums_match_the_decimal_oracle():
@@ -1662,9 +1688,9 @@ def test_power_sums_match_the_decimal_oracle():
             rows[:, -1] = 1e-300
         if i % 4 == 2:
             rows[1, -1] = 0.0
-        got = catalysis._power_sums(rows)
+        got = catalysis._power_sums(rows, alphas)
         assert got.shape == (2, len(alphas))
-        assert np.array_equal(catalysis._power_sums(rows[0]), got[0])
+        assert np.array_equal(catalysis._power_sums(rows[0], alphas), got[0])
         for row, sums in zip(rows, got):
             for value, exact in zip(sums, decimal_power_sums(row, alphas)):
                 assert abs(Decimal(float(value)) - exact) <= (n + 4) * eps * exact

@@ -359,6 +359,16 @@ def test_sweep_dimension_over_the_cap_exits_3(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("samples", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_a_sample_count_over_the_cap_exits_3_at_once(samples):
+    start = time.process_time()
+    argv = ("sweep", "--dims", "3", "--samples", str(samples), "--seed", "1")
+    assert invoke(*argv) == (
+        3, "", "error: too many samples per dimension; cap is 10000000\n"
+    )
+    assert time.process_time() - start < 1
+
+
 def test_ingestion_warnings_follow_all_parsing():
     a, b = "0.25,0.5,0.25", "0.4,0.2,0.4"
     code, _, err = invoke("catalyze", "--a", a, "--b", b, "--c", "0.4,0.6")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,40 @@ def test_dimension_over_the_cap_is_refused_before_any_draw(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(sampling, "DEFAULT_SIZE_CAP", 144)
     assert incomparability_fraction(6, 10, 1).samples == 10
+
+
+@pytest.mark.parametrize("samples", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_a_sample_count_over_the_cap_is_refused_before_any_draw(
+    monkeypatch, samples
+):
+    refuse_streams(monkeypatch)
+    cap = sampling.DEFAULT_SIZE_CAP
+    start = time.process_time()
+    for call in (
+        lambda: incomparability_fraction(3, samples, 1),
+        lambda: sweep([2, 3], samples, 1),
+    ):
+        with pytest.raises(SizeCapExceeded) as info:
+            call()
+        assert (info.value.required, info.value.cap) == (samples, cap)
+        assert str(info.value) == f"too many samples per dimension; cap is {cap}"
+    assert time.process_time() - start < 1
+
+
+def test_the_sample_cap_is_inclusive_and_follows_the_other_checks(monkeypatch):
+    # a sample at dimension 2 draws 16 entries, at dimension 3 36
+    monkeypatch.setattr(sampling, "DEFAULT_SIZE_CAP", 16)
+    assert incomparability_fraction(2, 16, 1).samples == 16
+    assert [record.samples for record in sweep([2], 16, 1)] == [16]
+    with pytest.raises(SizeCapExceeded, match="samples per dimension; cap is 16"):
+        sweep([2], 17, 1)
+    # every dimension is checked first, and the least sample count before the cap
+    with pytest.raises(DimensionTooSmall):
+        sweep([1, 2], 17, 1)
+    with pytest.raises(SizeCapExceeded, match="dimension 3 draws 36"):
+        sweep([2, 3], 17, 1)
+    with pytest.raises(InvalidInput, match="need at least one sample"):
+        sweep([2], 0, 1)
 
 
 # --- vectorized stream setup -------------------------------------------------
