@@ -15,10 +15,10 @@ multi-copy search, the catalyst scan feeds it blocks of catalysed prefix
 sums, and the Monte Carlo sweep whole blocks of sampled pairs.  Relations
 and conversion directions are read from the masks' :func:`verdict_code`
 through `RELATIONS` and `DIRECTIONS`; the callers that read nothing else
-(the multi-copy search, the CLI's `catalyze`, the audit's `incomparable`
-column) take the code alone from `_pair_code`.  The near-tie diagnostic,
-:func:`near_ties`, is separate, called by the sweep's tallies and by
-:func:`compare` only when a margin before the last index is close.
+(:func:`majorized_by`, the multi-copy search, the CLI's `catalyze`, the
+audit's `incomparable` column) take the code alone from `_pair_code`.  The
+near-tie diagnostic, :func:`near_ties`, is separate, called by the sweep's
+tallies and by :func:`compare`.
 """
 
 from __future__ import annotations
@@ -81,12 +81,13 @@ class ComparisonVerdict:
 def compare_many(
     pa: np.ndarray, pb: np.ndarray, slack
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-sided majorization check of stacked prefix-sum rows: the kernel.
+    """Two-sided majorization check of prefix sums: the kernel.
 
-    `pa` and `pb` are `(S, L)` arrays whose row s holds prefix_k of the two
-    spectra of pair s for k = 1..L (a single `(L,)` row works too), and
-    `slack` is the pairs' allowance, a scalar or an `(S, 1)` column.
-    Returns `(forward, backward)`: `forward[s, k-1]` marks that prefix_k(a)
+    `pa` and `pb` hold prefix sums of the two spectra of each pair, as any
+    two arrays of one shape (the sweep's `(S, L)` rows, one `(L,)` row, the
+    catalyst scan's `(width, rows)` slices), and `slack` is the pairs'
+    allowance, a scalar or an array that broadcasts against them.  Returns
+    elementwise masks `(forward, backward)`: `forward` marks where prefix_k(a)
     <= prefix_k(b) fails beyond slack, and `backward` is the mirror.
     """
     diff = pa - pb
@@ -130,7 +131,9 @@ def _pair_code(a, b, tol) -> int:
     """Verdict code of a pair from the kernel's masks alone, for callers that
     read only a relation or a direction: no violation lists, no near ties."""
     forward, backward = compare_many(*_prefix_pair(a, b, tol))
-    return verdict_code(np.count_nonzero(forward) > 0, np.count_nonzero(backward) > 0)
+    # a plain int: numpy scalar arithmetic here costs about 1 us more a call
+    fails = bool(np.count_nonzero(forward)), bool(np.count_nonzero(backward))
+    return verdict_code(*fails)
 
 
 def majorized_by(
@@ -144,8 +147,7 @@ def majorized_by(
     the horizon where both residuals are below `tau_cmp` (inequalities past
     that point hold automatically within the widened slack).
     """
-    forward, _ = compare_many(*_prefix_pair(a, b, tol))
-    return not np.count_nonzero(forward)
+    return _pair_code(a, b, tol) < 2  # codes 2 and 3: forward fails
 
 
 def compare(
@@ -158,20 +160,13 @@ def compare(
 
     Two finite spectra are compared over the longer length with slack
     `tau_cmp`, with no tail horizon to compute; each violation list comes
-    from one `nonzero` of the kernel's mask.  The last sums of two
-    normalized spectra always meet, so :func:`near_ties` runs only for a
-    margin within `tau_cmp` before them; else its test is made on them alone.
+    from one `nonzero` of the kernel's mask, and the near-tie flag from
+    :func:`near_ties`.
     """
     pa, pb, slack = _prefix_pair(a, b, tol)
     forward, backward = compare_many(pa, pb, slack)
     forward = tuple((forward.nonzero()[0] + 1).tolist())
     backward = tuple((backward.nonzero()[0] + 1).tolist())
-    tau = tol.tau_cmp
-    close = np.abs(pa - pb) <= tau
-    if close[:-1].any():
-        near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
-    else:
-        undecided = pa[-1] < a.total_mass() - tau or pb[-1] < b.total_mass() - tau
-        near = bool(close[-1] and undecided)
+    near = bool(near_ties(pa, pb, a.total_mass(), b.total_mass(), tol))
     relation = RELATIONS[verdict_code(bool(forward), bool(backward))]
     return ComparisonVerdict(relation, forward, backward, near)

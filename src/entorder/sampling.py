@@ -75,10 +75,10 @@ def sample_random_spectrum(n: int, rng: np.random.Generator) -> SchmidtSpectrum:
     Draws an n-by-n complex Ginibre matrix M from `rng` and returns the
     normalized eigenvalues of M M† (its reduced density matrix up to the
     trace); the induced distribution is invariant under local unitaries by
-    construction.
+    construction.  Dimensions are checked as the sweep checks them, so one
+    whose draw would pass `DEFAULT_SIZE_CAP` raises SizeCapExceeded first.
     """
-    if n < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {n}")
+    _check_dimension(n)
     mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return SchmidtSpectrum(_gram_probabilities(mat))
 
@@ -128,9 +128,9 @@ def _stream_words(seed: int, n: int):
     np.uint64)``.  numpy computes the pool of ``SeedSequence(seed,
     spawn_key=(n,))``: the seed, zero-padded to the pool size, and n mixed
     in, which is every (n, i) stream's pool before its index words.  The
-    returned function adds only the index step, vectorized: as in
-    SeedSequence, an index of 2**32 or more is two words, and one block may
-    hold indices of both lengths.
+    returned function adds only the index step, vectorized, for indices of
+    one word: they stay below `samples` <= `DEFAULT_SIZE_CAP` < 2**32, and
+    so does n, at most 1581 under the same cap.
     """
     # on first use: importing numpy.random at package import would cost
     # every command, sampling or not, its start-up time and memory
@@ -139,22 +139,16 @@ def _stream_words(seed: int, n: int):
     size = root.pool_size
     # pool words down the rows, samples across the columns
     head = root.pool[:, None]
-    # an index's words follow one hash step per pool word for each word of
-    # the padded seed and of n (SeedSequence splits 0 into one word)
-    seed_words, n_words = (max(1, (v.bit_length() + 31) // 32) for v in (seed, n))
-    mixed = size * (max(size, seed_words) + n_words)
-    index_steps = _hash_constants(_INIT_A, _MULT_A, mixed, 2 * size).reshape(2, size, 1)
+    # the index word follows one hash step per pool word for each word of
+    # the padded seed (SeedSequence splits 0 into one word) and for n's one
+    seed_words = max(1, (seed.bit_length() + 31) // 32)
+    mixed = size * (max(size, seed_words) + 1)
+    index_steps = _hash_constants(_INIT_A, _MULT_A, mixed, size)[:, None]
     # generate_state's eight uint32 outputs: two passes over the pool
     state_steps = _hash_constants(_INIT_B, _MULT_B, 0, 2 * size)[:, None]
 
     def words(indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.uint64)
-        low = indices.astype(np.uint32)  # keeps the low 32 bits
-        pool = _mix(head, _hash(low, index_steps[0]))
-        high = (indices >> np.uint64(32)).astype(np.uint32)
-        wide = high != 0
-        if wide.any():
-            pool = np.where(wide, _mix(pool, _hash(high, index_steps[1])), pool)
+        pool = _mix(head, _hash(np.asarray(indices, dtype=np.uint32), index_steps))
         state = _hash(np.tile(pool, (2, 1)), state_steps, _MULT_B)
         # little-endian word pairs, as generate_state joins them
         state = np.ascontiguousarray(state.T, dtype="<u4")

@@ -250,7 +250,7 @@ def make_spectrum(
     low = np.minimum.reduce(arr)
     if low < 0:
         if low < -tol.tau_zero:
-            raise InvalidInput(f"negative entry {low!r} in spectrum")
+            raise InvalidInput(f"negative entry {float(low)!r} in spectrum")
         arr[arr < 0] = 0.0
         adjusted = True
     if np.count_nonzero(arr[1:] > arr[:-1]):
@@ -265,7 +265,13 @@ def make_spectrum(
         if arr.size == 0:
             raise InvalidInput("a tailed spectrum needs a positive head")
     tail_mass = tail.mass() if tail is not None else 0.0
-    head = float(arr.sum())
+    # only an entry past 2**960 (arr[0] is the largest, of < 2**63) lets the
+    # sum overflow, to inf, quietly; np.errstate costs about 1 us a call
+    if arr[0] > 2.0**960:
+        with np.errstate(over="ignore"):
+            head = float(arr.sum())
+    else:
+        head = float(arr.sum())
     total = head + tail_mass
     if abs(total - 1.0) > tol.tau_norm:
         raise NotNormalized(f"total mass {total!r} deviates from 1 beyond tau_norm")
@@ -312,7 +318,8 @@ def schmidt_spectrum(
     n = mat.shape[0]
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
-    norm = float(np.linalg.norm(mat))
+    with np.errstate(over="ignore"):  # an infinite norm fails the check below
+        norm = float(np.linalg.norm(mat))
     if not abs(norm - 1.0) <= tol.tau_norm:  # a NaN entry fails here too
         raise NotNormalized(f"Frobenius norm {norm!r} deviates from 1")
     return SchmidtSpectrum(_probabilities(mat))

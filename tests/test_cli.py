@@ -27,10 +27,11 @@ def invoke(*argv):
 
 
 def shell(*argv, **env):
-    """`python -m entorder.cli argv` in a subprocess, with `env` added."""
+    """`python -m entorder.cli argv` in a subprocess, with `env` added; a
+    RuntimeWarning, such as numpy's overflow warnings, fails the run."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "entorder.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "entorder.cli", *argv],
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
@@ -66,6 +67,31 @@ def test_compare_rejects_unnormalized_input():
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+# Ingestion refusals whose check meets an overflow or a numpy scalar: one
+# `error:` line each, with no numpy warning before it and a plain float in it.
+REFUSALS = {
+    "compare --a 1e308,1e308 --b 0.5,0.5": (
+        "error: total mass inf deviates from 1 beyond tau_norm\n"
+    ),
+    'compare --a {"values":[1e308,1e308]} --b 0.5,0.5': (
+        "error: total mass inf deviates from 1 beyond tau_norm\n"
+    ),
+    "spectrum --matrix [[1e200,0],[0,1e200]]": (
+        "error: Frobenius norm inf deviates from 1\n"
+    ),
+    "compare --a 0.6,0.5,-0.1 --b 0.5,0.5": (
+        "error: negative entry -0.1 in spectrum\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", list(REFUSALS))
+def test_ingestion_refusals_print_one_error_line(line):
+    assert invoke(*line.split()) == (2, "", REFUSALS[line])
+    proc = shell(*line.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", REFUSALS[line])
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ def test_there_are_demos():
 def test_demo_runs_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

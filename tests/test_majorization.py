@@ -416,12 +416,13 @@ def test_compare_matches_its_reference_on_generated_pairs(a, b):
     assert_compares_like_the_reference(a, b)
 
 
-# --- the near-tie gate and the verdict-code helper ---------------------------
+# --- near ties at the tolerance and the verdict-code helper -------------------
 #
-# `compare` runs `near_ties` only for a close margin before the last index
-# and reads the last index alone as scalars; `_pair_code` gives the verdict
-# code with neither violation lists nor near ties.  Spectra built directly
-# from exact floats put a prefix margin exactly where the test wants it.
+# `compare` takes its near-tie flag from `near_ties`, which flags a margin
+# within `tau_cmp` only where not both masses are already spent; `_pair_code`
+# gives the verdict code with neither violation lists nor near ties.  Spectra
+# built directly from exact floats put a prefix margin exactly where the
+# test wants it.
 
 # A tolerance that is a whole number of ulps of the prefix sums in [0.5, 1),
 # so a margin can sit exactly at it or one ulp either side.

@@ -36,8 +36,26 @@ def test_sample_shape_and_normalization():
 
 
 def test_sample_requires_dimension_two():
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(DimensionTooSmall, match="need dimension >= 2, got 1"):
         sample_random_spectrum(1, np.random.default_rng(0))
+
+
+class NoDraw:
+    """A generator stand-in that fails any draw."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("drew Gaussians")
+
+
+@pytest.mark.parametrize("n", [1582, 2**63, 10**400], ids=["1582", "2**63", "10**400"])
+def test_a_sample_past_the_size_cap_is_refused_before_the_draw(n):
+    with pytest.raises(SizeCapExceeded) as info:
+        sample_random_spectrum(n, NoDraw())
+    cap = sampling.DEFAULT_SIZE_CAP
+    assert (info.value.required, info.value.cap) == (4 * n * n, cap)
+    # 1581, the largest dimension under the cap, goes on to draw
+    with pytest.raises(AssertionError, match="drew Gaussians"):
+        sample_random_spectrum(1581, NoDraw())
 
 
 def test_sample_deterministic_for_fixed_stream():
@@ -401,11 +419,9 @@ def seed_sequence_words(seed, n, index):
     )
 
 
-# indices on both sides of 2**32, where an index becomes two words
-ACROSS_2_32 = np.array(
-    [0, 1, 7, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64 - 1],
-    dtype=np.uint64,
-)
+# indices up to 2**32 - 1, the last of one word; the sample cap keeps every
+# sweep index below it
+BELOW_2_32 = np.array([0, 1, 7, 2**32 - 2, 2**32 - 1], dtype=np.uint64)
 
 
 # seeds of more than four words (2**128 on) are not zero-padded to the pool size
@@ -417,16 +433,16 @@ def test_stream_words_are_seed_sequence_words(seed):
     # 1581 is the largest dimension under the default size cap
     assert 4 * 1581**2 <= sampling.DEFAULT_SIZE_CAP < 4 * 1582**2
     for n in [*range(2, 25), 1581]:
-        words = sampling._stream_words(seed, n)(ACROSS_2_32)
+        words = sampling._stream_words(seed, n)(BELOW_2_32)
         assert words.dtype == np.uint64 and words.flags.c_contiguous
-        assert words.shape == (len(ACROSS_2_32), 4)
-        for index, row in zip(ACROSS_2_32.tolist(), words):
+        assert words.shape == (len(BELOW_2_32), 4)
+        for index, row in zip(BELOW_2_32.tolist(), words):
             assert row.tolist() == seed_sequence_words(seed, n, index).tolist()
 
 
 def test_stream_words_seed_the_pair_stream_draws():
-    # a block straddling 2**32 draws what pair_stream draws, row by row
-    indices = np.arange(2**32 - 2, 2**32 + 2)
+    # a block ending at 2**32 - 1 draws what pair_stream draws, row by row
+    indices = np.arange(2**32 - 4, 2**32)
     for row, index in zip(sampling._stream_words(9, 3)(indices), indices.tolist()):
         bits = np.random.PCG64(sampling._StateWords(row))
         got = np.random.Generator(bits).standard_normal((4, 3, 3))

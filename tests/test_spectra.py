@@ -447,7 +447,7 @@ def reference_make_spectrum(values, tail=None, *, tol=DEFAULT_TOLERANCES):
     negative = arr < 0
     if negative.any():
         if arr.min() < -tol.tau_zero:
-            raise InvalidInput(f"negative entry {arr.min()!r} in spectrum")
+            raise InvalidInput(f"negative entry {float(arr.min())!r} in spectrum")
         arr[negative] = 0.0
         adjusted = True
     order = np.sort(arr)[::-1]
