@@ -9,6 +9,8 @@ constructions, and estimates how common incomparability is for random pairs
 as the dimension grows.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalysis import (
     CatalystWitness,
     MultiCopyWitness,
@@ -78,59 +80,8 @@ from .spectra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalystWitness",
-    "ComparisonVerdict",
-    "ConvergenceRow",
-    "DEFAULT_SIZE_CAP",
-    "DEFAULT_TOLERANCES",
-    "DimensionTooSmall",
-    "EntOrderError",
-    "GeometricTail",
-    "InfiniteSchmidtNumber",
-    "InternalInconsistency",
-    "InvalidInput",
-    "MultiCopyWitness",
-    "NotComplete",
-    "NotFoundWithin",
-    "NotNormalized",
-    "PermanenceWarning",
-    "Relation",
-    "SchmidtSpectrum",
-    "SizeCapExceeded",
-    "StrongOutcome",
-    "StrongVerdict",
-    "SweepRecord",
-    "Tolerances",
-    "TopEntriesTied",
-    "TruncationPair",
-    "catalyst_convertible",
-    "catalyst_search",
-    "compare",
-    "compare_many",
-    "complete_extension",
-    "condition_c",
-    "convergence_report",
-    "format_spectrum",
-    "incomparability_fraction",
-    "majorized_by",
-    "make_spectrum",
-    "minimal_c_index",
-    "multicopy_convertible",
-    "near_ties",
-    "parse_spectrum",
-    "prefix_sums",
-    "sample_random_spectrum",
-    "schmidt_number",
-    "schmidt_spectrum",
-    "spectrum_distance",
-    "spectrum_from_json",
-    "spectrum_to_json",
-    "strong_verdict",
-    "sweep",
-    "tensor_power_spectrum",
-    "tensor_product_spectrum",
-    "top_k_tensor_power",
-    "truncation_pair",
-    "wilson_halfwidth",
-]
+# every public name the imports above bind, submodules aside
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

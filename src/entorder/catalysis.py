@@ -101,6 +101,9 @@ def _top_products(
     * y[j] (IEEE multiplication commutes), the staircase keeps every
     product that can reach the top k, and a multiset of floats has exactly
     one sorted order, so ties are indistinguishable wherever they came from.
+    That holds in bits because ingestion reads every zero as +0.0: -0.0
+    ties 0.0 in a sort but not in bits, so among tied zeros two paths
+    could keep different ones.
 
     Products renormalize and powers do not: :func:`tensor_product_spectrum`
     and the catalyst scan divide each row by its total, while powers keep
@@ -553,7 +556,7 @@ def _screen_least(a, b, m_max: int, dim: int, tol: Tolerances) -> float:
     m_max E: the rounding the screen's proof counts.
     """
     n = len(a)
-    mass = abs(float(a.values.sum()) - 1) + abs(float(b.values.sum()) - 1) + 2 * n * _EPS
+    mass = abs(a.total_mass() - 1) + abs(b.total_mass() - 1) + 2 * n * _EPS
     longest = min(max(n * dim, _power_size(n, m_max, 1 << 53)), 1 << 53)
     return tol.tau_cmp + 4 * (longest + 2) * _EPS + 4 * min(m_max, 1 << 53) * mass
 

@@ -53,6 +53,7 @@ from .majorization import DIRECTIONS, _pair_code, compare
 from .spectra import (
     SchmidtSpectrum,
     Tolerances,
+    _integer,
     _is_json_number,
     format_spectrum,
     g17,
@@ -83,8 +84,7 @@ class Config:
 
     def __post_init__(self):
         for key, least in _COUNT_LEAST.items():
-            if getattr(self, key) < least:
-                raise InvalidInput(f"{key} must be at least {least}")
+            _integer(key, getattr(self, key), least)
         if self.output_format not in (None, "json", "csv", "text"):
             raise InvalidInput(f"unknown format {self.output_format!r}")
 

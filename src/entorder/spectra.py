@@ -248,11 +248,13 @@ def make_spectrum(
         raise InvalidInput("spectrum entries must be finite numbers")
     adjusted = False
     low = np.minimum.reduce(arr)
-    if low < 0:
+    if not low > 0:
         if low < -tol.tau_zero:
             raise InvalidInput(f"negative entry {float(low)!r} in spectrum")
-        arr[arr < 0] = 0.0
-        adjusted = True
+        if low < 0:
+            arr[arr < 0] = 0.0
+            adjusted = True
+        arr += 0.0  # -0.0 + 0.0 is +0.0: a zero of either sign reads as 0.0
     if np.count_nonzero(arr[1:] > arr[:-1]):
         adjusted = True
         arr = np.sort(arr)[::-1]

@@ -181,11 +181,15 @@ def test_tensor_ops_reject_tails():
 
 def test_top_k_matches_full_sort_prefix():
     rng = np.random.default_rng(33)
+    cases = []
     for _ in range(20):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 5))
         k = int(rng.integers(1, 30))
-        s = make_spectrum(random_sorted_probs(rng, n))
+        cases.append((make_spectrum(random_sorted_probs(rng, n)), m, k))
+    # an ingested -0.0 is +0.0, so the staircase and the full sort agree on its sign
+    cases.append((make_spectrum([0.5, 0.5, -0.0]), 3, 20))
+    for s, m, k in cases:
         full = tensor_power_spectrum(s, m).values
         got = top_k_tensor_power(s, m, k)
         assert got.tobytes() == full[:k].tobytes()

@@ -698,6 +698,9 @@ def test_settings_copy_only_what_a_flag_sets(monkeypatch):
         cli._settings(default, {**none_set, "m_max": 0})
     with pytest.raises(InvalidInput, match="tolerances must be strictly positive"):
         cli._settings(default, {**none_set, "tau_cmp": -1.0})
+    # a count is checked as an integer where the Config is built
+    with pytest.raises(InvalidInput, match=r"^m_max must be an integer, got 2\.5$"):
+        cli.Config(m_max=2.5)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -1029,6 +1032,10 @@ GOLDEN = [
         "strong --a 0.5,0.25,0.25 --b 0.4,0.4,0.1,0.1 --catalyst-dim 2",
         None, 0, "57e75069607fa668",
     ),
+    # a -0.0 entry is ingested as 0.0, so no output prints a "-0"
+    ("power --a 0.5,0.5,-0.0 --m 2", None, 0, "85c083e93e666a1d"),
+    ("power --a 0.5,0.5,-0.0 --m 2 --format json", None, 0, "0232d4da33a70fd6"),
+    ("catalyze --a 0.6,0.4,-0.0 --b 0.5,0.5 --c 0.5,0.5", None, 0, "167018bc93d7935e"),
 ]
 
 GOLDEN_USAGE = {

@@ -1,6 +1,7 @@
 import importlib
 import re
 from pathlib import Path
+from types import ModuleType
 
 import entorder
 
@@ -39,6 +40,11 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(entorder, name)]
     assert missing == []
+    star = {}
+    exec("from entorder import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == names
+    assert not [name for name in names if isinstance(star[name], ModuleType)]
 
 
 def test_docstring_cross_references_resolve():

@@ -450,6 +450,7 @@ def reference_make_spectrum(values, tail=None, *, tol=DEFAULT_TOLERANCES):
             raise InvalidInput(f"negative entry {float(arr.min())!r} in spectrum")
         arr[negative] = 0.0
         adjusted = True
+    arr[arr == 0] = 0.0  # a zero of either sign reads as +0.0
     order = np.sort(arr)[::-1]
     if not np.array_equal(order, arr):
         adjusted = True
