@@ -319,7 +319,11 @@ def multicopy_convertible(
 
 def _multicopy_search(a, b, first, m_max, tol, size_cap):
     """:func:`multicopy_convertible` on checked arguments, deciding only m =
-    first..m_max (the powers below `first` are still built, each from the last)."""
+    first..m_max (the powers below `first` are still built, each from the last).
+
+    :func:`multicopy_convertible` serves it from m = 1 and
+    :func:`strong_verdict` from m = 2 only: it decides the single copy
+    itself, with one `_pair_code` call."""
     _check_power_size(max(len(a), len(b)), m_max, size_cap)
     pa, pb = a, b
     for m in range(1, m_max + 1):
@@ -800,10 +804,12 @@ def strong_verdict(
     The stages run in this order, cheapest first: condition_c, the
     monotone screen :func:`_monotones_block` on the ends alone, the single
     copy, the same screen with the orders of `_ALPHAS`, the catalyst scan,
-    and copies 2..m_max.  The first screen takes equal-length pairs whose
-    ends block both directions in every search within the bounds, the
-    single copy included; the second, the pairs the single copy leaves
-    incomparable whose ends and Renyi power sums do.  A screened pair is
+    and copies 2..m_max.  The single copy is one kernel call, `_pair_code`
+    on the pair itself; a spectrum longer than `size_cap` is refused there,
+    as the copy search refuses m = 1.  The first screen takes equal-length
+    pairs whose ends block both directions in every search within the
+    bounds, the single copy included; the second, the pairs the single copy
+    leaves incomparable whose ends and Renyi power sums do.  A screened pair is
     `inconclusive` over the requested bounds, as a condition-c pair is
     proven over them, whatever the caps: no product is formed past the
     single copy, no grid is built and nothing is sized past it, since caps
@@ -822,13 +828,19 @@ def strong_verdict(
         return StrongVerdict(StrongOutcome.STRONG_BY_C, None, bounds)
     if _monotones_block(a, b, m_max, catalyst_dim_max, grid_steps, tol, ()):
         return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
-    witness = _multicopy_search(a, b, 1, 1, tol, size_cap)
-    if witness is None:
-        if _monotones_block(a, b, m_max, catalyst_dim_max, grid_steps, tol, _ALPHAS):
-            return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
-        witness = catalyst_search(
-            a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
+    longest = max(len(a), len(b))
+    if longest > size_cap:  # always raises: the copy search's refusal of m = 1
+        _check_power_size(longest, 1, size_cap)
+    direction = DIRECTIONS[_pair_code(a, b, tol)]
+    if direction is not None:
+        return StrongVerdict(
+            StrongOutcome.CONVERTIBLE, MultiCopyWitness(direction, 1), bounds
         )
+    if _monotones_block(a, b, m_max, catalyst_dim_max, grid_steps, tol, _ALPHAS):
+        return StrongVerdict(StrongOutcome.INCONCLUSIVE, None, bounds)
+    witness = catalyst_search(
+        a, b, catalyst_dim_max, grid_steps, tol, size_cap=size_cap
+    )
     if witness is None and m_max > 1:
         # m = 1 was decided above
         witness = _multicopy_search(a, b, 2, m_max, tol, size_cap)

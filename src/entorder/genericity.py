@@ -18,8 +18,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalysis import condition_c
 from .errors import (
     InfiniteSchmidtNumber,

@@ -15,10 +15,11 @@ multi-copy search, the catalyst scan feeds it blocks of catalysed prefix
 sums, and the Monte Carlo sweep whole blocks of sampled pairs.  Relations
 and conversion directions are read from the masks' :func:`verdict_code`
 through `RELATIONS` and `DIRECTIONS`; the callers that read nothing else
-(:func:`majorized_by`, the multi-copy search, the CLI's `catalyze`, the
-audit's `incomparable` column) take the code alone from `_pair_code`.  The
-near-tie diagnostic, :func:`near_ties`, is separate, called by the sweep's
-tallies and by :func:`compare`.
+(:func:`majorized_by`, the single copy of
+:func:`~entorder.catalysis.strong_verdict`, the multi-copy search, the
+CLI's `catalyze`, the audit's `incomparable` column) take the code alone
+from `_pair_code`.  The near-tie diagnostic, :func:`near_ties`, is
+separate, called by the sweep's tallies and by :func:`compare`.
 """
 
 from __future__ import annotations
@@ -119,7 +120,17 @@ def _prefix_pair(a, b, tol):
     """Prefix sums of both spectra up to their common comparison horizon,
     and the slack: `tau_cmp`, widened by the residual mass of both spectra
     past the horizon when a tail is present.  For two finite spectra the
-    horizon is the longer length and the slack is `tau_cmp`."""
+    horizon is the longer length and the slack is `tau_cmp`.
+
+    Two finite spectra of one non-zero length L, the shape of the single
+    copy, of equal-length powers and of `catalyze` products, take a
+    shortcut: each side's full cumsum and `tau_cmp`.  Those are the general
+    path's arrays, since the horizon is L, no tail widens the slack, and
+    :func:`~entorder.spectra.prefix_sums` returns the first L entries of
+    that same cumsum; the shortcut only skips the horizon, the tail test
+    and the slicing."""
+    if a.tail is None and b.tail is None and len(a.values) == len(b.values) > 0:
+        return a.values.cumsum(), b.values.cumsum(), tol.tau_cmp
     k = comparison_horizon(a, b, tol)
     slack = tol.tau_cmp
     if a.tail is not None or b.tail is not None:

@@ -1834,3 +1834,110 @@ def test_strong_verdict_matches_the_unscreened_composition():
         for screen in ("end screen", "alpha screen")
         for case in ("default cap", "small cap", "searches refused", "searches failed")
     }
+
+
+# --- the single copy of strong_verdict ----------------------------------------
+
+
+def single_copy_side(rng, n):
+    """An n-entry spectrum with about a third of its entries zero (trailing
+    once sorted), or [1.0] when every entry came out zero."""
+    weights = rng.random(n) * (rng.random(n) > 1 / 3)
+    if not weights.any():
+        weights[0] = 1.0
+    return make_spectrum(weights / weights.sum())
+
+
+@st.composite
+def single_copy_pairs(draw):
+    """A finite pair of 1..5 entries a side, of one length half the time,
+    with zero entries and one-entry spectra among them."""
+    lengths = st.integers(1, 5)
+    na = draw(lengths)
+    nb = na if draw(st.booleans()) else draw(lengths)
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    sides = []
+    for n in (na, nb):
+        weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        if not weights.any():
+            weights[0] = 1.0
+        sides.append(make_spectrum(weights / weights.sum()))
+    return tuple(sides)
+
+
+def single_copy_agrees(a, b):
+    """For a pair that neither condition_c nor the end screen decides, check
+    strong_verdict's one-copy witness, or its absence, against
+    multicopy_convertible(a, b, 1), and that the copy search is entered for
+    m >= 2 only; return that witness, or "screened" for a decided pair."""
+    if condition_c(a, b) or screened(a, b, 2, 2, 4):
+        return "screened"
+    firsts = []
+    search = catalysis._multicopy_search
+
+    def spy(a, b, first, *rest):
+        firsts.append(first)
+        return search(a, b, first, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalysis, "_multicopy_search", spy)
+        verdict = strong_verdict(a, b, m_max=2, catalyst_dim_max=2, grid_steps=4)
+    expected = multicopy_convertible(a, b, 1)
+    if expected is not None:
+        assert verdict.witness == expected
+        assert firsts == []
+    else:
+        assert verdict.witness is None or verdict.witness.copies != 1
+        assert firsts in ([], [2])
+    return expected
+
+
+def test_the_single_copy_is_the_one_copy_search_on_seeded_pairs():
+    rng = np.random.default_rng(30)
+    one = make_spectrum([1.0])
+    pairs = [(one, one), (one, spec(0.5, 0.5)), (spec(0.5, 0.5), one)]
+    for _ in range(600):
+        na = int(rng.integers(1, 6))
+        nb = na if rng.random() < 0.5 else int(rng.integers(1, 6))
+        a, b = single_copy_side(rng, na), single_copy_side(rng, nb)
+        pairs += [(a, b), (a, a)]
+    seen = set()
+    for a, b in pairs:
+        witness = single_copy_agrees(a, b)
+        if witness != "screened":
+            shape = "equal" if len(a) == len(b) else "unequal"
+            seen.add((shape, None if witness is None else witness.direction))
+    assert seen == {
+        (shape, direction)
+        for shape in ("equal", "unequal")
+        for direction in (Relation.FORWARD, Relation.BACKWARD, None)
+    }
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(single_copy_pairs())
+def test_the_single_copy_is_the_one_copy_search(pair):
+    single_copy_agrees(*pair)
+
+
+def test_a_cap_below_the_length_refuses_the_single_copy_first(monkeypatch):
+    # an equal-length pair that passes condition_c and the end screen, and
+    # that the alpha screen would decide: a cap below its length refuses the
+    # single copy with the copy search's message, before any power sum
+    a, b = spec(*ALPHA_SCREENED_A), spec(*ALPHA_SCREENED_B)
+    length = len(a)
+    assert not condition_c(a, b) and not screened(a, b, 3, 3, 100)
+    assert alpha_screened(a, b, 3, 3, 100)
+
+    def refuse(*args):
+        raise AssertionError("the refused single copy reached a later stage")
+
+    for stage in ("_power_sums", "_pair_code"):
+        monkeypatch.setattr(catalysis, stage, refuse)
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(SizeCapExceeded) as refusal:
+            strong_verdict(*pair, size_cap=length - 1)
+        assert str(refusal.value) == (
+            f"operation needs {length}**1 entries; cap is {length - 1}"
+        )
+        assert (refusal.value.required, refusal.value.cap) == (length, length - 1)

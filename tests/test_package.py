@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -70,3 +71,23 @@ def test_private_names_the_readme_cites_resolve():
                 broken.append(f"{module}.{name}" if module else name)
     assert {"_top_products", "_integer", "_pair_code"} <= cited
     assert broken == []
+
+
+def test_every_imported_name_is_used():
+    # __init__ is exempt: its imports are its exports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    assert unused == []
