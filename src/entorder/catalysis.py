@@ -172,12 +172,26 @@ def _power_size(length: int, m: int, bound: int) -> int:
     return length ** min(m, max(64, bound.bit_length()))
 
 
+def _count(n: int) -> str:
+    """`n` in full up to 15 digits; past that its first two digits and its
+    exponent, as in `1.0e+400`, so a huge count keeps a message short."""
+    if n < 10**15:
+        return str(n)
+    exp = int(math.log10(n))  # the float log may be one off near 10**exp
+    exp += (10 ** (exp + 1) <= n) - (10**exp > n)
+    lead = n // 10 ** (exp - 1)
+    return f"{lead // 10}.{lead % 10}e+{exp}"
+
+
 def _check_power_size(length: int, m: int, size_cap: int) -> None:
     """Raise unless an m-fold power of a `length`-entry spectrum fits."""
     size = _power_size(length, m, size_cap)
     if size > size_cap:
         raise SizeCapExceeded(
-            size, size_cap, f"operation needs {length}**{m} entries; cap is {size_cap}"
+            size,
+            size_cap,
+            f"operation needs {length}**{_count(m)} entries; "
+            f"cap is {_count(size_cap)}",
         )
 
 
@@ -205,8 +219,8 @@ def _power_prefix(a: SchmidtSpectrum, m: int, k: int, cap: int) -> np.ndarray:
         raise SizeCapExceeded(
             work,
             cap,
-            f"operation needs {work} products ({m} copies of a {len(a)}-entry "
-            f"spectrum); cap is {cap}",
+            f"operation needs {_count(work)} products ({_count(m)} copies of a "
+            f"{len(a)}-entry spectrum); cap is {_count(cap)}",
         )
     cur = a.values[:k].copy()
     if len(a) == 1 and a.values[0] == 1.0:

@@ -14,7 +14,8 @@ tau_zero, tau_cmp, size_cap, m_max, catalyst_dim, grid_steps, format.  A
 flag overrides one key: --tol sets tau_cmp, --m-max m_max, --catalyst-dim
 catalyst_dim, --grid grid_steps and --format format.  Flags are laid over
 the file's values and checked with them, so a flag is rejected exactly
-when the same value in the file would be.
+when the same value in the file would be; --format needs no check, since
+its choices are formats the file accepts, so `run` reads it directly.
 
 `run` is also the in-process API.  It builds the argument grammar once per
 process and reuses it on every call; `build_parser` still returns a fresh
@@ -30,7 +31,8 @@ usage line and the message go to `err` and `run` returns 2, so only `--help`
 leaves through `SystemExit`.  Each subcommand declares its spectrum flags
 once, in `build_parser`; `run` parses them, warning on `err` about any that
 ingestion adjusted, and passes the spectra to the subcommand's handler,
-which never sees `err`.
+which never sees `err`.  JSON output has the bytes of `json.dumps(payload,
+indent=2)`; `_json` writes them in one pass.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from . import catalysis, genericity, sampling
 from .errors import (
@@ -205,6 +208,8 @@ def _cell(value) -> str:
     """A text or CSV cell: booleans as true/false, floats with 17 digits, a
     spectrum in its text form, None and an empty sequence as -, any other
     sequence comma-joined."""
+    if type(value) is int:  # the commonest cell: violation indices, counts
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -226,6 +231,57 @@ def _csv(columns, rows) -> str:
     lines = [",".join(columns)]
     lines += [",".join(_cell(row[key]) for key in columns) for row in rows]
     return "\n".join(lines)
+
+
+def _json(value, indent="\n") -> str:
+    """`json.dumps(value, indent=2)` for `value` nested at `indent` (a newline
+    and its spaces), from exact str, int, float, bool and None values in
+    dicts with str keys, lists and tuples; a list of floats is joined at
+    once.  TypeError for anything else, non-finite floats included (their
+    repr, `inf` or `nan`, is the only one with an `n`)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        text = float.__repr__(value)
+        if "n" in text:
+            raise TypeError("non-finite float")
+        return text
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = sep.join(
+            f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+            for key, item in value.items()
+        )
+        return "{" + inner + body + indent + "}"
+    if kind is not list and kind is not tuple:
+        raise TypeError(f"{kind.__name__} left to json.dumps")
+    if not value:
+        return "[]"
+    try:
+        body = sep.join(map(float.__repr__, value))
+    except TypeError:  # not all floats
+        body = sep.join([_json(item, inner) for item in value])
+    else:
+        if "n" in body:
+            raise TypeError("non-finite float")
+    return "[" + inner + body + indent + "]"
+
+
+def _dumps(payload) -> str:
+    """`json.dumps(payload, indent=2)`, which writes whatever `_json` leaves
+    to it (or raises its TypeError)."""
+    try:
+        return _json(payload)
+    except TypeError:
+        return json.dumps(payload, indent=2)
 
 
 # --- subcommand handlers: (args, config, *spectra) -> (payload, text) ---
@@ -343,7 +399,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh argument grammar.  Flags that override a config key store
-    under that key's name (`output_format` for `format`)."""
+    under that key's name; `run` reads `format` itself, so a `--format`
+    flag does not rebuild the `Config`."""
     parser = _Parser(
         prog="entorder",
         description="Convertibility and incomparability of bipartite pure "
@@ -362,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, required=True, help=spectrum_help.get(flag))
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--format", dest="output_format", choices=formats)
+        p.add_argument("--format", choices=formats)
         p.set_defaults(handler=handler, default_format=default,
                        spectra=tuple(flag[2:] for flag in spectra))
 
@@ -483,7 +540,11 @@ def _table_parse(argv):
     """`_parser().parse_args(argv)` for a canonical argv, from the table;
     None for any other argv."""
     values = _table_values(argv, _table())
-    return None if values is None else argparse.Namespace(**values)
+    if values is None:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def run(argv=None, out=None, err=None) -> int:
@@ -512,8 +573,8 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         config = _settings(load_config(args.config), vars(args))
         payload, text = args.handler(args, config, *_spectra(args, config, err))
-        fmt = config.output_format or args.default_format
-        rendered = (json.dumps(payload, indent=2) if fmt == "json" else text()) + "\n"
+        fmt = args.format or config.output_format or args.default_format
+        rendered = (_dumps(payload) if fmt == "json" else text()) + "\n"
         if path is None:
             out.write(rendered)
             return EXIT_OK

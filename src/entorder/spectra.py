@@ -234,9 +234,10 @@ def make_spectrum(
     `tau_norm` from 1 and negative, non-finite or non-numeric entries (ragged
     nested lists included) are errors.
 
-    The input is copied once, and its finiteness and least entry are read
-    once each; it is sorted only when some entry exceeds the one before it,
-    and the head's sum is taken once, for the mass check and the rescaling.
+    The input is copied once and its finiteness read once; it is sorted only
+    when some entry exceeds the one before it, and its least entry is then
+    read as the last one.  The head's sum is taken once, for the mass check
+    and the rescaling.
     """
     try:
         arr = np.array(values, dtype=float).ravel()
@@ -247,17 +248,20 @@ def make_spectrum(
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise InvalidInput("spectrum entries must be finite numbers")
     adjusted = False
-    low = np.minimum.reduce(arr)
+    # Sorting before negatives are clipped and zeros made +0.0 gives the same
+    # array and flag: -0.0 and 0.0 compare equal, clipped entries sort last
+    # either way, and clipping sets `adjusted` itself.
+    if np.count_nonzero(arr[1:] > arr[:-1]):
+        adjusted = True
+        arr = np.sort(arr)[::-1]
+    low = float(arr[-1])
     if not low > 0:
         if low < -tol.tau_zero:
-            raise InvalidInput(f"negative entry {float(low)!r} in spectrum")
+            raise InvalidInput(f"negative entry {low!r} in spectrum")
         if low < 0:
             arr[arr < 0] = 0.0
             adjusted = True
         arr += 0.0  # -0.0 + 0.0 is +0.0: a zero of either sign reads as 0.0
-    if np.count_nonzero(arr[1:] > arr[:-1]):
-        adjusted = True
-        arr = np.sort(arr)[::-1]
     if tail is not None:
         # Positive tail entries cannot sit below explicit zeros.
         keep = arr > tol.tau_zero

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +27,12 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def shell(*argv, **env):
-    """`python -m entorder.cli argv` in a subprocess, with `env` added; a
+def shell(*argv, module="entorder.cli", **env):
+    """`python -m module argv` in a subprocess, with `env` added; a
     RuntimeWarning, such as numpy's overflow warnings, fails the run."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "entorder.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *argv],
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
@@ -360,6 +361,25 @@ def test_huge_integer_bounds_exit_with_a_message(argv, code, out, err):
     assert invoke(*argv) == (code, out, err)
 
 
+@pytest.mark.parametrize(
+    "argv, opening",
+    [
+        (["strong", "--a", "0.5,0.25,0.25", "--b", "0.4,0.4,0.2", "--m-max", HUGE],
+         "error: operation needs 3**1.0e+400 entries; "),
+        (["power", "--a", "0.5,0.5", "--m", HUGE],
+         "error: operation needs 2**1.0e+400 entries; "),
+        (["power", "--a", "1", "--m", HUGE],
+         "error: operation needs 1.0e+400 products (1.0e+400 copies "),
+    ],
+    ids=["strong", "power", "one-entry-power"],
+)
+def test_huge_copy_counts_print_a_short_count(argv, opening):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(opening)
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 def test_one_entry_power_with_a_huge_copy_count_exits_3_at_once():
     # the copy loop used to run m - 1 passes on a one-entry spectrum, whose
     # power always fits the size cap; the timeout turns a hang into a failure
@@ -672,6 +692,61 @@ def test_config_flag_overrides_file(tmp_path):
     assert out.startswith("relation:")
 
 
+FORMAT_ARGV = {
+    "compare": ["compare", "--a", "0.5,0.5", "--b", "0.7,0.3"],
+    "audit": ["construct", "audit", "--a", "0.6,0.2,0.1,0.05,0.05",
+              "--b", "0.4,0.3,0.2,0.05,0.05", "--m-list", "3,4"],
+    "sweep": ["sweep", "--dims", "2,3", "--samples", "4", "--seed", "1"],
+}
+# The opening of each command's text or CSV form; JSON opens with [ or {.
+PLAIN_FORM = {"compare": "relation: ", "audit": "m,dist_a,", "sweep": "n,samples,"}
+
+
+@pytest.mark.parametrize(
+    "command, in_file, flag, shown",
+    [
+        ("compare", None, None, "plain"),
+        ("compare", "json", None, "json"),
+        ("compare", "json", "text", "plain"),
+        ("compare", "text", "json", "json"),
+        ("compare", "csv", None, "plain"),  # a format compare lacks: its text
+        ("audit", None, None, "plain"),
+        ("audit", "json", None, "json"),
+        ("audit", "json", "csv", "plain"),
+        ("audit", "json", "text", "plain"),
+        ("audit", "csv", "json", "json"),
+        ("sweep", None, None, "plain"),
+        ("sweep", "json", None, "json"),
+        ("sweep", "json", "csv", "plain"),
+        ("sweep", "text", None, "plain"),
+        ("sweep", "csv", "json", "json"),
+    ],
+)
+def test_format_flag_wins_over_the_file_over_the_default(
+    command, in_file, flag, shown, tmp_path, monkeypatch
+):
+    monkeypatch.delenv("ENTORDER_CONFIG", raising=False)
+    argv = list(FORMAT_ARGV[command])
+    if in_file is not None:
+        cfg = tmp_path / "entorder.cfg"
+        cfg.write_text(f"format = {in_file}\n")
+        argv = ["--config", str(cfg), *argv]
+    if flag is not None:
+        argv += ["--format", flag]
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    if shown == "json":
+        assert out[0] in "[{"
+        json.loads(out)
+    else:
+        assert out.startswith(PLAIN_FORM[command])
+    # the same bytes as the winning format given alone
+    alone = list(FORMAT_ARGV[command])
+    if shown == "json":
+        alone += ["--format", "json"]
+    assert invoke(*alone) == (code, out, err)
+
+
 def test_config_env_var(tmp_path, monkeypatch):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("format = json\n")
@@ -736,6 +811,16 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["relation"] == "incomparable"
 
 
+def test_the_package_runs_as_a_module():
+    argv = ("compare", "--a", "0.5,0.5", "--b", "0.6,0.4")
+    package, module = shell(*argv, module="entorder"), shell(*argv)
+    assert (package.returncode, package.stdout, package.stderr) == (
+        module.returncode, module.stdout, module.stderr
+    )
+    assert package.returncode == 0
+    assert package.stdout.startswith("relation: forward-convertible\n")
+
+
 # Usage errors as the shell prints them at 80 columns, long lines wrapped.
 USAGE_ERRORS = {
     "compare --a 1": (
@@ -766,6 +851,68 @@ def test_usage_errors_return_through_run_with_the_shell_bytes(line, monkeypatch)
     assert invoke(*line.split()) == (2, "", USAGE_ERRORS[line])
     proc = shell(*line.split(), COLUMNS="80")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", USAGE_ERRORS[line])
+
+
+# --- JSON renderer -----------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308,
+               float("nan"), float("inf"), float("-inf")]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS[:3]), st.floats(allow_nan=False,
+                                                                      allow_infinity=False))
+any_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028'),
+                              st.characters()), max_size=8)
+big_ints = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)))
+
+
+def json_payloads(floats, scalars, keys):
+    """Nested dicts, lists and tuples of `scalars`, with lists of `floats`
+    (mixed with the other scalars or not) among them."""
+    float_lists = st.one_of(st.lists(floats), st.lists(st.one_of(floats, scalars)))
+    return st.recursive(
+        st.one_of(scalars, float_lists),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+plain_payloads = json_payloads(
+    finite_floats,
+    st.one_of(finite_floats, big_ints, st.booleans(), st.none(), json_text),
+    json_text,
+)
+any_payloads = json_payloads(
+    st.one_of(any_floats, any_floats.map(np.float64)),
+    st.one_of(any_floats, any_floats.map(np.float64), big_ints, st.booleans(),
+              st.none(), json_text, st.sampled_from([np.int64(3), np.bool_(True)])),
+    st.one_of(json_text, st.integers(), any_floats, st.booleans(), st.none()),
+)
+
+
+def dumped(render, payload):
+    try:
+        return render(payload)
+    except TypeError as exc:  # what json.dumps cannot encode
+        return f"TypeError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_payloads)
+def test_json_renderer_writes_the_stdlib_indent_bytes_itself(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_payloads)
+def test_json_output_is_the_stdlib_indent_bytes_for_any_payload(payload):
+    # non-finite floats, numpy scalars and non-str keys go to json.dumps
+    assert dumped(cli._dumps, payload) == dumped(
+        lambda p: json.dumps(p, indent=2), payload
+    )
 
 
 # --- golden bytes ------------------------------------------------------------------

@@ -265,6 +265,20 @@ def test_ingestion_rejects_bad_mass_and_entries():
         make_spectrum([0.5, float("nan")])
 
 
+def test_ingestion_reads_the_least_entry_after_sorting():
+    # the least entry is the sorted array's last one: an unsorted negative
+    # entry is still the one the refusal names
+    with pytest.raises(InvalidInput, match=r"negative entry -0\.1 in spectrum"):
+        make_spectrum([0.5, -0.1, 0.6])
+    clipped = make_spectrum([0.5, 0.5, -1e-13])
+    assert clipped.values.tolist() == [0.5, 0.5, 0.0]
+    assert not np.signbit(clipped.values).any()
+    assert clipped.adjusted
+    zeros = make_spectrum([0.0, 0.5, -0.0, 0.5])
+    assert zeros.values.tobytes() == np.array([0.5, 0.5, 0.0, 0.0]).tobytes()
+    assert zeros.adjusted
+
+
 def test_ingestion_merges_tail_above_head():
     # tail first term 0.225 exceeds the smallest head entry, so leading tail
     # entries must be folded into the head to keep the spectrum sorted
