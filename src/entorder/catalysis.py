@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteSchmidtNumber, SizeCapExceeded
+from .errors import InfiniteSchmidtNumber, SizeCapExceeded, _count
 from .majorization import DIRECTIONS, Relation, _pair_code, compare_many, verdict_code
 from .spectra import (
     _BLOCK_ENTRIES,
@@ -170,17 +170,6 @@ def _power_size(length: int, m: int, bound: int) -> int:
     m never builds a huge integer.
     """
     return length ** min(m, max(64, bound.bit_length()))
-
-
-def _count(n: int) -> str:
-    """`n` in full up to 15 digits; past that its first two digits and its
-    exponent, as in `1.0e+400`, so a huge count keeps a message short."""
-    if n < 10**15:
-        return str(n)
-    exp = int(math.log10(n))  # the float log may be one off near 10**exp
-    exp += (10 ** (exp + 1) <= n) - (10**exp > n)
-    lead = n // 10 ** (exp - 1)
-    return f"{lead // 10}.{lead % 10}e+{exp}"
 
 
 def _check_power_size(length: int, m: int, size_cap: int) -> None:

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+import math
+
+
+def _count(n: int) -> str:
+    """`n` in full up to 15 digits; past that its first two digits and its
+    exponent, as in `1.0e+400`, so a huge count keeps a message short."""
+    if n < 10**15:
+        return str(n)
+    exp = int(math.log10(n))  # the float log may be one off near 10**exp
+    exp += (10 ** (exp + 1) <= n) - (10**exp > n)
+    lead = n // 10 ** (exp - 1)
+    return f"{lead // 10}.{lead % 10}e+{exp}"
+
 
 class EntOrderError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -44,7 +57,8 @@ class SizeCapExceeded(EntOrderError):
         self.required = required
         self.cap = cap
         super().__init__(
-            message or f"operation needs {required} entries; cap is {cap}"
+            message
+            or f"operation needs {_count(required)} entries; cap is {_count(cap)}"
         )
 
 

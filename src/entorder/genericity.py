@@ -18,6 +18,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalysis import condition_c
 from .errors import (
     InfiniteSchmidtNumber,
@@ -26,9 +28,11 @@ from .errors import (
     NotFoundWithin,
     SizeCapExceeded,
     TopEntriesTied,
+    _count,
 )
-from .majorization import RELATIONS, Relation, _pair_code
+from .majorization import RELATIONS, Relation, compare_many, verdict_code
 from .spectra import (
+    _BLOCK_ENTRIES,
     DEFAULT_SIZE_CAP,
     DEFAULT_TOLERANCES,
     GeometricTail,
@@ -36,7 +40,6 @@ from .spectra import (
     Tolerances,
     _integer,
     _merge_tail_boundary,
-    spectrum_distance,
 )
 
 
@@ -107,6 +110,37 @@ def _truncate(spec: SchmidtSpectrum, count: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(kept / kept.sum())
 
 
+def _kept_counts(
+    a: SchmidtSpectrum, b: SchmidtSpectrum, m, tol: Tolerances
+) -> tuple[int, int, int]:
+    """Index m as an int, and the entry counts `a` and `b` keep at it: the
+    input with the larger top entry keeps m, the other m-1.
+
+    The one owner of the construction's refusals, in this order: m below 2
+    (InvalidInput), top entries within `tau_cmp` (TopEntriesTied), too few
+    positive entries, `a` checked before `b` (NotComplete), and m past
+    `DEFAULT_SIZE_CAP` (SizeCapExceeded).  All are decided before any entry
+    is materialized.
+    """
+    m = _integer("m", m, 2, "truncation index must be at least 2")
+    gap = float(a.values[0] - b.values[0])
+    if abs(gap) <= tol.tau_cmp:
+        raise TopEntriesTied(
+            f"top entries differ by {gap!r}, within tau_cmp; "
+            "the construction cannot orient the pair"
+        )
+    counts = (m, m - 1) if gap > 0 else (m - 1, m)
+    for spec, count in zip((a, b), counts):
+        if not _positive_prefix(spec, count, tol):
+            raise NotComplete(
+                f"spectrum has fewer than {_count(count)} positive entries; "
+                "the construction needs a complete input"
+            )
+    if m > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(m, DEFAULT_SIZE_CAP)
+    return m, *counts
+
+
 def truncation_pair(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -121,23 +155,10 @@ def truncation_pair(
     before `b`).  Both are decided, and m is refused past `DEFAULT_SIZE_CAP`
     (SizeCapExceeded), before either truncation is materialized.
     """
-    m = _integer("m", m, 2, "truncation index must be at least 2")
-    gap = float(a.values[0] - b.values[0])
-    if abs(gap) <= tol.tau_cmp:
-        raise TopEntriesTied(
-            f"top entries differ by {gap!r}, within tau_cmp; "
-            "the construction cannot orient the pair"
-        )
-    counts = (m, m - 1) if gap > 0 else (m - 1, m)
-    for spec, count in zip((a, b), counts):
-        if not _positive_prefix(spec, count, tol):
-            raise NotComplete(
-                f"spectrum has fewer than {count} positive entries; "
-                "the construction needs a complete input"
-            )
-    if m > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(m, DEFAULT_SIZE_CAP)
-    return TruncationPair(_truncate(a, counts[0]), _truncate(b, counts[1]), m, gap < 0)
+    m, count_a, count_b = _kept_counts(a, b, m, tol)
+    return TruncationPair(
+        _truncate(a, count_a), _truncate(b, count_b), m, count_a < count_b
+    )
 
 
 def minimal_c_index(
@@ -186,6 +207,60 @@ class ConvergenceRow:
     incomparable: bool
 
 
+def _report_rows(
+    prefixes: np.ndarray,
+    ms: list[int],
+    kept: list[tuple[int, int]],
+    horizons: tuple[int, int],
+    tol: Tolerances,
+) -> list[ConvergenceRow]:
+    """Rows of `convergence_report` at the ascending indices `ms`, where
+    `a` and `b` keep the counts `kept` lists and have the comparison
+    `horizons`; `prefixes` holds their leading entries as two rows, past
+    both horizons and every count kept.  (The ufunc reductions are called
+    directly: `.sum()` and `.any()` wrap them in Python.)"""
+    # the truncations, zero-padded rows of a (2, len(ms), width) array
+    trunc = np.zeros((2, len(ms), prefixes.shape[1]))
+    past = []  # rows keeping more entries than their input's horizon
+    for r, counts in enumerate(kept):
+        for side, count in enumerate(counts):
+            head = prefixes[side, :count]
+            trunc[side, r, :count] = head / np.add.reduce(head)
+            if count > horizons[side]:
+                past.append((side, r, count))
+    # overlaps with the inputs over each pair's comparison horizon, which
+    # is the input's own unless the row is past it
+    roots = np.sqrt(trunc * prefixes[:, None])
+    overlap = np.array([
+        np.add.reduce(roots[side, :, :horizon], axis=-1)
+        for side, horizon in enumerate(horizons)
+    ])
+    for side, r, count in past:
+        overlap[side, r] = np.add.reduce(roots[side, r, :count])
+    dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap))
+    tau = tol.tau_cmp
+    sums = trunc.cumsum(axis=-1)
+    forward, backward = compare_many(sums[0], sums[1], tau)
+    gaps = (trunc[0, :, 0] - trunc[1, :, 0]).tolist()
+    numbers = np.add.reduce(trunc > tol.tau_zero, axis=-1)  # Schmidt numbers
+    return [
+        # condition_c's rule: the top gap, beyond tau_cmp, and the Schmidt
+        # numbers order the pair the same way
+        ConvergenceRow(
+            m, dist_a, dist_b, (gap > tau and na > nb) or (gap < -tau and na < nb),
+            RELATIONS[verdict_code(fwd, bwd)] is Relation.INCOMPARABLE,
+        )
+        for m, dist_a, dist_b, gap, na, nb, fwd, bwd in zip(
+            ms,
+            *dists.tolist(),
+            gaps,
+            *numbers.tolist(),
+            np.logical_or.reduce(forward, axis=-1).tolist(),
+            np.logical_or.reduce(backward, axis=-1).tolist(),
+        )
+    ]
+
+
 def convergence_report(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
@@ -198,18 +273,46 @@ def convergence_report(
     Each row reports the distances of the truncations to their inputs,
     whether the truncated pair passes condition_c, and whether it is
     incomparable.  Rows are ordered by m regardless of input order.
+
+    All indices are checked first, with the refusals of `truncation_pair`
+    in the order a loop over the sorted indices meets them; each input's
+    horizon, which `spectrum_distance` measures for the first row, is taken
+    right after that row's checks.  The rows are then computed together,
+    in blocks of at most `_BLOCK_ENTRIES` entries (at least one row), and
+    each equals, bit for bit, what `truncation_pair`, `spectrum_distance`,
+    `condition_c` and `compare` give at its index:
+
+    * a truncation row is the input's kept entries divided by their 1-D
+      sum, then zeros, so its entries are those of the truncated spectrum,
+      zero-padded as `entry_prefix` pads it;
+    * a distance sums the square roots of the row times the input over the
+      pair's comparison horizon, max(kept, input horizon): rows within the
+      input's horizon share that length and sum along their last axis,
+      which numpy does row by row in the 1-D pairwise order, and a row past
+      it sums its own length alone, since padding a row would regroup
+      numpy's pairwise sum;
+    * condition_c counts entries above `tau_zero` (padding counts none);
+    * the verdict code compares the rows' cumulative sums, which are the
+      truncations' prefix sums padded with their totals; past index m both
+      sums are at their totals, as at index m, so the padding adds no
+      failure beyond `tau_cmp`.
     """
-    rows = []
-    for m in sorted({_integer("m", m) for m in m_list}):
-        pair = truncation_pair(a, b, m, tol=tol)
-        rows.append(
-            ConvergenceRow(
-                m=m,
-                dist_a=spectrum_distance(pair.a_m, a, tol),
-                dist_b=spectrum_distance(pair.b_m, b, tol),
-                condition_c=condition_c(pair.a_m, pair.b_m, tol),
-                incomparable=RELATIONS[_pair_code(pair.a_m, pair.b_m, tol)]
-                is Relation.INCOMPARABLE,
-            )
+    ms = sorted({_integer("m", m) for m in m_list})
+    if not ms:
+        return []
+    kept = [_kept_counts(a, b, ms[0], tol)[1:]]
+    horizons = (a.horizon(tol.tau_cmp), b.horizon(tol.tau_cmp))
+    kept += [_kept_counts(a, b, m, tol)[1:] for m in ms[1:]]
+    width = max(ms[-1], *horizons)
+    prefixes = np.array((a.entry_prefix(width), b.entry_prefix(width)))
+    step = max(1, _BLOCK_ENTRIES // width)  # rows per block
+    if step >= len(ms):  # one block, the usual case: no slicing to pay for
+        return _report_rows(prefixes, ms, kept, horizons, tol)
+    report = []
+    for start in range(0, len(ms), step):
+        block = slice(start, start + step)
+        reach = max(ms[block][-1], *horizons)
+        report += _report_rows(
+            prefixes[:, :reach], ms[block], kept[block], horizons, tol
         )
-    return rows
+    return report

@@ -37,6 +37,7 @@ from entorder import (
     top_k_tensor_power,
     truncation_pair,
 )
+from entorder.errors import _count
 from oracles import (
     brute_majorized,
     brute_relation,
@@ -449,6 +450,25 @@ def test_top_k_size_cap(no_merge):
         top_k_tensor_power(s, 2, 0)
     with pytest.raises(InfiniteSchmidtNumber):
         top_k_tensor_power(complete_extension(s, 1), 2, 10**10)
+
+
+def test_top_k_size_cap_message_prints_a_short_count(no_merge):
+    # the default message of SizeCapExceeded prints a huge size short, as
+    # the power-size refusals do, not in its hundreds of digits
+    with pytest.raises(SizeCapExceeded) as info:
+        top_k_tensor_power(spec(0.5, 0.5), 10**5, 10**400)
+    assert info.value.required > 10**399
+    assert len(str(info.value)) < 200
+    assert str(info.value).endswith("e+400 entries; cap is 10000000")
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [(10**15 - 1, "999999999999999"), (10**15, "1.0e+15"), (2**64, "1.8e+19"),
+     (10**400 - 1, "9.9e+399"), (10**400, "1.0e+400"), (10**400 + 1, "1.0e+400")],
+)
+def test_short_counts_keep_two_digits_and_the_exponent(n, text):
+    assert _count(n) == text
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from entorder import (
     Relation,
     SchmidtSpectrum,
     SizeCapExceeded,
+    Tolerances,
     TopEntriesTied,
     catalyst_convertible,
     catalyst_search,
@@ -309,22 +310,22 @@ def test_report_rows_above_minimal_index_certify_incomparability():
 # for bit, and an invalid m-list must fail as they fail, index by index.
 
 
-def composed_rows(a, b, m_list):
+def composed_rows(a, b, m_list, tol=DEFAULT_TOLERANCES):
     rows = []
     for m in sorted(set(m_list)):
-        pair = truncation_pair(a, b, m)
+        pair = truncation_pair(a, b, m, tol=tol)
         rows.append((
             m,
-            spectrum_distance(pair.a_m, a).hex(),
-            spectrum_distance(pair.b_m, b).hex(),
-            condition_c(pair.a_m, pair.b_m),
-            compare(pair.a_m, pair.b_m).relation is Relation.INCOMPARABLE,
+            spectrum_distance(pair.a_m, a, tol).hex(),
+            spectrum_distance(pair.b_m, b, tol).hex(),
+            condition_c(pair.a_m, pair.b_m, tol),
+            compare(pair.a_m, pair.b_m, tol).relation is Relation.INCOMPARABLE,
         ))
     return rows
 
 
-def reported_rows(a, b, m_list):
-    rows = convergence_report(a, b, m_list)
+def reported_rows(a, b, m_list, tol=DEFAULT_TOLERANCES):
+    rows = convergence_report(a, b, m_list, tol=tol)
     assert all(type(row.incomparable) is bool for row in rows)
     return [
         (row.m, row.dist_a.hex(), row.dist_b.hex(), row.condition_c, row.incomparable)
@@ -345,21 +346,94 @@ def tailed_spectrum(rng):
     return make_spectrum(head / head.sum() * (1.0 - tail.mass()), tail)
 
 
-def test_report_rows_are_the_per_index_composition():
-    rng = np.random.default_rng(47)
+# At this tau_cmp a tailed input's horizon comes before its entries fall to
+# tau_zero, so a row can keep more entries than the horizon: its distance is
+# then summed over its own length.  HALVING's horizon is 20 entries, and it
+# has 39 above tau_zero.
+COARSE = Tolerances(tau_cmp=1e-6)
+HALVING = make_spectrum([0.55, 0.25], GeometricTail(0.1, 0.5))
+# A mass just over 1 renormalizes the last entry, one ulp above tau_zero, to
+# below it: the truncation keeping all three has Schmidt number 2.
+OVER_ONE = SchmidtSpectrum(
+    np.array([0.6, 0.4 + 4e-12, np.nextafter(DEFAULT_TOLERANCES.tau_zero, 1.0)])
+)
+
+
+def report_cases(rng):
+    """(a, b, m_list, tol) cases for the audit against its composition."""
     cases = [(spec(*WORKED_A), spec(*WORKED_B), [2, 3, 4, 5])]
     for _ in range(6):
         a, b = map(make_spectrum, random_complete_pair(rng))
         cases.append((a, b, [2, 3, 5, 8, 13, 21]))
         cases.append((tailed_spectrum(rng), tailed_spectrum(rng), [2, 3, 5, 8, 13, 21]))
+    # finite spectra of 8 to 40 entries, where numpy's pairwise sum groups
+    # by 8, at every index both keep; in the last, unsorted with repeats
+    for _ in range(6):
+        a, b = map(make_spectrum, random_complete_pair(rng, length_range=(8, 41)))
+        cases.append((a, b, list(range(2, min(len(a), len(b)) + 1))))
+    a, b, m_list = cases.pop()
+    cases.append((a, b, [int(m) for m in rng.choice(m_list, 12)]))
+    # demo 04's audit of a completed pair, then unsorted with repeats
+    ca, cb = (complete_extension(spec(*x), 25) for x in (WORKED_A, WORKED_B))
+    cases.append((ca, cb, [3, 5, 10, 20, 40]))
+    cases.append((ca, cb, [40, 3, 21, 3, 2, 40, 9]))
+    cases.append((OVER_ONE, spec(0.5, 0.5), [2, 3]))
+    cases = [case + (DEFAULT_TOLERANCES,) for case in cases]
+    # rows within and past a horizon, against tailed and finite partners
+    finite = random_sorted_probs(rng, 60) + 1e-3
+    finite = make_spectrum(finite / finite.sum())
+    for b in (tailed_spectrum(rng), tailed_spectrum(rng), finite):
+        cases.append((HALVING, b, [2, 3, 5, 8, 13, 21, 29, 34, 38], COARSE))
+    return cases
+
+
+def test_report_rows_are_the_per_index_composition():
+    cases = report_cases(np.random.default_rng(47))
+    # some rows keep more entries than their input's horizon
+    assert HALVING.horizon(COARSE.tau_cmp) == 20
+    assert schmidt_number(truncation_pair(OVER_ONE, spec(0.5, 0.5), 3).a_m) == 2
     seen = set()
-    for a, b, m_list in cases:
+    for a, b, m_list, tol in cases:
         for pair in ((a, b), (b, a)):
-            rows = reported_rows(*pair, m_list[::-1])
-            assert rows == composed_rows(*pair, m_list)
+            rows = reported_rows(*pair, m_list[::-1], tol)
+            assert rows == composed_rows(*pair, m_list, tol)
             seen.update(row[3:] for row in rows)
     # rows of each kind: comparable, and strongly incomparable
     assert {(False, False), (True, True)} <= seen
+
+
+def test_report_runs_none_of_the_per_index_functions(monkeypatch):
+    import entorder.catalysis
+    import entorder.genericity
+    import entorder.majorization
+    import entorder.spectra
+
+    cases = report_cases(np.random.default_rng(48))
+    expected = [reported_rows(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_report ran a per-index function")
+
+    owners = {
+        "truncation_pair": entorder.genericity,
+        "spectrum_distance": entorder.spectra,
+        "condition_c": entorder.catalysis,
+        "_pair_code": entorder.majorization,
+    }
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(entorder.genericity, name, refuse, raising=False)
+    assert [reported_rows(*case) for case in cases] == expected
+
+
+@pytest.mark.parametrize("entries", [1, 40, 300])
+def test_report_rows_do_not_depend_on_the_block_size(entries, monkeypatch):
+    import entorder.genericity
+
+    # one row per block, a few rows per block, and blocks split at a horizon
+    monkeypatch.setattr(entorder.genericity, "_BLOCK_ENTRIES", entries)
+    for case in report_cases(np.random.default_rng(49)):
+        assert reported_rows(*case) == composed_rows(*case)
 
 
 LONG_TAIL = 0.99999999
@@ -384,6 +458,20 @@ def test_report_refuses_an_m_list_as_its_composition_does(a, b, m_list, error, m
     got = outcome(reported_rows, a, b, m_list)
     assert got == outcome(composed_rows, a, b, m_list)
     assert got[0] is error and got[1].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "m_list", [[2, 10**7 + 1], [10**7 + 1], [1, 2], [3, 10**7 + 1, 2]]
+)
+def test_report_measures_the_horizons_after_its_first_index(m_list):
+    # the composition measures both horizons with its first row's distances,
+    # after that row's checks and before the next row's
+    a = make_spectrum([0.5000000025123796], GeometricTail(5e-09, LONG_TAIL))
+    b = make_spectrum([0.4], GeometricTail(0.6 * (1 - LONG_TAIL), LONG_TAIL))
+    got = outcome(reported_rows, a, b, m_list)
+    assert got == outcome(composed_rows, a, b, m_list)
+    if min(m_list) == 2:
+        assert got == (SizeCapExceeded, "tail residual shrinks too slowly")
 
 
 # The body `_positive_prefix` had before it read only the last entry: a full
@@ -558,7 +646,8 @@ def test_huge_indices_are_clipped_before_they_meet_a_float():
     # so the truncations of two tailed spectra run out of positive entries
     a = make_spectrum([0.45, 0.45], GeometricTail(0.05, 0.5))
     b = make_spectrum([0.6, 0.3], GeometricTail(0.05, 0.5))
-    message = f"^spectrum has fewer than {huge - 1} positive entries"
+    # the count is printed short, as 10**400 - 1 = 9.9...e+399
+    message = r"^spectrum has fewer than 9\.9e\+399 positive entries; "
     with pytest.raises(NotComplete, match=message):
         truncation_pair(a, b, huge)
     with pytest.raises(NotComplete, match=message):
