@@ -254,14 +254,14 @@ def condition_c(
     """
     _require_finite(a, "condition_c")
     _require_finite(b, "condition_c")
-    na = schmidt_number(a, tol)
-    nb = schmidt_number(b, tol)
     gap = float(a.values[0] - b.values[0])
-    if gap > tol.tau_cmp:
-        return na > nb
-    if gap < -tol.tau_cmp:
-        return na < nb
-    return False
+    return _c_rule(gap, schmidt_number(a, tol), schmidt_number(b, tol), tol.tau_cmp)
+
+
+def _c_rule(gap: float, na: int, nb: int, tau: float) -> bool:
+    """condition_c's rule on a pair's top gap a1 - b1 and Schmidt numbers:
+    the gap, beyond `tau`, and the numbers order the pair the same way."""
+    return (gap > tau and na > nb) or (gap < -tau and na < nb)
 
 
 @dataclass(frozen=True)

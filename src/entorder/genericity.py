@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import condition_c
+from .catalysis import _c_rule, condition_c
 from .errors import (
     InfiniteSchmidtNumber,
     InvalidInput,
@@ -207,6 +207,13 @@ class ConvergenceRow:
     incomparable: bool
 
 
+def _overlaps(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of sqrt(rows * entries), with one temporary
+    the size of `rows`."""
+    roots = rows * entries
+    return np.add.reduce(np.sqrt(roots, out=roots), axis=-1)
+
+
 def _report_rows(
     prefixes: np.ndarray,
     ms: list[int],
@@ -229,25 +236,23 @@ def _report_rows(
             if count > horizons[side]:
                 past.append((side, r, count))
     # overlaps with the inputs over each pair's comparison horizon, which
-    # is the input's own unless the row is past it
-    roots = np.sqrt(trunc * prefixes[:, None])
+    # is the input's own unless the row is past it; one side at a time
     overlap = np.array([
-        np.add.reduce(roots[side, :, :horizon], axis=-1)
+        _overlaps(trunc[side, :, :horizon], prefixes[side, :horizon])
         for side, horizon in enumerate(horizons)
     ])
     for side, r, count in past:
-        overlap[side, r] = np.add.reduce(roots[side, r, :count])
+        overlap[side, r] = _overlaps(trunc[side, r, :count], prefixes[side, :count])
     dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap))
-    tau = tol.tau_cmp
-    sums = trunc.cumsum(axis=-1)
-    forward, backward = compare_many(sums[0], sums[1], tau)
     gaps = (trunc[0, :, 0] - trunc[1, :, 0]).tolist()
     numbers = np.add.reduce(trunc > tol.tau_zero, axis=-1)  # Schmidt numbers
+    # the rows' prefix sums, in place: the truncations are not read again
+    sums = np.add.accumulate(trunc, axis=-1, out=trunc)
+    tau = tol.tau_cmp
+    forward, backward = compare_many(sums[0], sums[1], tau)
     return [
-        # condition_c's rule: the top gap, beyond tau_cmp, and the Schmidt
-        # numbers order the pair the same way
         ConvergenceRow(
-            m, dist_a, dist_b, (gap > tau and na > nb) or (gap < -tau and na < nb),
+            m, dist_a, dist_b, _c_rule(gap, na, nb, tau),
             RELATIONS[verdict_code(fwd, bwd)] is Relation.INCOMPARABLE,
         )
         for m, dist_a, dist_b, gap, na, nb, fwd, bwd in zip(
@@ -278,9 +283,12 @@ def convergence_report(
     in the order a loop over the sorted indices meets them; each input's
     horizon, which `spectrum_distance` measures for the first row, is taken
     right after that row's checks.  The rows are then computed together,
-    in blocks of at most `_BLOCK_ENTRIES` entries (at least one row), and
-    each equals, bit for bit, what `truncation_pair`, `spectrum_distance`,
-    `condition_c` and `compare` give at its index:
+    in blocks of at most `_BLOCK_ENTRIES` entries (at least one row); the
+    square roots are taken one side at a time and the prefix sums in place,
+    so one row as wide as the size cap holds no more memory at once than
+    the per-index composition.  Each row equals, bit for bit, what
+    `truncation_pair`, `spectrum_distance`, `condition_c` and `compare` give
+    at its index:
 
     * a truncation row is the input's kept entries divided by their 1-D
       sum, then zeros, so its entries are those of the truncated spectrum,
@@ -306,8 +314,6 @@ def convergence_report(
     width = max(ms[-1], *horizons)
     prefixes = np.array((a.entry_prefix(width), b.entry_prefix(width)))
     step = max(1, _BLOCK_ENTRIES // width)  # rows per block
-    if step >= len(ms):  # one block, the usual case: no slicing to pay for
-        return _report_rows(prefixes, ms, kept, horizons, tol)
     report = []
     for start in range(0, len(ms), step):
         block = slice(start, start + step)

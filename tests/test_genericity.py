@@ -436,6 +436,31 @@ def test_report_rows_do_not_depend_on_the_block_size(entries, monkeypatch):
         assert reported_rows(*case) == composed_rows(*case)
 
 
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_large_index_holds_no_more_than_its_composition():
+    # A slow tail below a coarse tau_cmp keeps entries above tau_zero far
+    # past its horizon, so one row can be as wide as the index; the report
+    # must then hold no more at once than the per-index composition does.
+    coarse = Tolerances(tau_cmp=1e-3)
+    tail = GeometricTail(1e-11, 0.9999999)
+    a = make_spectrum([0.55, 0.4499], tail)
+    b = make_spectrum([0.6, 0.3999], tail)
+    m = 200_000
+    assert a.horizon(coarse.tau_cmp) < 10 < m
+    report = traced_peak(lambda: convergence_report(a, b, [m], tol=coarse))
+    composed = traced_peak(lambda: composed_rows(a, b, [m], coarse))
+    assert report <= composed
+    assert report > 4 * 8 * m  # the two inputs and their two truncations
+
+
 LONG_TAIL = 0.99999999
 
 
